@@ -27,15 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._rng import seed_stream
 from .curves import curve_families, gallery_curves, jordan_decompose, length, make_curve
-from .errors import (GreenCurvesError, KindMismatch, ParseError, UnknownFamily)
+from .errors import GreenCurvesError, KindMismatch, OnCurve, ParseError, UnknownFamily
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
 from .integration import (GreenConfig, Square, contour_integral, green_on_square,
                           mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
 from .vitushkin import delta_sweep
-from .winding import GridSpec, index_field, winding_numbers
+from .winding import GridSpec, distance_to_curve, index_field, winding_numbers
 
 _CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
 
@@ -104,21 +105,29 @@ def _angle_winding(curve, z):
     return int(round(float(np.angle((w - z) / (v - z)).sum()) / (2 * np.pi)))
 
 
+def _green_probes(curve, seed):
+    """64 seeded points of the grid box at least 1e-4 diameters off the curve.
+
+    All candidates come in one batch of 1024; fewer than 64 of them off the
+    curve means the curve fills its box, which is an input error.
+    """
+    box = GridSpec.cover(curve, 1)
+    u = seed_stream(seed, "cli.green.probes").random((2, 1024))
+    z = box.lo + (u[0] * (box.hi - box.lo).real + 1j * u[1] * (box.hi - box.lo).imag)
+    clear = 1e-4 * curve.diameter
+    z = z[distance_to_curve(curve, z, cap=clear) > clear]
+    if z.size < 64:
+        raise OnCurve(f"only {z.size} of 1024 probe points lie off the curve")
+    return z[:64]
+
+
 def _check_green(doc, curve, f, seed):
     cfg = _green_cfg(doc)
     rep = verify_green(curve, f, cfg)
     # exact-integer invariant at seeded probe points: the ray-crossing index
     # must agree with the rounded argument sum
-    rng = np.random.default_rng(seed)
-    lo, hi = curve.bbox
-    span = (hi - lo) or 1.0
-    from .winding import distance_to_curve
-    pts = []
-    while len(pts) < 64:
-        z = lo + complex(rng.random() * span.real, rng.random() * span.imag)
-        if distance_to_curve(curve, np.array([z]))[0] > 1e-4 * curve.diameter:
-            pts.append(z)
-    ray = winding_numbers(curve, np.array(pts))
+    pts = _green_probes(curve, seed)
+    ray = winding_numbers(curve, pts)
     ang = np.array([_angle_winding(curve, z) for z in pts])
     hard_fail = bool(np.any(ray != ang))
     return {"report": rep.to_json_dict(), "hard_fail": hard_fail}

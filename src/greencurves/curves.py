@@ -147,7 +147,6 @@ def self_intersections(curve: PolyCurve) -> list:
     a = curve.starts
     d = curve.edge_vectors
     tau = curve.tau_geom
-    scale = max(curve.diameter, 1e-300)
 
     events = []
     for i in range(n):
@@ -200,7 +199,6 @@ def self_intersections(curve: PolyCurve) -> list:
                 break
         if not dup:
             merged.append(e)
-    _ = scale
     return merged
 
 

@@ -144,8 +144,8 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
         hx, hy = hx / 2, hy / 2
         off = np.array([-hx - 1j * hy, hx - 1j * hy, -hx + 1j * hy, hx + 1j * hy])
         sub = (act_z[:, None] + off[None, :]).ravel()
-        dist = distance_to_curve(curve, sub)
         band = 2.0 * math.hypot(2 * hx, 2 * hy)
+        dist = distance_to_curve(curve, sub, cap=band)
         clear = dist > band
         area = 4 * hx * hy
         if np.any(clear):

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: areas come
 from the shoelace formula, winding numbers from summed angle increments,
 crossings from a parametric pairwise solve, and clipped polygons from direct
-half-plane cutting.
+half-plane cutting.  ``winding_by_edges`` and ``distance_by_edges`` are the
+plain every-edge-against-every-point loops with the same per-edge arithmetic
+as the library kernels, which only evaluate candidate edge/point pairs.
 """
 
 import numpy as np
@@ -32,6 +34,43 @@ def winding_by_angles(vertices, z: complex) -> int:
     w = np.roll(v, -1)
     inc = np.angle((w - z) / (v - z))
     return int(round(float(inc.sum()) / (2 * np.pi)))
+
+
+def winding_by_edges(vertices, zs) -> np.ndarray:
+    """Signed half-open ray-crossing count, every edge against every point."""
+    z = np.asarray(zs, dtype=complex)
+    zx, zy = z.real, z.imag
+    wn = np.zeros(z.shape, dtype=np.int64)
+    a = np.asarray(vertices, dtype=complex)
+    b = np.roll(a, -1)
+    for k in range(a.size):
+        ax, ay = a[k].real, a[k].imag
+        bx, by = b[k].real, b[k].imag
+        left = (bx - ax) * (zy - ay) - (zx - ax) * (by - ay)
+        up = (ay <= zy) & (by > zy) & (left > 0)
+        dn = (by <= zy) & (ay > zy) & (left < 0)
+        wn += up
+        wn -= dn
+    return wn
+
+
+def distance_by_edges(vertices, zs) -> np.ndarray:
+    """Distance to the closed polyline, every edge against every point."""
+    z = np.asarray(zs, dtype=complex)
+    zx, zy = z.real, z.imag
+    best = np.full(z.shape, np.inf)
+    a = np.asarray(vertices, dtype=complex)
+    d = np.roll(a, -1) - a
+    for k in range(a.size):
+        ax, ay = a[k].real, a[k].imag
+        dx, dy = d[k].real, d[k].imag
+        ll = dx * dx + dy * dy
+        t = ((zx - ax) * dx + (zy - ay) * dy) / ll
+        np.clip(t, 0.0, 1.0, out=t)
+        ex = zx - (ax + t * dx)
+        ey = zy - (ay + t * dy)
+        np.minimum(best, np.hypot(ex, ey), out=best)
+    return best
 
 
 def brute_force_crossings(vertices, tol: float = 1e-12) -> list:

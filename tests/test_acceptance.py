@@ -257,3 +257,15 @@ def test_criterion_11_reproducibility(tmp_path):
         run_scenario(str(SCEN_DIR / scen), out_dir=str(b))
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes(), scen
     _report(11, "both bundled scenarios byte-identical across reruns")
+
+
+def test_green_resolution_1024_wall_clock():
+    # index field and area refinement touch only candidate edge/point pairs,
+    # so the green identity at resolution 1024 stays interactive
+    c = make_curve("circle", n=256)
+    t0 = time.perf_counter()
+    rep = verify_green(c, ZBAR, GreenConfig(resolution=1024))
+    elapsed = time.perf_counter() - t0
+    assert rep.rel_residual <= 1e-3
+    assert elapsed < 2.0
+    print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 in {elapsed:.2f}s")

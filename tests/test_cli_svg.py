@@ -1,8 +1,12 @@
 """Scenario runner, report reproducibility, SVG rendering."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from greencurves import GridSpec, index_field, make_curve
@@ -49,6 +53,35 @@ def test_unknown_family_exit_2(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(doc))
     assert main(["run", str(p)]) == 2
+
+
+def test_collinear_curve_green_terminates(tmp_path):
+    # spiral with zero turns: every vertex on one line, so the curve's box has
+    # zero area; the green probe sampler must still end, with a verdict or an
+    # input error
+    doc = {"schema": 1, "seed": 3, "curve": {"family": "spiral", "params": {"turns": 0, "n": 32}},
+           "grid": {"resolution": 64}, "checks": ["green"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    src = str(SCEN_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", "from greencurves.cli import entry; entry()",
+                           "run", str(p), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, timeout=10)
+    assert proc.returncode in (0, 2), proc.stderr
+
+
+def test_green_probe_exhaustion_exit_2(tmp_path, monkeypatch):
+    # the probe sampler draws one bounded batch; if no draw clears the curve
+    # the scenario is an input error rather than a hang
+    import greencurves.cli as climod
+    monkeypatch.setattr(climod, "distance_to_curve",
+                        lambda curve, zs, cap=float("inf"): np.zeros(np.shape(zs)))
+    doc = {"schema": 1, "seed": 1, "curve": {"family": "circle", "params": {"n": 32}},
+           "grid": {"resolution": 32}, "checks": ["green"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_scenario_reproducible_bytes(tmp_path):
