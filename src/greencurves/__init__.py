@@ -11,11 +11,11 @@ from .functions import (FunctionDescriptor, function_families, make_function,
                         truncated_cauchy, with_cutoff)
 from .integration import (GreenConfig, Square, VerificationReport, area_integral_weighted,
                           contour_integral, green_on_square, mollifier_identity_check,
-                          modulus_of_continuity, verify_green)
+                          verify_green)
 from .mainlemma import (ArcComponent, BoundaryInterval, Disc, GenerationTree, bound_check,
                         build_generations, classify_crossings, exterior_components,
                         exterior_integral_identity, select_interval, with_jitter)
-from .vitushkin import (Partition, PieceSet, build_partition, class_sums, classify,
-                        delta_sweep, localize, localize_cauchy, reconstruct)
+from .vitushkin import (Partition, PieceSet, build_partition, class_sums, delta_sweep,
+                        localize, localize_cauchy, reconstruct)
 from .winding import (GridSpec, IndexField, index_field, index_l2, region_masks,
                       winding_number, winding_numbers)

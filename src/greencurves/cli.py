@@ -55,6 +55,8 @@ def _load_scenario(path: str) -> dict:
     for key in ("curve", "checks"):
         if key not in doc:
             raise ParseError(f"scenario is missing required key {key!r}")
+    if not isinstance(doc["checks"], list):
+        raise ParseError("checks must be a list")
     for name in doc["checks"]:
         if name not in _CHECK_NAMES:
             raise ParseError(f"unknown check {name!r}; valid: {_CHECK_NAMES}")
@@ -90,13 +92,45 @@ def _build_function(doc: dict):
 def _green_cfg(doc: dict) -> GreenConfig:
     g = doc.get("grid", {})
     q = doc.get("quadrature", {})
-    return GreenConfig(
+    cfg = GreenConfig(
         resolution=int(g.get("resolution", 256)),
         dilate=float(g.get("dilate", 1.5)),
         band_diagonals=float(g.get("band_diagonals", 2.0)),
         refine=int(q.get("refine", 3)),
         contour_order=int(q.get("contour_order", 8)),
     )
+    if cfg.resolution < 1 or cfg.contour_order < 1 or cfg.refine < 0:
+        raise ValueError(f"grid and quadrature settings out of range: {cfg}")
+    return cfg
+
+
+def _deltas(doc: dict) -> list:
+    deltas = list(doc.get("deltas", [0.4, 0.2, 0.1, 0.05]))
+    if not all(0 < float(d) < np.inf for d in deltas) or any(
+            b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be positive, finite and strictly decreasing")
+    return deltas
+
+
+def _discs(doc: dict) -> list:
+    return [Disc(center=complex(*spec["center"]), radius=float(spec["radius"]))
+            for spec in doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}])]
+
+
+def _square(doc: dict):
+    spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
+    depth = int(spec.get("depth", 5))
+    if depth < 0:
+        raise ValueError("square.depth must be at least 0")
+    return Square(center=complex(*spec["center"]), half=float(spec["half"])), depth
+
+
+def _mollifier(doc: dict):
+    spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
+    eps = float(spec["eps"])
+    if not 0 < eps < np.inf:
+        raise ValueError("mollifier.eps must be positive and finite")
+    return complex(*spec["z"]), eps
 
 
 def _angle_winding(curve, z):
@@ -121,8 +155,7 @@ def _green_probes(curve, seed):
     return z[:64]
 
 
-def _check_green(doc, curve, f, seed):
-    cfg = _green_cfg(doc)
+def _check_green(cfg, curve, f, seed):
     rep = verify_green(curve, f, cfg)
     # exact-integer invariant at seeded probe points: the ray-crossing index
     # must agree with the rounded argument sum
@@ -133,7 +166,7 @@ def _check_green(doc, curve, f, seed):
     return {"report": rep.to_json_dict(), "hard_fail": hard_fail}
 
 
-def _check_decompose(doc, curve, f, seed):
+def _check_decompose(_, curve, f, seed):
     dec = jordan_decompose(curve)
     from .curves import is_jordan
     simple = all(is_jordan(lp) for lp in dec.loops)
@@ -155,21 +188,19 @@ def _check_decompose(doc, curve, f, seed):
     }
 
 
-def _check_vitushkin(doc, curve, f, seed):
-    deltas = doc.get("deltas", [0.4, 0.2, 0.1, 0.05])
+def _check_vitushkin(deltas, curve, f, seed):
     rows = delta_sweep(f, curve, deltas)
     decreasing = all(a["s_ii_abs"] >= b["s_ii_abs"] for a, b in zip(rows, rows[1:]))
     return {"report": {"sweep": rows, "s_ii_decreasing": decreasing}, "hard_fail": False,
             "sweep_table": rows}
 
 
-def _check_mainlemma(doc, curve, f, seed):
+def _check_mainlemma(discs, curve, f, seed):
     from .errors import BoundViolated, NestingViolation
     reports = []
     hard = False
     dumps = []
-    for spec in doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}]):
-        disc = Disc(center=complex(*spec["center"]), radius=float(spec["radius"]))
+    for disc in discs:
         disc = with_jitter(curve, disc, seed=seed)
         h = truncated_cauchy(disc.center + 0.1 * disc.radius, 0.3 * disc.radius)
         try:
@@ -185,18 +216,16 @@ def _check_mainlemma(doc, curve, f, seed):
     return {"report": {"discs": reports}, "hard_fail": hard, "dumps": dumps}
 
 
-def _check_square(doc, curve, f, seed):
-    spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
-    sq = Square(center=complex(*spec["center"]), half=float(spec["half"]))
-    rep = green_on_square(sq, f, curve, depth=int(spec.get("depth", 5)))
+def _check_square(square, curve, f, seed):
+    sq, depth = square
+    rep = green_on_square(sq, f, curve, depth=depth)
     rows = rep.extras["generations"]
     ok = all(row["remainder"] <= row["remainder_bound"] * (1 + 1e-9) + 1e-12 for row in rows[1:])
     return {"report": rep.to_json_dict(), "hard_fail": not ok}
 
 
-def _check_mollifier(doc, curve, f, seed):
-    spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
-    rep = mollifier_identity_check(f, complex(*spec["z"]), float(spec["eps"]))
+def _check_mollifier(spec, curve, f, seed):
+    rep = mollifier_identity_check(f, *spec)
     return {"report": rep.to_json_dict(), "hard_fail": False}
 
 
@@ -209,14 +238,27 @@ _CHECKS = {
     "mollifier": _check_mollifier,
 }
 
+# the scenario section each check reads, parsed and validated before any check runs
+_SECTIONS = {
+    "green": _green_cfg,
+    "vitushkin": _deltas,
+    "mainlemma": _discs,
+    "square": _square,
+    "mollifier": _mollifier,
+}
+
 
 def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: bool = False):
     """Execute a scenario; returns (report dict, exit code)."""
     doc = _load_scenario(path)
-    seed = int(doc.get("seed", 0))
-    curve = _build_curve(doc)
-    f = _build_function(doc)
     checks = list(doc["checks"])
+    try:
+        seed = int(doc.get("seed", 0))
+        curve = _build_curve(doc)
+        f = _build_function(doc)
+        specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
 
     n_threads = int(os.environ.get("GC_THREADS", "0") or "0")
     if n_threads <= 0:
@@ -227,7 +269,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
 
     def run_one(name):
         t0 = time.perf_counter()
-        res = _CHECKS[name](doc, curve, f, seed)
+        res = _CHECKS[name](specs[name], curve, f, seed)
         timings[name] = time.perf_counter() - t0
         return name, res
 
@@ -261,7 +303,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
             (out / "curve.svg").write_text(render_svg(
                 [[z.real, z.imag] for z in curve.vertices], "curve"))
             if "green" in checks:
-                cfg = _green_cfg(doc)
+                cfg = specs["green"]
                 grid = GridSpec.cover(curve, min(cfg.resolution, 128), cfg.dilate)
                 fld = index_field(curve, grid, 2 * grid.cell_diag)
                 (out / "index.svg").write_text(render_svg(fld.to_json_dict(), "index-heatmap"))

@@ -340,9 +340,3 @@ def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float,
     rhs = complex((f.dbar(pts) * mollifier(u, eps) * w).sum())
     settings = {"eps": eps, "quad_order": quad_order, "z": [z.real, z.imag]}
     return VerificationReport.build(lhs, rhs, settings)
-
-
-def modulus_of_continuity(f: FunctionDescriptor, delta: float, box, samples: int = 20000,
-                          seed: int = 7) -> float:
-    """Empirical sup of |f(z)-f(w)| over seeded random pairs with |z-w| <= delta."""
-    return f.modulus(delta, box=box, samples=samples, seed=seed, prefer_exact=False)

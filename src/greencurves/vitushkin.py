@@ -11,11 +11,16 @@ A localized piece of a compactly supported f is
     f_j(z) = (1/pi) ∫ (f(w) - f(z)) / (w - z) * dbar(phi_j)(w) dA(w),
 
 whose d-bar derivative is phi_j * dbar(f); the piece is holomorphic wherever
-f is and outside the bump's support.  Pieces are evaluated two ways: a batch
-rule (fixed template quadrature on the support, plus a polar patch replacing
-the cell that contains z, where the difference quotient has its directional
-discontinuity) for contour sums and reconstruction scans, and a slower
-per-point adaptive rule for cross-checks and finite-difference tests.
+f is and outside the bump's support.  Every evaluation is built from one
+tensor Gauss rule on the support square (``_tensor_rule``) and one polar
+frame about z (``_polar_frame``: z clipped into a rect, angular panels
+between its corners, the exit distance of each ray), which replaces the
+cells next to z, where the difference quotient has its directional
+discontinuity.  Two configurations use them: ``PieceSet`` (order 5, one
+polar cell, multipole and coarse-ring shortcuts) for contour sums and
+reconstruction scans, and ``localize`` / ``localize_cauchy`` (12 cells of
+order 12, a 3x3 polar block split at the profile's center lines) as the
+accurate reference for cross-checks and finite-difference tests.
 """
 
 from __future__ import annotations
@@ -68,6 +73,30 @@ def profile_d(t, delta: float):
     return _rho1(t + r, r) - _rho1(t - r, r)
 
 
+def _dbar_phi(dx, dy, delta: float):
+    """dbar of the tensor bump at offsets (dx, dy) from its center."""
+    return 0.5 * (profile_d(dx, delta) * profile(dy, delta)
+                  + 1j * profile(dx, delta) * profile_d(dy, delta))
+
+
+def _tensor_rule(delta: float, n_cells: int, order: int):
+    """Tensor Gauss-Legendre rule on the support square [-delta/2, delta/2]^2.
+
+    Returns the per-axis cell edges, the node offsets from the bump center,
+    their weights, and the cell of each node, numbered ``ix * n_cells + iy``.
+    """
+    half = delta / 2.0
+    edges = np.linspace(-half, half, n_cells + 1)
+    gx, gw = gauss_legendre_01(order)
+    w1 = np.diff(edges)
+    x = (edges[:-1, None] + w1[:, None] * gx[None, :]).ravel()
+    w = (w1[:, None] * gw[None, :]).ravel()
+    cell = np.repeat(np.arange(n_cells), order)
+    offsets = (x[:, None] + 1j * x[None, :]).ravel()
+    weights = (w[:, None] * w[None, :]).ravel()
+    return edges, offsets, weights, (cell[:, None] * n_cells + cell[None, :]).ravel()
+
+
 @dataclass
 class Partition:
     """Family of tensor bumps on the half-spacing lattice covering a box.
@@ -108,23 +137,10 @@ class Partition:
         c = self.center(j)
         return profile(z.real - c.real, self.delta) * profile(z.imag - c.imag, self.delta)
 
-    def dbar_phi(self, j: int, zs) -> np.ndarray:
-        z = np.asarray(zs, dtype=complex)
-        c = self.center(j)
-        px = profile(z.real - c.real, self.delta)
-        py = profile(z.imag - c.imag, self.delta)
-        dx = profile_d(z.real - c.real, self.delta)
-        dy = profile_d(z.imag - c.imag, self.delta)
-        return 0.5 * (dx * py + 1j * px * dy)
-
     def grad_phi_norm(self, j: int, zs) -> np.ndarray:
         z = np.asarray(zs, dtype=complex)
         c = self.center(j)
-        px = profile(z.real - c.real, self.delta)
-        py = profile(z.imag - c.imag, self.delta)
-        dx = profile_d(z.real - c.real, self.delta)
-        dy = profile_d(z.imag - c.imag, self.delta)
-        return np.hypot(dx * py, px * dy)
+        return 2.0 * np.abs(_dbar_phi(z.real - c.real, z.imag - c.imag, self.delta))  # phi is real
 
     def _window(self, zs, reach: int):
         """Lattice index arrays (iy, ix) of bump candidates within ``reach`` cells."""
@@ -218,36 +234,26 @@ def _classify_by_field(partition: Partition, j: int, fld: IndexField) -> str:
     raise UnresolvedDisc(f"bump {j} at {c} sits in the near-curve band; refine the field")
 
 
-def classify(partition: Partition, j: int, curve: PolyCurve, fld: IndexField) -> str:
-    """Class of bump j: II if its disc meets a curve edge, else I/III by the index value.
+def _meets_curve(curve: PolyCurve, centers, delta: float) -> np.ndarray:
+    """Class-II test: does the nominal disc of radius delta about each center meet the curve?
 
-    The disc test is an exact segment-disc distance comparison.  Requires the
-    field to resolve the disc (at least 4 cells per delta); raises
-    UnresolvedDisc when the disc only covers masked cells.
+    The distance kernel is exact up to its cap, so capping at delta keeps
+    every decision exact while it skips the edges far from each center.
     """
-    _check_resolution(partition, fld)
-    c = partition.center(j)
-    d = float(distance_to_curve(curve, np.array([c]))[0])
-    if d < partition.delta:
-        return CLASS_II
-    return _classify_by_field(partition, j, fld)
+    return distance_to_curve(curve, centers, cap=delta) < delta
 
 
 def classify_many(partition: Partition, js, curve: PolyCurve, fld: IndexField) -> dict:
-    """Batched classification: one vectorized distance pass, then cheap lookups."""
+    """Class of each bump j: II if its disc meets a curve edge, else I/III by the index value.
+
+    Requires the field to resolve the disc (at least 4 cells per delta);
+    raises UnresolvedDisc when a disc only covers masked cells.
+    """
     _check_resolution(partition, fld)
     js = list(js)
-    out = {}
-    if not js:
-        return out
-    centers = np.array([partition.center(j) for j in js])
-    dist = distance_to_curve(curve, centers)
-    for k, j in enumerate(js):
-        if dist[k] < partition.delta:
-            out[j] = CLASS_II
-        else:
-            out[j] = _classify_by_field(partition, j, fld)
-    return out
+    meets = _meets_curve(curve, partition.centers_array()[js], partition.delta)
+    return {j: CLASS_II if hit else _classify_by_field(partition, j, fld)
+            for j, hit in zip(js, meets)}
 
 
 class PieceSet:
@@ -282,25 +288,10 @@ class PieceSet:
         delta = partition.delta
         self.half = delta / 2.0
         self.far_radius = 1.0 * delta  # corner-node multipole ratio sqrt(2)/2 per term
-        self.edges = np.linspace(-self.half, self.half, cells_per_axis + 1)
-
-        def template(n_cells):
-            eds = np.linspace(-self.half, self.half, n_cells + 1)
-            gx, gw = gauss_legendre_01(order)
-            w1 = np.diff(eds)
-            ox = (eds[:-1, None] + w1[:, None] * gx[None, :]).ravel()
-            ow = (w1[:, None] * gw[None, :]).ravel()
-            p1 = profile(ox, delta)
-            d1 = profile_d(ox, delta)
-            offs = (ox[:, None] + 1j * ox[None, :]).ravel()
-            w2 = (ow[:, None] * ow[None, :]).ravel()
-            dphi = 0.5 * (d1[:, None] * p1[None, :] + 1j * p1[:, None] * d1[None, :]).ravel()
-            return ox, offs, w2 * dphi / math.pi
-
-        self.ox, self.offsets, self.b = template(cells_per_axis)
-        _, self.offsets_c, self.b_c = template(6)  # coarse rule: points outside the support
-        cell_idx_1d = np.repeat(np.arange(cells_per_axis), order)
-        node_cell = (cell_idx_1d[:, None] * cells_per_axis + cell_idx_1d[None, :]).ravel()
+        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, cells_per_axis, order)
+        self.b = w * _dbar_phi(self.offsets.real, self.offsets.imag, delta) / math.pi
+        _, self.offsets_c, w, _ = _tensor_rule(delta, 6, order)  # coarse rule: points outside the support
+        self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, order * order)
         # shared multipole data: powers of the offsets, and the moments of b
@@ -309,14 +300,6 @@ class PieceSet:
         self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
         self._cache = {}
         self._active = None
-
-    def _dbar_phi_at(self, offs) -> np.ndarray:
-        delta = self.partition.delta
-        px = profile(offs.real, delta)
-        py = profile(offs.imag, delta)
-        dx = profile_d(offs.real, delta)
-        dy = profile_d(offs.imag, delta)
-        return 0.5 * (dx * py + 1j * px * dy)
 
     def _activity(self) -> np.ndarray:
         if self._active is None:
@@ -365,35 +348,18 @@ class PieceSet:
         dy = zs.imag - c.imag
         ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.cells - 1)
         iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.cells - 1)
-        x0 = c.real + self.edges[ix]
-        x1 = c.real + self.edges[ix + 1]
-        y0 = c.imag + self.edges[iy]
-        y1 = c.imag + self.edges[iy + 1]
-        m = 1e-12 * self.partition.delta
-        zr = np.clip(zs.real, x0 + m, x1 - m)
-        zi = np.clip(zs.imag, y0 + m, y1 - m)
-        ze = zr + 1j * zi
-        corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
-        th = np.sort(np.angle(corners - ze[:, None]), axis=1)
-        th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
-        widths = np.diff(th_edges, axis=1)
-        gt, wt = gauss_legendre_01(self.patch_nt)
-        TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
-        WT = widths[:, :, None] * wt[None, None, :]
-        ct, st = np.cos(TH), np.sin(TH)
-        with np.errstate(divide="ignore"):
-            tx = np.where(ct > 0, (x1[:, None, None] - zr[:, None, None]) / ct,
-                          np.where(ct < 0, (x0[:, None, None] - zr[:, None, None]) / ct, np.inf))
-            ty = np.where(st > 0, (y1[:, None, None] - zi[:, None, None]) / st,
-                          np.where(st < 0, (y0[:, None, None] - zi[:, None, None]) / st, np.inf))
-        rmax = np.minimum(tx, ty)
+        ze, E, WT, _, _, rmax = _polar_frame(
+            zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
+            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta, self.patch_nt)
+        # one radial panel per ray: even cells_per_axis puts the profile's
+        # center lines on cell edges, so no cell straddles them
         gr, wr = gauss_legendre_01(self.patch_nr)
         S = rmax[..., None] * gr
         W = (WT * rmax)[..., None] * wr
-        E = np.exp(1j * TH)[..., None]
+        E = E[..., None]
         wpts = ze[:, None, None, None] + S * E
         vals = (self.f.value(wpts) - fzs[:, None, None, None]) * np.conj(E) \
-            * self._dbar_phi_at(wpts - c)
+            * _dbar_phi(wpts.real - c.real, wpts.imag - c.imag, self.partition.delta)
         return (vals * W).sum(axis=(1, 2, 3)) / math.pi, ix, iy
 
     def eval(self, j: int, zs, patch: bool = True, chunk: int = 1024) -> np.ndarray:
@@ -468,80 +434,82 @@ class PieceSet:
 # accurate per-point evaluation (cross-checks, finite differences)
 
 
-def _polar_block(c, z, rect, integrand_polar, delta, nt=24, nr=16):
-    """Polar rule about z over an axis-aligned rect containing z.
+def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
+    """Angular half of the polar rule about each z over its axis-aligned rect.
 
-    Angular panels are aligned to the rect corners; radial panels are split
-    where a ray crosses the profile's center lines x = c.re or y = c.im, so
-    the integrand is analytic on every panel.
+    z is clipped just inside its rect [x0, x1] x [y0, y1]; the angular panels
+    run between the directions of the four corners, nt Gauss nodes each, so
+    every ray leaves the rect through one side.  Returns the clipped z, and
+    per (z, panel, node) the direction e^{i theta}, the angular weight, cos
+    and sin of theta, and the distance at which the ray leaves the rect.
     """
-    x0, x1, y0, y1 = rect
+    zs, x0, x1, y0, y1 = np.broadcast_arrays(*(np.atleast_1d(v) for v in (zs, x0, x1, y0, y1)))
     m = 1e-12 * delta
-    zr = min(max(z.real, x0 + m), x1 - m)
-    zi = min(max(z.imag, y0 + m), y1 - m)
-    ze = complex(zr, zi)
-    corners = np.array([complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)])
-    th = np.sort(np.angle(corners - ze))
-    th_edges = np.concatenate([th, [th[0] + 2 * math.pi]])
+    zr = np.clip(zs.real, x0 + m, x1 - m)
+    zi = np.clip(zs.imag, y0 + m, y1 - m)
+    ze = zr + 1j * zi
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
+    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
+    th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
+    widths = np.diff(th_edges, axis=1)
     gt, wt = gauss_legendre_01(nt)
-    TH = (th_edges[:-1, None] + np.diff(th_edges)[:, None] * gt[None, :]).ravel()
-    WT = (np.diff(th_edges)[:, None] * wt[None, :]).ravel()
+    TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
+    WT = widths[:, :, None] * wt[None, None, :]
     ct, st = np.cos(TH), np.sin(TH)
+    x0, x1, y0, y1, zr, zi = (v[:, None, None] for v in (x0, x1, y0, y1, zr, zi))
     with np.errstate(divide="ignore"):
         tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
         ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
-        kx = (c.real - zr) / np.where(ct == 0, np.inf, ct)
-        ky = (c.imag - zi) / np.where(st == 0, np.inf, st)
-    rmax = np.minimum(tx, ty)
-    cuts = []
-    for kk in (kx, ky):
-        cc = np.where((kk > 0) & (kk < rmax), kk, rmax)
-        cuts.append(cc)
-    b0 = np.zeros_like(rmax)
-    b1 = np.minimum(cuts[0], cuts[1])
-    b2 = np.maximum(cuts[0], cuts[1])
-    bounds = np.stack([b0, b1, b2, rmax], axis=-1)  # (n_th, 4)
+    return ze, np.exp(1j * TH), WT, ct, st, np.minimum(tx, ty)
+
+
+def _polar_block(c, z, rect, g, delta, nt=24, nr=16):
+    """Polar rule for ∫ g(w) / (w - z) dA over an axis-aligned rect containing z.
+
+    About z, 1/(w - z) times the polar Jacobian r is e^{-i theta}: the
+    integrand is bounded.  Angular panels are aligned to the rect corners;
+    radial panels are split where a ray crosses the profile's center lines
+    x = c.re or y = c.im, so the integrand is analytic on every panel.
+    """
+    ze, E, WT, ct, st, rmax = (v[0] for v in _polar_frame(z, *rect, delta, nt))
+    with np.errstate(divide="ignore"):
+        kx = (c.real - ze.real) / np.where(ct == 0, np.inf, ct)
+        ky = (c.imag - ze.imag) / np.where(st == 0, np.inf, st)
+    cuts = [np.where((kk > 0) & (kk < rmax), kk, rmax) for kk in (kx, ky)]
+    bounds = np.stack([np.zeros_like(rmax), np.minimum(*cuts), np.maximum(*cuts), rmax],
+                      axis=-1)  # (4, nt, 4)
     gr, wr = gauss_legendre_01(nr)
-    lo = bounds[:, :-1]
     span = np.diff(bounds, axis=-1)
-    S = lo[..., None] + span[..., None] * gr  # (n_th, 3, nr)
-    W = (WT[:, None] * span)[..., None] * wr
-    E = np.exp(1j * TH)[:, None, None]
-    wpts = ze + S * E
-    vals = integrand_polar(wpts, E)
-    return complex((vals * W).sum())
+    S = bounds[..., :-1, None] + span[..., None] * gr  # (4, nt, 3, nr)
+    W = (WT[..., None] * span)[..., None] * wr
+    E = E[..., None, None]
+    return complex((g(ze + S * E) * np.conj(E) * W).sum())
 
 
-def _accurate_piece_integral(partition, j, z, integrand_cart, integrand_polar,
-                             n_cells=12, order=12, nt=24, nr=16):
+def _accurate_piece_integral(partition, j, z, g, n_cells=12, order=12, nt=24, nr=16):
+    """∫ g(w) / (w - z) dA over the support of bump j, for g smooth on each cell.
+
+    Tensor rule on the support, with the 3x3 cell block around z replaced by
+    the polar rule.  No tensor node meets z: the block keeps them a cell away
+    from an inside z, and Gauss nodes lie strictly inside the support.
+    """
     delta = partition.delta
     c = partition.center(j)
+    edges, offsets, weights, cell = _tensor_rule(delta, n_cells, order)
+    keep = np.ones(cell.shape, dtype=bool)
     half = delta / 2.0
-    edges = np.linspace(-half, half, n_cells + 1)
-    inside = abs(z.real - c.real) < half and abs(z.imag - c.imag) < half
     block = None
-    if inside:
-        ix = min(max(np.searchsorted(edges, z.real - c.real) - 1, 0), n_cells - 1)
-        iy = min(max(np.searchsorted(edges, z.imag - c.imag) - 1, 0), n_cells - 1)
+    if abs(z.real - c.real) < half and abs(z.imag - c.imag) < half:
+        ix, iy = np.clip(np.searchsorted(edges, [z.real - c.real, z.imag - c.imag]) - 1, 0, n_cells - 1)
         bx0, bx1 = max(ix - 1, 0), min(ix + 2, n_cells)
         by0, by1 = max(iy - 1, 0), min(iy + 2, n_cells)
-        block = (bx0, bx1, by0, by1)
-    gx, gw = gauss_legendre_01(order)
-    total = 0j
-    w1 = np.diff(edges)
-    for cx in range(n_cells):
-        for cy in range(n_cells):
-            if block and block[0] <= cx < block[1] and block[2] <= cy < block[3]:
-                continue
-            xs = c.real + edges[cx] + w1[cx] * gx
-            ys = c.imag + edges[cy] + w1[cy] * gx
-            wq = (w1[cx] * gw)[:, None] * (w1[cy] * gw)[None, :]
-            wpts = xs[:, None] + 1j * ys[None, :]
-            total += complex((integrand_cart(wpts) * wq).sum())
+        block = (c.real + edges[bx0], c.real + edges[bx1], c.imag + edges[by0], c.imag + edges[by1])
+        cx, cy = np.divmod(cell, n_cells)
+        keep = ~((bx0 <= cx) & (cx < bx1) & (by0 <= cy) & (cy < by1))
+    w = c + offsets[keep]
+    total = complex((g(w) / (w - z) * weights[keep]).sum())
     if block:
-        rect = (c.real + edges[block[0]], c.real + edges[block[1]],
-                c.imag + edges[block[2]], c.imag + edges[block[3]])
-        total += _polar_block(c, z, rect, integrand_polar, delta, nt=nt, nr=nr)
+        total += _polar_block(c, z, block, g, delta, nt=nt, nr=nr)
     return total
 
 
@@ -555,51 +523,19 @@ def localize(f: FunctionDescriptor, partition: Partition, j: int, z: complex,
     """
     z = complex(z)
     c = partition.center(j)
-    delta = partition.delta
-
-    def dphi(w):
-        return 0.5 * (profile_d(w.real - c.real, delta) * profile(w.imag - c.imag, delta)
-                      + 1j * profile(w.real - c.real, delta) * profile_d(w.imag - c.imag, delta))
-
     fz = complex(f.value(np.array([z]))[0])
 
-    def cart(w):
-        den = w - z
-        bad = np.abs(den) < 1e-15 * delta
-        den = np.where(bad, 1.0, den)
-        q = (f.value(w) - fz) / den
-        q = np.where(bad, 0.0, q)
-        return q * dphi(w) / math.pi
+    def g(w):
+        return (f.value(w) - fz) * _dbar_phi(w.real - c.real, w.imag - c.imag, partition.delta) / math.pi
 
-    def polar(w, e_itheta):
-        return (f.value(w) - fz) * np.conj(e_itheta) * dphi(w) / math.pi
-
-    return _accurate_piece_integral(partition, j, z, cart, polar,
-                                    n_cells=n_cells, order=order)
+    return _accurate_piece_integral(partition, j, z, g, n_cells=n_cells, order=order)
 
 
 def localize_cauchy(f: FunctionDescriptor, partition: Partition, j: int, z: complex,
                     n_cells: int = 12, order: int = 12) -> complex:
     """Cross-check form of the piece: Cauchy transform of phi_j * dbar(f) at z."""
-    z = complex(z)
-    c = partition.center(j)
-    delta = partition.delta
-
-    def phidb(w):
-        px = profile(w.real - c.real, delta)
-        py = profile(w.imag - c.imag, delta)
-        return px * py * f.dbar(w)
-
-    def cart(w):
-        den = z - w
-        bad = np.abs(den) < 1e-15 * delta
-        den = np.where(bad, np.inf, den)
-        return phidb(w) / den / math.pi
-
-    def polar(w, e_itheta):
-        return -phidb(w) * np.conj(e_itheta) / math.pi
-
-    return _accurate_piece_integral(partition, j, z, cart, polar,
+    return _accurate_piece_integral(partition, j, complex(z),
+                                    lambda w: -partition.phi(j, w) * f.dbar(w) / math.pi,
                                     n_cells=n_cells, order=order)
 
 
@@ -657,9 +593,7 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
         sums[classes[j]] += val
 
     subset = np.zeros(partition.n_bumps, dtype=bool)
-    for j in js:
-        if classes[j] == CLASS_I:
-            subset[j] = True
+    subset[[j for j in js if classes[j] == CLASS_I]] = True
     weight = lambda zs: partition.sum_phi(zs, subset=subset)
     area, _ = area_integral_weighted(fld, f, refine=refine, weight=weight)
     direct = contour_integral(curve, f, order=contour_order)
@@ -686,9 +620,7 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas,
         pad = delta * 1.6
         box = (lo - pad * (1 + 1j), hi + pad * (1 + 1j))
         part = build_partition(delta, box)
-        centers = part.centers_array()
-        dist = distance_to_curve(curve, centers)
-        cand = np.nonzero(dist < delta)[0]
+        cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
         ps = PieceSet(part, f, cells_per_axis=cells_per_axis, order=order)
         js = ps.active_pieces(cand.tolist())
         s2 = sum(ps.contour_integrals(js, curve, order=contour_order).values(), 0j)

@@ -55,6 +55,42 @@ def test_unknown_family_exit_2(tmp_path):
     assert main(["run", str(p)]) == 2
 
 
+
+_CIRCLE = {"family": "circle", "params": {"n": 16}}
+
+
+@pytest.mark.parametrize("fields", [
+    {"curve": {"family": "circle", "params": {"nn": 16}}, "checks": ["decompose"]},
+    {"function": {"family": "monomial", "params": {"q": 1}}, "checks": ["decompose"]},
+    {"curve": {"family": "circle", "params": {"n": 16, "radius": float("nan")}},
+     "checks": ["decompose"]},
+    {"discs": [{"center": [1.0, 0.0], "radius": float("nan")}], "checks": ["mainlemma"]},
+    {"square": {"center": [0.0, 0.0], "half": 0, "depth": 2}, "checks": ["decompose", "square"]},
+    {"grid": {"resolution": 0}, "checks": ["green"]},
+    {"mollifier": {"z": [0.3, 0.1], "eps": 0}, "checks": ["mollifier"]},
+    {"deltas": [0.1, 0.2], "checks": ["vitushkin"]},
+    {"discs": [{"center": [1.0, 0.0], "radius": -1}], "checks": ["mainlemma"]},
+    {"checks": "green"},
+])
+def test_invalid_section_exit_2(tmp_path, capsys, fields):
+    doc = {"schema": 1, "seed": 1, "curve": _CIRCLE, **fields}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if fields["checks"] == "green":
+        assert "checks must be a list" in err
+
+
+def test_python_m_greencurves(tmp_path):
+    src = str(SCEN_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "greencurves", "gallery"],
+                          env=env, capture_output=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert b"curve families:" in proc.stdout
+
 def test_collinear_curve_green_terminates(tmp_path):
     # spiral with zero turns: every vertex on one line, so the curve's box has
     # zero area; the green probe sampler must still end, with a verdict or an

@@ -9,8 +9,7 @@ from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curve
                          index_field, make_curve, make_function, verify_green, with_cutoff)
 from greencurves.errors import PoleOnCurve
 from greencurves.integration import (area_integral_weighted, contour_integral,
-                                     green_on_square, modulus_of_continuity,
-                                     mollifier_identity_check)
+                                     green_on_square, mollifier_identity_check)
 
 from oracles import clip_polygon_by_halfplane, polygon_z_integral, shoelace_area
 
@@ -251,14 +250,14 @@ def test_mollifier_identity_pole_guard():
 def test_modulus_constant_zero():
     one = make_function("monomial", a=0, b=0)
     box = (-1 - 1j, 1 + 1j)
-    assert modulus_of_continuity(one, 0.3, box) == 0.0
+    assert one.modulus(0.3, box=box, prefer_exact=False) == 0.0
 
 
 def test_modulus_zbar_matches_delta():
     # conj is an isometry: empirical sup over 1e5 pairs approaches delta
     box = (-1 - 1j, 1 + 1j)
     for delta in (0.5, 0.1):
-        est = modulus_of_continuity(ZBAR, delta, box, samples=100000)
+        est = ZBAR.modulus(delta, box=box, samples=100000, prefer_exact=False)
         assert est == pytest.approx(delta, rel=0.05)
         assert est <= delta * (1 + 1e-12)
     assert ZBAR.modulus(0.25) == 0.25  # closed form
@@ -268,13 +267,13 @@ def test_modulus_bump_gradient_bound():
     f = make_function("bump", radius=1.0, height=1.0)
     box = (-1.2 - 1.2j, 1.2 + 1.2j)
     for delta in (0.2, 0.05):
-        est = modulus_of_continuity(f, delta, box, samples=50000)
+        est = f.modulus(delta, box=box, samples=50000, prefer_exact=False)
         assert est <= f.lip * delta * (1 + 1e-12)
 
 
 def test_modulus_monotone_under_fixed_seed():
     f = make_function("zbar_absz")
     box = (-1 - 1j, 1 + 1j)
-    vals = [modulus_of_continuity(f, d, box, samples=20000)
+    vals = [f.modulus(d, box=box, samples=20000, prefer_exact=False)
             for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -10,7 +10,7 @@ from greencurves._rng import seed_stream
 from greencurves.errors import UnresolvedDisc
 from greencurves.integration import contour_integral
 from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, Partition, PieceSet,
-                                   build_partition, class_sums, classify, delta_sweep,
+                                   build_partition, class_sums, classify_many, delta_sweep,
                                    localize, localize_cauchy, reconstruct)
 from greencurves.winding import IndexField
 
@@ -166,9 +166,10 @@ def test_classify_trivial_cases(partition, circle_field):
     inside = _bump_near(partition, 0j)
     crossing = _bump_near(partition, 1.0 + 0j)
     far = _bump_near(partition, 2.0 + 1.0j)
-    assert classify(partition, inside, curve, fld) == CLASS_I
-    assert classify(partition, crossing, curve, fld) == CLASS_II
-    assert classify(partition, far, curve, fld) == CLASS_III
+    classes = classify_many(partition, [inside, crossing, far], curve, fld)
+    assert classes[inside] == CLASS_I
+    assert classes[crossing] == CLASS_II
+    assert classes[far] == CLASS_III
 
 
 def test_classify_resolution_precondition(partition):
@@ -176,7 +177,7 @@ def test_classify_resolution_precondition(partition):
     grid = GridSpec.cover(curve, 16)  # far coarser than 4 cells per delta
     fld = index_field(curve, grid, 0.0)
     with pytest.raises(ValueError):
-        classify(partition, 0, curve, fld)
+        classify_many(partition, [0], curve, fld)
 
 
 def test_classify_unresolved_disc(partition):
@@ -188,7 +189,7 @@ def test_classify_unresolved_disc(partition):
     fld = IndexField(grid=grid, values=values, near_mask=mask, band=0.1, curve=curve)
     j = _bump_near(partition, 0j)
     with pytest.raises(UnresolvedDisc):
-        classify(partition, j, curve, fld)
+        classify_many(partition, [j], curve, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +281,15 @@ def test_delta_sweep_rejects_unsorted():
     curve = make_curve("circle", n=64)
     with pytest.raises(ValueError):
         delta_sweep(make_function("monomial"), curve, [0.1, 0.2])
+
+
+def test_delta_sweep_golden_rows(zbar_cut):
+    # exact bytes of the PieceSet path: any change to its arithmetic shows here
+    rows = delta_sweep(zbar_cut, make_curve("circle", n=128), [0.4, 0.2, 0.1])
+    got = [(r["delta"].hex(), r["s_ii_abs"].hex(), r["bound"].hex(), r["n_pieces"])
+           for r in rows]
+    assert got == [
+        ("0x1.999999999999ap-2", "0x1.dc3ea9f5e5c62p+1", "0x1.6ea0f6f226655p+6", 124),
+        ("0x1.999999999999ap-3", "0x1.0f71dcba6ae80p+1", "0x1.1cedc5ce987f7p+6", 240),
+        ("0x1.999999999999ap-4", "0x1.2e3fe2a5d15c0p+0", "0x1.419ce4c0ebec6p+2", 508),
+    ]
