@@ -31,8 +31,8 @@ from ._rng import seed_stream
 from .curves import curve_families, gallery_curves, jordan_decompose, length, make_curve
 from .errors import GreenCurvesError, KindMismatch, OnCurve, ParseError, UnknownFamily
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
-from .integration import (GreenConfig, Square, contour_integral, green_on_square,
-                          mollifier_identity_check, verify_green)
+from .integration import (GreenConfig, Square, _check_mollifier_input, contour_integral,
+                          green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
 from .vitushkin import delta_sweep
@@ -257,6 +257,8 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         curve = _build_curve(doc)
         f = _build_function(doc)
         specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
+        if "mollifier" in specs:
+            _check_mollifier_input(f, *specs["mollifier"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
 
@@ -391,3 +393,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -134,72 +134,84 @@ def _cross(o, a):  # 2D cross product of complex numbers
     return o.real * a.imag - o.imag * a.real
 
 
+def _candidate_pairs(curve: PolyCurve, pad: np.ndarray):
+    """Non-adjacent edge pairs (i, j), i < j, whose boxes dilated by ``pad`` overlap.
+
+    A sweep over the boxes sorted by left side: each box meets, in x, the
+    boxes whose left side lies in its x-range; those are kept if they also
+    meet in y.  Pairs come back in lexicographic (i, j) order.
+    """
+    n = curve.n
+    a, b = curve.starts, curve.ends
+    xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
+    ylo, yhi = np.minimum(a.imag, b.imag) - pad, np.maximum(a.imag, b.imag) + pad
+    order = np.argsort(xlo, kind="stable")
+    first = np.arange(1, n + 1)
+    count = np.maximum(np.searchsorted(xlo[order], xhi[order], "right") - first, 0)
+    p = np.repeat(np.arange(n), count)
+    q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + first[p]
+    i, j = order[p], order[q]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    keep = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i]) & (j - i > 1) & ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    k = np.lexsort((j, i))
+    return i[k].tolist(), j[k].tolist()
+
+
 def self_intersections(curve: PolyCurve) -> list:
-    """All pairwise meeting points of non-adjacent edges, in (i, j, t_i) order.
+    """All pairwise meeting points of non-adjacent edges, in (i, j) order.
 
     Exactly repeated edges (a segment traversed more than once, forward or
     backward) are not an error: the walk structure already records them via
     their shared endpoints.  A positive-length partial overlap of two
     collinear edges raises DegenerateOverlap.
+
+    Only edges whose bounding boxes come close are solved.  The solve accepts
+    nearly parallel pairs (angle sine down to 1e-14), where rounding moves t
+    and u by a few percent of |w|/|d|; such a pair is then reported for edges
+    up to about 0.1 (|d_i| + |d_j|) apart.  Dilating each box by a quarter of
+    its edge length plus 2 tau keeps every pair the solve could report.
     """
-    v = curve.vertices
-    n = curve.n
     a = curve.starts
     d = curve.edge_vectors
     tau = curve.tau_geom
 
-    events = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex by construction
-            ai, di = a[i], d[i]
-            aj, dj = a[j], d[j]
-            denom = _cross(di, dj)
-            w = aj - ai
-            li, lj = abs(di), abs(dj)
-            if abs(denom) <= 1e-14 * li * lj:
-                # parallel; collinear iff the offset has no normal component
-                if abs(_cross(w, di)) > tau * li:
-                    continue
-                t0 = (w.real * di.real + w.imag * di.imag) / (li * li)
-                t1 = ((w + dj).real * di.real + (w + dj).imag * di.imag) / (li * li)
-                lo, hi = min(t0, t1), max(t0, t1)
-                ov_lo, ov_hi = max(0.0, lo), min(1.0, hi)
-                overlap = (ov_hi - ov_lo) * li
-                if overlap <= tau:
-                    continue  # touch at a single point; endpoint events cover it
-                same_fwd = abs(ai - aj) <= tau and abs(di - dj) <= tau
-                same_bwd = abs(ai - (aj + dj)) <= tau and abs(di + dj) <= tau
-                if same_fwd or same_bwd:
-                    # identical edge traversed again; handled via repeated vertices
-                    continue
-                raise DegenerateOverlap(
-                    f"edges {i} and {j} overlap in a segment of length {overlap:.3g}"
-                )
-            t = _cross(w, dj) / denom
-            u = _cross(w, di) / denom
-            slack_i = tau / li
-            slack_j = tau / lj
-            if -slack_i <= t <= 1 + slack_i and -slack_j <= u <= 1 + slack_j:
-                t = min(max(t, 0.0), 1.0)
-                u = min(max(u, 0.0), 1.0)
-                p = ai + t * di
-                events.append(IntersectionEvent(i, j, complex(p), float(t), float(u)))
-
-    # merge events closer than tau along an edge (duplicate split vertices
-    # from floating-point noise or multi-pair coincidences at one point)
-    events.sort(key=lambda e: (e.i, e.j, e.t_i))
-    merged = []
-    for e in events:
-        dup = False
-        for m in merged:
-            if m.i == e.i and m.j == e.j and abs(m.point - e.point) <= tau:
-                dup = True
-                break
-        if not dup:
-            merged.append(e)
-    return merged
+    events = []  # at most one per pair, so (i, j) order is the sorted order
+    for i, j in zip(*_candidate_pairs(curve, np.abs(d) / 4 + 2 * tau)):
+        ai, di = a[i], d[i]
+        aj, dj = a[j], d[j]
+        denom = _cross(di, dj)
+        w = aj - ai
+        li, lj = abs(di), abs(dj)
+        if abs(denom) <= 1e-14 * li * lj:
+            # parallel; collinear iff the offset has no normal component
+            if abs(_cross(w, di)) > tau * li:
+                continue
+            t0 = (w.real * di.real + w.imag * di.imag) / (li * li)
+            t1 = ((w + dj).real * di.real + (w + dj).imag * di.imag) / (li * li)
+            lo, hi = min(t0, t1), max(t0, t1)
+            ov_lo, ov_hi = max(0.0, lo), min(1.0, hi)
+            overlap = (ov_hi - ov_lo) * li
+            if overlap <= tau:
+                continue  # touch at a single point; endpoint events cover it
+            same_fwd = abs(ai - aj) <= tau and abs(di - dj) <= tau
+            same_bwd = abs(ai - (aj + dj)) <= tau and abs(di + dj) <= tau
+            if same_fwd or same_bwd:
+                # identical edge traversed again; handled via repeated vertices
+                continue
+            raise DegenerateOverlap(
+                f"edges {i} and {j} overlap in a segment of length {overlap:.3g}"
+            )
+        t = _cross(w, dj) / denom
+        u = _cross(w, di) / denom
+        slack_i = tau / li
+        slack_j = tau / lj
+        if -slack_i <= t <= 1 + slack_i and -slack_j <= u <= 1 + slack_j:
+            t = min(max(t, 0.0), 1.0)
+            u = min(max(u, 0.0), 1.0)
+            p = ai + t * di
+            events.append(IntersectionEvent(i, j, complex(p), float(t), float(u)))
+    return events
 
 
 def is_jordan(curve: PolyCurve) -> bool:

@@ -198,30 +198,40 @@ def verify_green(curve: PolyCurve, f: FunctionDescriptor,
     return VerificationReport.build(lhs, rhs, settings, **info)
 
 
-def _segments_meet_square(curve: PolyCurve, cx, cy, h) -> np.ndarray:
-    """Vectorized closed-square vs curve test for many squares of half-side h.
+def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
+    """Closed-square vs curve test on the grid of squares of half-side h about x[ix] + i y[iy].
 
-    Liang-Barsky clipping of every edge against every square.
+    Liang-Barsky clipping of each edge against the squares whose index range
+    meets the edge's bounding box dilated by one side 2h; every other square
+    lies more than a side away, where the clip is empty.  All edge/square
+    pairs are clipped in one vectorized pass.  Returns the flags in
+    ``ix * y.size + iy`` order.
     """
-    meets = np.zeros(cx.shape, dtype=bool)
-    a, d = curve.starts, curve.edge_vectors
-    for k in range(curve.n):
-        ax, ay = a[k].real, a[k].imag
-        dx, dy = d[k].real, d[k].imag
-        t0 = np.zeros(cx.shape)
-        t1 = np.ones(cx.shape)
-        ok = np.ones(cx.shape, dtype=bool)
-        for p, q0, q1 in ((dx, cx - h - ax, cx + h - ax), (dy, cy - h - ay, cy + h - ay)):
-            if p == 0.0:
-                ok &= (q0 <= 0) & (q1 >= 0)
-            else:
-                ta, tb = q0 / p, q1 / p
-                lo = np.minimum(ta, tb)
-                hi = np.maximum(ta, tb)
-                t0 = np.maximum(t0, lo)
-                t1 = np.minimum(t1, hi)
-        ok &= t0 <= t1
-        meets |= ok
+    a, b, d = curve.starts, curve.ends, curve.edge_vectors
+    side = 2 * h
+    x0 = np.searchsorted(x + h, np.minimum(a.real, b.real) - side, "left")
+    nx = np.maximum(np.searchsorted(x - h, np.maximum(a.real, b.real) + side, "right") - x0, 0)
+    y0 = np.searchsorted(y + h, np.minimum(a.imag, b.imag) - side, "left")
+    ny = np.maximum(np.searchsorted(y - h, np.maximum(a.imag, b.imag) + side, "right") - y0, 0)
+    count = nx * ny
+    k = np.repeat(np.arange(curve.n), count)
+    m = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    ix = x0[k] + m // ny[k]
+    iy = y0[k] + m % ny[k]
+    t0 = np.zeros(k.shape)
+    t1 = np.ones(k.shape)
+    ok = np.ones(k.shape, dtype=bool)
+    for p, q0, q1 in ((d.real[k], x[ix] - h - a.real[k], x[ix] + h - a.real[k]),
+                      (d.imag[k], y[iy] - h - a.imag[k], y[iy] + h - a.imag[k])):
+        flat = p == 0.0
+        ok &= ~flat | ((q0 <= 0) & (q1 >= 0))
+        with np.errstate(all="ignore"):  # 0/0 only where p == 0, masked below
+            ta, tb = q0 / p, q1 / p
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    ok &= t0 <= t1
+    meets = np.zeros(x.size * y.size, dtype=bool)
+    meets[ix[ok] * y.size + iy[ok]] = True
     return meets
 
 
@@ -260,7 +270,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
         y = sq.center.imag - sq.half + (np.arange(m) + 0.5) * s
         cx = np.repeat(x, m)
         cy = np.tile(y, m)
-        meets = _segments_meet_square(curve, cx, cy, s / 2)
+        meets = _segments_meet_square(curve, x, y, s / 2)
         n_j = int(meets.sum())
         n_i = cx.size - n_j
         rhs_n = 0j
@@ -320,6 +330,14 @@ def _polar_disc_rule(eps: float, n_r: int, n_t: int):
     return u.ravel(), w.ravel()
 
 
+def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
+    """Raise ValueError unless eps > 0 and the square of side 2*eps about z avoids the pole of f."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if f.pole is not None and abs(f.pole - z) <= eps * math.sqrt(2.0) + 1e-12:
+        raise ValueError("square of side 2*eps about z must avoid the pole of f")
+
+
 def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float,
                              quad_order: int = 12) -> VerificationReport:
     """Check (f * dbar rho_eps)(z) == (dbar f * rho_eps)(z).
@@ -329,10 +347,7 @@ def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float,
     radial profile is polynomial).  Requires the square of side 2*eps about z
     to avoid any pole of f.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if f.pole is not None and abs(f.pole - z) <= eps * math.sqrt(2.0) + 1e-12:
-        raise ValueError("square of side 2*eps about z must avoid the pole of f")
+    _check_mollifier_input(f, z, eps)
     n_r = max(quad_order, 10)
     u, w = _polar_disc_rule(eps, n_r, 4 * n_r)
     pts = z - u

@@ -47,36 +47,50 @@ def _w9(u):
     return (315.0 / 256.0) * u * (1 + u2 * (-4.0 / 3 + u2 * (6.0 / 5 + u2 * (-4.0 / 7 + u2 / 9))))
 
 
+_W1 = float(_w9(1.0))  # W(1): the value a clipped branch of the profile takes
+
+
+def _fold(t, delta: float):
+    """(t, r, x) with r = delta/4 and x = clip((|t| - r)/r, -1, 1), the profile's live argument.
+
+    The profile is W(clip((t + r)/r)) - W(clip((t - r)/r)) and its derivative
+    rho(t + r) - rho(t - r).  For t >= 0 the first branch clips to W(1) and
+    rho(t + r) is 0; for t < 0 the second clips to -W(1) and rho(t - r) is 0.
+    W is odd and rho even, so both follow from the one live argument x, bit
+    for bit as from the two-sided formulas, and no work goes to a dead branch.
+    """
+    r = delta / 4.0
+    t = np.asarray(t, dtype=float)
+    return t, r, np.clip((np.abs(t) - r) / r, -1.0, 1.0)
+
+
+def _value(x):
+    return _W1 - _w9(x)
+
+
+def _slope(t, r: float, x):
+    rho = (315.0 / (256.0 * r)) * np.where(np.abs(x) < 1.0, (1.0 - np.minimum(x * x, 1.0)) ** 4, 0.0)
+    return np.where(t < 0, rho, 0.0 - rho)  # 0.0 - rho keeps the +0.0 of rho(t + r) - rho(t - r)
+
+
 def profile(t, delta: float):
     """1D bump profile: indicator of [-delta/4, delta/4] convolved with the radius-delta/4 mollifier.
 
     Supported on |t| < delta/2, equals 1 only at t = 0, piecewise polynomial
     of degree 9 on each half with C^3 matching.
     """
-    r = delta / 4.0
-    t = np.asarray(t, dtype=float)
-    hi = np.clip((t + r) / r, -1.0, 1.0)
-    lo = np.clip((t - r) / r, -1.0, 1.0)
-    return _w9(hi) - _w9(lo)
-
-
-def _rho1(s, r: float):
-    u = np.asarray(s, dtype=float) / r
-    core = np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** 4, 0.0)
-    return (315.0 / (256.0 * r)) * core
+    return _value(_fold(t, delta)[2])
 
 
 def profile_d(t, delta: float):
     """Derivative of the 1D profile; bounded by 315/(64*delta)."""
-    r = delta / 4.0
-    t = np.asarray(t, dtype=float)
-    return _rho1(t + r, r) - _rho1(t - r, r)
+    return _slope(*_fold(t, delta))
 
 
 def _dbar_phi(dx, dy, delta: float):
     """dbar of the tensor bump at offsets (dx, dy) from its center."""
-    return 0.5 * (profile_d(dx, delta) * profile(dy, delta)
-                  + 1j * profile(dx, delta) * profile_d(dy, delta))
+    fx, fy = _fold(dx, delta), _fold(dy, delta)
+    return 0.5 * (_slope(*fx) * _value(fy[2]) + 1j * _value(fx[2]) * _slope(*fy))
 
 
 def _tensor_rule(delta: float, n_cells: int, order: int):
@@ -299,20 +313,19 @@ class PieceSet:
         self.b_moments = self._powers @ self.b  # all ~0: dbar(phi) kills holomorphic moments
         self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
         self._cache = {}
-        self._active = None
+        self._centers = partition.centers_array()
+        self._flags = np.full(partition.n_bumps, -1, dtype=np.int8)  # -1 until probed
 
-    def _activity(self) -> np.ndarray:
-        if self._active is None:
-            nb = self.partition.n_bumps
-            centers = self.partition.centers_array()
-            flags = np.zeros(nb, dtype=bool)
-            probe = self.offsets_c  # coarse probe suffices for the smooth gallery dbars
-            for s in range(0, nb, 256):
-                nodes = centers[s:s + 256, None] + probe[None, :]
-                dbv = self.f.dbar(nodes)
-                flags[s:s + 256] = np.any(np.abs(dbv) != 0.0, axis=1)
-            self._active = flags
-        return self._active
+    def _active(self, js) -> np.ndarray:
+        """Does dbar(f) show on the coarse rule of each bump j?  Probes each bump once."""
+        js = np.asarray(js, dtype=np.intp)
+        todo = np.unique(js[self._flags[js] < 0])
+        probe = self.offsets_c  # coarse probe suffices for the smooth gallery dbars
+        for s in range(0, todo.size, 256):
+            jj = todo[s:s + 256]
+            dbv = self.f.dbar(self._centers[jj, None] + probe[None, :])
+            self._flags[jj] = np.any(np.abs(dbv) != 0.0, axis=1)
+        return self._flags[js] == 1
 
     def piece(self, j: int):
         """Cached per-piece data: kernel coefficients and multipole moments."""
@@ -330,9 +343,9 @@ class PieceSet:
         return data
 
     def active_pieces(self, js=None) -> list:
-        flags = self._activity()
-        js = range(self.partition.n_bumps) if js is None else js
-        return [j for j in js if flags[j]]
+        """The pieces among ``js`` (default: all) that are not identically zero."""
+        js = list(range(self.partition.n_bumps) if js is None else js)
+        return [j for j, on in zip(js, self._active(js)) if on]
 
     @staticmethod
     def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -362,8 +375,8 @@ class PieceSet:
             * _dbar_phi(wpts.real - c.real, wpts.imag - c.imag, self.partition.delta)
         return (vals * W).sum(axis=(1, 2, 3)) / math.pi, ix, iy
 
-    def eval(self, j: int, zs, patch: bool = True, chunk: int = 1024) -> np.ndarray:
-        """Values of piece j at many points.
+    def eval(self, j: int, zs, patch: bool = True, chunk: int = 1024, fz=None) -> np.ndarray:
+        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
 
         Points at distance >= delta from the bump center use the multipole
         re-summation, points outside the support square but closer use the
@@ -371,11 +384,11 @@ class PieceSet:
         support use the fine rule with the polar patch on their cell.
         """
         z = np.asarray(zs, dtype=complex).ravel()
-        if not self._activity()[j]:
+        if not self._active([j])[0]:
             return np.zeros(z.shape, dtype=complex)
         data = self.piece(j)
         c, a = data["center"], data["a"]
-        fz = self.f.value(z)
+        fz = self.f.value(z) if fz is None else np.asarray(fz).ravel()
         out = np.empty(z.shape, dtype=complex)
         dz = z - c
         far = np.abs(dz) >= self.far_radius
@@ -423,9 +436,10 @@ class PieceSet:
         a, d = curve.starts, curve.edge_vectors
         zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
         dzw = (w[None, :] * d[:, None]).ravel()
+        fz = self.f.value(zc)
         out = {}
         for j in js:
-            vals = self.eval(j, zc)
+            vals = self.eval(j, zc, fz=fz)
             out[j] = complex((vals * dzw).sum())
         return out
 

@@ -5,10 +5,16 @@ from the shoelace formula, winding numbers from summed angle increments,
 crossings from a parametric pairwise solve, and clipped polygons from direct
 half-plane cutting.  ``winding_by_edges`` and ``distance_by_edges`` are the
 plain every-edge-against-every-point loops with the same per-edge arithmetic
-as the library kernels, which only evaluate candidate edge/point pairs.
+as the library kernels, which only evaluate candidate edge/point pairs;
+``intersections_by_pairs`` and ``squares_by_edges`` are the same for the
+self-intersection search and the dyadic-square test.  ``profile_two_sided``,
+``profile_d_two_sided`` and ``dbar_phi_two_sided`` evaluate both branches of
+the bump profile, where the library evaluates only the live one.
 """
 
 import numpy as np
+
+from greencurves.errors import DegenerateOverlap
 
 
 def shoelace_area(vertices) -> float:
@@ -145,3 +151,117 @@ def gl_contour(vertices, fn, order: int = 12, closed: bool = True) -> complex:
         zs = aa + t * (bb - aa)
         total += (fn(zs) * w).sum() * (bb - aa)
     return complex(total)
+
+
+def _w9(u):
+    u2 = u * u
+    return (315.0 / 256.0) * u * (1 + u2 * (-4.0 / 3 + u2 * (6.0 / 5 + u2 * (-4.0 / 7 + u2 / 9))))
+
+
+def _rho1(s, r):
+    u = np.asarray(s, dtype=float) / r
+    core = np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** 4, 0.0)
+    return (315.0 / (256.0 * r)) * core
+
+
+def profile_two_sided(t, delta):
+    """W((t + r)/r) - W((t - r)/r), both arguments clipped to [-1, 1], r = delta/4."""
+    r = delta / 4.0
+    t = np.asarray(t, dtype=float)
+    hi = np.clip((t + r) / r, -1.0, 1.0)
+    lo = np.clip((t - r) / r, -1.0, 1.0)
+    return _w9(hi) - _w9(lo)
+
+
+def profile_d_two_sided(t, delta):
+    """rho(t + r) - rho(t - r) with the radius-r mollifier rho, r = delta/4."""
+    r = delta / 4.0
+    t = np.asarray(t, dtype=float)
+    return _rho1(t + r, r) - _rho1(t - r, r)
+
+
+def dbar_phi_two_sided(dx, dy, delta):
+    return 0.5 * (profile_d_two_sided(dx, delta) * profile_two_sided(dy, delta)
+                  + 1j * profile_two_sided(dx, delta) * profile_d_two_sided(dy, delta))
+
+
+def _cross(o, a):
+    return o.real * a.imag - o.imag * a.real
+
+
+def intersections_by_pairs(vertices) -> list:
+    """(i, j, point, t_i, t_j) of every non-adjacent edge pair, all pairs tried.
+
+    Raises DegenerateOverlap on a positive-length partial overlap of two
+    collinear edges, at the first such pair in (i, j) order.
+    """
+    a = np.asarray(vertices, dtype=complex)
+    n = a.size
+    d = np.roll(a, -1) - a
+    lo, hi = complex(a.real.min(), a.imag.min()), complex(a.real.max(), a.imag.max())
+    tau = 1e-12 * abs(hi - lo)
+    events = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            ai, di = a[i], d[i]
+            aj, dj = a[j], d[j]
+            denom = _cross(di, dj)
+            w = aj - ai
+            li, lj = abs(di), abs(dj)
+            if abs(denom) <= 1e-14 * li * lj:
+                if abs(_cross(w, di)) > tau * li:
+                    continue
+                t0 = (w.real * di.real + w.imag * di.imag) / (li * li)
+                t1 = ((w + dj).real * di.real + (w + dj).imag * di.imag) / (li * li)
+                ov_lo, ov_hi = max(0.0, min(t0, t1)), min(1.0, max(t0, t1))
+                overlap = (ov_hi - ov_lo) * li
+                if overlap <= tau:
+                    continue
+                same_fwd = abs(ai - aj) <= tau and abs(di - dj) <= tau
+                same_bwd = abs(ai - (aj + dj)) <= tau and abs(di + dj) <= tau
+                if same_fwd or same_bwd:
+                    continue
+                raise DegenerateOverlap(f"edges {i} and {j} overlap in a segment of length {overlap:.3g}")
+            t = _cross(w, dj) / denom
+            u = _cross(w, di) / denom
+            slack_i = tau / li
+            slack_j = tau / lj
+            if -slack_i <= t <= 1 + slack_i and -slack_j <= u <= 1 + slack_j:
+                t = min(max(t, 0.0), 1.0)
+                u = min(max(u, 0.0), 1.0)
+                events.append((i, j, complex(ai + t * di), float(t), float(u)))
+    events.sort(key=lambda e: (e[0], e[1], e[3]))
+    merged = []
+    for e in events:
+        if not any(m[0] == e[0] and m[1] == e[1] and abs(m[2] - e[2]) <= tau for m in merged):
+            merged.append(e)
+    return merged
+
+
+def squares_by_edges(vertices, cx, cy, h) -> np.ndarray:
+    """Closed squares of half-side h at (cx, cy) that meet the closed polyline.
+
+    Liang-Barsky clipping of every edge against every square.
+    """
+    a = np.asarray(vertices, dtype=complex)
+    d = np.roll(a, -1) - a
+    meets = np.zeros(cx.shape, dtype=bool)
+    for k in range(a.size):
+        ax, ay = a[k].real, a[k].imag
+        dx, dy = d[k].real, d[k].imag
+        t0 = np.zeros(cx.shape)
+        t1 = np.ones(cx.shape)
+        ok = np.ones(cx.shape, dtype=bool)
+        for p, q0, q1 in ((dx, cx - h - ax, cx + h - ax), (dy, cy - h - ay, cy + h - ay)):
+            if p == 0.0:
+                ok &= (q0 <= 0) & (q1 >= 0)
+            else:
+                with np.errstate(over="ignore"):  # a subnormal p sends q / p to inf
+                    ta, tb = q0 / p, q1 / p
+                t0 = np.maximum(t0, np.minimum(ta, tb))
+                t1 = np.minimum(t1, np.maximum(ta, tb))
+        ok &= t0 <= t1
+        meets |= ok
+    return meets

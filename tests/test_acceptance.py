@@ -269,3 +269,17 @@ def test_green_resolution_1024_wall_clock():
     assert rep.rel_residual <= 1e-3
     assert elapsed < 2.0
     print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 in {elapsed:.2f}s")
+
+
+def test_delta_sweep_wall_clock():
+    # activity probes cover only the class-II candidates and the bump kernel
+    # evaluates one branch per axis, so the criterion-7 sweep stays well
+    # under its 60 s budget
+    curve = make_curve("circle", n=256)
+    f = with_cutoff(ZBAR, 1.8, 2.2)
+    t0 = time.perf_counter()
+    rows = delta_sweep(f, curve, [0.4, 0.2, 0.1, 0.05])
+    elapsed = time.perf_counter() - t0
+    assert all(a["s_ii_abs"] > b["s_ii_abs"] for a, b in zip(rows, rows[1:]))
+    assert elapsed < 14.0
+    print(f"ACCEPTANCE floor: PASS - circle-256 cut-off zbar delta sweep 0.4..0.05 in {elapsed:.2f}s")

@@ -71,6 +71,8 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"deltas": [0.1, 0.2], "checks": ["vitushkin"]},
     {"discs": [{"center": [1.0, 0.0], "radius": -1}], "checks": ["mainlemma"]},
     {"checks": "green"},
+    {"function": {"family": "reciprocal", "params": {"pole": [0.3, 0.1]}},
+     "mollifier": {"z": [0.3, 0.1], "eps": 0.05}, "checks": ["mollifier"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     doc = {"schema": 1, "seed": 1, "curve": _CIRCLE, **fields}
@@ -90,6 +92,16 @@ def test_python_m_greencurves(tmp_path):
                           env=env, capture_output=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert b"curve families:" in proc.stdout
+
+
+def test_python_m_greencurves_cli():
+    src = str(SCEN_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "greencurves.cli", "gallery"],
+                          env=env, capture_output=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == cmd_gallery()
+
 
 def test_collinear_curve_green_terminates(tmp_path):
     # spiral with zero turns: every vertex on one line, so the curve's box has

@@ -1,5 +1,6 @@
 """Partition of unity, localized pieces, class sums, delta sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -293,3 +294,25 @@ def test_delta_sweep_golden_rows(zbar_cut):
         ("0x1.999999999999ap-3", "0x1.0f71dcba6ae80p+1", "0x1.1cedc5ce987f7p+6", 240),
         ("0x1.999999999999ap-4", "0x1.2e3fe2a5d15c0p+0", "0x1.419ce4c0ebec6p+2", 508),
     ]
+
+
+def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
+    probed = []
+
+    def dbar(z):
+        probed.append(np.size(z))
+        return zbar_cut.dbar(z)
+
+    ps = PieceSet(partition, dataclasses.replace(zbar_cut, dbar=dbar))
+    rng = seed_stream(12, "vitushkin.probe")
+    js = rng.choice(partition.n_bumps, size=300, replace=False).tolist()
+    got = ps.active_pieces(js)
+    assert sum(probed) <= len(js) * ps.offsets_c.size
+    full = set(PieceSet(partition, zbar_cut).active_pieces())
+    assert got == [j for j in js if j in full]
+    assert 0 < len(got) < len(js)
+    # flags are cached: asking again, or evaluating an asked piece, probes nothing
+    n = len(probed)
+    assert ps.active_pieces(js[::-1]) == got[::-1]
+    ps.eval(got[0], np.array([0.1 + 0.2j]))
+    assert len(probed) == n
