@@ -18,10 +18,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +40,21 @@ from .winding import GridSpec, distance_to_curve, index_field, winding_numbers
 _CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
 
 
+def _finite(text: str) -> float:
+    # json reads NaN, Infinity and overflowing literals such as 1e999 as floats
+    x = float(text)
+    if not math.isfinite(x):
+        raise ParseError(f"scenario contains {text}; every number must be finite")
+    return x
+
+
 def _load_scenario(path: str) -> dict:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read scenario: {exc}") from None
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -133,12 +140,6 @@ def _mollifier(doc: dict):
     return complex(*spec["z"]), eps
 
 
-def _angle_winding(curve, z):
-    v = curve.vertices
-    w = np.roll(v, -1)
-    return int(round(float(np.angle((w - z) / (v - z)).sum()) / (2 * np.pi)))
-
-
 def _green_probes(curve, seed):
     """64 seeded points of the grid box at least 1e-4 diameters off the curve.
 
@@ -161,7 +162,9 @@ def _check_green(cfg, curve, f, seed):
     # must agree with the rounded argument sum
     pts = _green_probes(curve, seed)
     ray = winding_numbers(curve, pts)
-    ang = np.array([_angle_winding(curve, z) for z in pts])
+    v = curve.vertices
+    turn = np.angle((np.roll(v, -1) - pts[:, None]) / (v - pts[:, None])).sum(axis=1)
+    ang = np.rint(turn / (2 * np.pi))
     hard_fail = bool(np.any(ray != ang))
     return {"report": rep.to_json_dict(), "hard_fail": hard_fail}
 
@@ -259,29 +262,15 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
         if "mollifier" in specs:
             _check_mollifier_input(f, *specs["mollifier"])
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
-
-    n_threads = int(os.environ.get("GC_THREADS", "0") or "0")
-    if n_threads <= 0:
-        n_threads = min(4, os.cpu_count() or 1)
 
     results = {}
     timings = {}
-
-    def run_one(name):
+    for name in checks:
         t0 = time.perf_counter()
-        res = _CHECKS[name](specs[name], curve, f, seed)
+        results[name] = _CHECKS[name](specs[name], curve, f, seed)
         timings[name] = time.perf_counter() - t0
-        return name, res
-
-    if n_threads > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, len(checks))) as ex:
-            for name, res in ex.map(run_one, checks):
-                results[name] = res
-    else:
-        for name in checks:
-            results[name] = run_one(name)[1]
 
     hard_fail = any(results[name].get("hard_fail") for name in checks)
     report = {

@@ -22,8 +22,6 @@ class FunctionDescriptor:
     name: str
     value: Callable
     dbar: Callable
-    d: Optional[Callable] = None          # holomorphic derivative part, when known
-    holomorphic: bool = False
     pole: Optional[complex] = None
     lip: Optional[float] = None           # Lipschitz bound, when known
     exact_modulus: Optional[Callable] = None
@@ -72,19 +70,11 @@ def _monomial(a=0, b=1, coeff=1.0):
             return np.zeros_like(z)
         return c * b * z ** a * np.conj(z) ** (b - 1)
 
-    def d(z):
-        z = np.asarray(z, dtype=complex)
-        if a == 0:
-            return np.zeros_like(z)
-        return c * a * z ** (a - 1) * np.conj(z) ** b
-
     name = f"monomial(z^{a} zbar^{b})"
-    holo = b == 0
     exact = None
     if a == 0 and b == 1:
         exact = lambda delta: abs(c) * delta  # conj is an isometry
-    return FunctionDescriptor(name=name, value=value, dbar=dbar, d=d,
-                              holomorphic=holo, lip=None, exact_modulus=exact)
+    return FunctionDescriptor(name=name, value=value, dbar=dbar, exact_modulus=exact)
 
 
 def _poly(terms=((1.0, 1, 0),)):
@@ -96,12 +86,8 @@ def _poly(terms=((1.0, 1, 0),)):
     def dbar(z):
         return sum(p.dbar(z) for p in parts)
 
-    def d(z):
-        return sum(p.d(z) for p in parts)
-
-    holo = all(p.holomorphic for p in parts)
     name = "poly(" + "+".join(p.name for p in parts) + ")"
-    return FunctionDescriptor(name=name, value=value, dbar=dbar, d=d, holomorphic=holo)
+    return FunctionDescriptor(name=name, value=value, dbar=dbar)
 
 
 def _zbar_absz():
@@ -113,14 +99,7 @@ def _zbar_absz():
         z = np.asarray(z, dtype=complex)
         return 1.5 * np.abs(z) + 0j
 
-    def d(z):
-        # d(zbar|z|) = zbar^2 / (2|z|); value 0 at the origin by continuity
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        safe = np.where(r == 0, 1.0, r)
-        return np.where(r == 0, 0.0, np.conj(z) ** 2 / (2 * safe))
-
-    return FunctionDescriptor(name="zbar_absz", value=value, dbar=dbar, d=d)
+    return FunctionDescriptor(name="zbar_absz", value=value, dbar=dbar)
 
 
 def _bump(center=0j, radius=1.0, height=1.0):
@@ -161,8 +140,7 @@ def _reciprocal(pole=2.0 + 0j, coeff=1.0):
         z = np.asarray(z, dtype=complex)
         return np.zeros_like(z)
 
-    return FunctionDescriptor(name=f"reciprocal(pole={p})", value=value, dbar=dbar,
-                              holomorphic=True, pole=p)
+    return FunctionDescriptor(name=f"reciprocal(pole={p})", value=value, dbar=dbar, pole=p)
 
 
 def smoothstep(t):
@@ -209,7 +187,7 @@ def with_cutoff(f: FunctionDescriptor, r_inner: float, r_outer: float,
 
     return FunctionDescriptor(
         name=f"{f.name}*cutoff({r_inner},{r_outer})",
-        value=value, dbar=dbar, holomorphic=False, pole=f.pole,
+        value=value, dbar=dbar, pole=f.pole,
         support_radius=abs(z0) + r_outer,
     )
 

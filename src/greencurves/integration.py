@@ -47,8 +47,9 @@ def contour_integral(curve: PolyCurve, f: FunctionDescriptor, order: int = 8) ->
     tolerance of an edge-length of the contour.
     """
     if f.pole is not None:
-        d = float(distance_to_curve(curve, np.array([f.pole]))[0])
-        if d <= max(curve.tau_geom, 1e-9 * curve.diameter):
+        tol = max(curve.tau_geom, 1e-9 * curve.diameter)
+        d = float(distance_to_curve(curve, np.array([f.pole]), cap=tol)[0])
+        if d <= tol:
             raise PoleOnCurve(f"pole at {f.pole} lies on the contour (distance {d:.3g})")
     return polyline_integral(curve.vertices, f.value, order=order, closed=True)
 

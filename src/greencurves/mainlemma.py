@@ -85,12 +85,6 @@ class GenerationTree:
     depth: list
     parent: list
 
-    def generations(self) -> dict:
-        out = {}
-        for k, d in enumerate(self.depth):
-            out.setdefault(d, []).append(k)
-        return out
-
     @property
     def max_depth(self) -> int:
         return max(self.depth) if self.depth else -1
@@ -305,6 +299,16 @@ def exterior_pieces(tree: GenerationTree) -> list:
     return pieces
 
 
+def _generations(comps: list, disc: Disc):
+    """The boundary interval of each exterior component, in order, and their nesting tree."""
+    intervals = []
+    for ci, comp in enumerate(comps):
+        itv = select_interval(comp, disc)
+        itv.component_index = ci
+        intervals.append(itv)
+    return intervals, build_generations(intervals)
+
+
 def exterior_integral_identity(curve: PolyCurve, disc: Disc, h: FunctionDescriptor,
                                contour_order: int = 8, arc_order: int = 16) -> VerificationReport:
     """Check ∮ over the exterior components against the signed interval integrals."""
@@ -320,13 +324,9 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc, h: FunctionDescript
         return VerificationReport.build(lhs, rhs, settings, pieces=pieces,
                                         n_components=1, closed=True)
     lhs = 0j
-    intervals = []
-    for ci, comp in enumerate(comps):
+    for comp in comps:
         lhs += polyline_integral(comp.points, h.value, order=contour_order, closed=False)
-        itv = select_interval(comp, disc)
-        itv.component_index = ci
-        intervals.append(itv)
-    tree = build_generations(intervals)
+    intervals, tree = _generations(comps, disc)
     pieces = exterior_pieces(tree)
     rhs = 0j
     for theta0, span, eps in pieces:
@@ -378,18 +378,13 @@ def with_jitter(curve: PolyCurve, disc: Disc, seed: int = 0, attempts: int = 8):
     return trial
 
 
-def geometry_dump(curve: PolyCurve, disc: Disc, h: FunctionDescriptor = None) -> dict:
+def geometry_dump(curve: PolyCurve, disc: Disc) -> dict:
     """JSON-ready dump of the disc geometry for rendering."""
     comps, crossings = exterior_components(curve, disc)
     intervals = []
     depths = []
     if comps and not comps[0].closed:
-        ivs = []
-        for ci, comp in enumerate(comps):
-            itv = select_interval(comp, disc)
-            itv.component_index = ci
-            ivs.append(itv)
-        tree = build_generations(ivs)
+        ivs, tree = _generations(comps, disc)
         depths = tree.depth
         intervals = [{"theta0": iv.theta0, "span": iv.span, "sigma": iv.sigma,
                       "component": iv.component_index, "depth": tree.depth[k]}

@@ -21,6 +21,11 @@ polar cell, multipole and coarse-ring shortcuts) for contour sums and
 reconstruction scans, and ``localize`` / ``localize_cauchy`` (12 cells of
 order 12, a 3x3 polar block split at the profile's center lines) as the
 accurate reference for cross-checks and finite-difference tests.
+
+Only ``PieceSet``'s cells per axis and Gauss order are parameters: doubling
+the cells checks the evaluator's convergence, and ``delta_sweep`` uses 8 for
+speed.  The polar patch, the piece cache and the reference rule are fixed
+constants.
 """
 
 from __future__ import annotations
@@ -125,7 +130,6 @@ class Partition:
     j0: int
     ni: int
     nj: int
-    box: tuple
 
     @property
     def spacing(self) -> float:
@@ -214,7 +218,7 @@ def build_partition(delta: float, box) -> Partition:
     i1 = math.ceil((hi.real + delta) / d)
     j0 = math.floor((lo.imag - delta) / d)
     j1 = math.ceil((hi.imag + delta) / d)
-    return Partition(delta=delta, i0=i0, j0=j0, ni=i1 - i0, nj=j1 - j0, box=(lo, hi))
+    return Partition(delta=delta, i0=i0, j0=j0, ni=i1 - i0, nj=j1 - j0)
 
 
 def _check_resolution(partition: Partition, fld: IndexField):
@@ -287,18 +291,18 @@ class PieceSet:
     """
 
     N_MOMENTS = 96
+    PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
+    PATCH_NR = 10     # polar patch: Gauss nodes per ray
+    CACHE_CAP = 96    # pieces kept in the per-piece cache
+    CHUNK = 1024      # points per kernel matrix block
 
     def __init__(self, partition: Partition, f: FunctionDescriptor,
-                 cells_per_axis: int = 16, order: int = 5,
-                 patch_nt: int = 12, patch_nr: int = 10, cache_cap: int = 96):
+                 cells_per_axis: int = 16, order: int = 5):
         if cells_per_axis % 2:
             raise ValueError("cells_per_axis must be even (profile breakpoint at 0)")
         self.partition = partition
         self.f = f
         self.cells = cells_per_axis
-        self.patch_nt = patch_nt
-        self.patch_nr = patch_nr
-        self.cache_cap = cache_cap
         delta = partition.delta
         self.half = delta / 2.0
         self.far_radius = 1.0 * delta  # corner-node multipole ratio sqrt(2)/2 per term
@@ -337,7 +341,7 @@ class PieceSet:
         a = self.b * fv
         a_c = self.b_c * self.f.value(c + self.offsets_c)
         data = {"center": c, "a": a, "a_c": a_c, "a_moments": self._powers @ a}
-        if len(self._cache) >= self.cache_cap:
+        if len(self._cache) >= self.CACHE_CAP:
             self._cache.pop(next(iter(self._cache)))
         self._cache[j] = data
         return data
@@ -363,10 +367,10 @@ class PieceSet:
         iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.cells - 1)
         ze, E, WT, _, _, rmax = _polar_frame(
             zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
-            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta, self.patch_nt)
+            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta, self.PATCH_NT)
         # one radial panel per ray: even cells_per_axis puts the profile's
         # center lines on cell edges, so no cell straddles them
-        gr, wr = gauss_legendre_01(self.patch_nr)
+        gr, wr = gauss_legendre_01(self.PATCH_NR)
         S = rmax[..., None] * gr
         W = (WT * rmax)[..., None] * wr
         E = E[..., None]
@@ -375,7 +379,7 @@ class PieceSet:
             * _dbar_phi(wpts.real - c.real, wpts.imag - c.imag, self.partition.delta)
         return (vals * W).sum(axis=(1, 2, 3)) / math.pi, ix, iy
 
-    def eval(self, j: int, zs, patch: bool = True, chunk: int = 1024, fz=None) -> np.ndarray:
+    def eval(self, j: int, zs, fz=None) -> np.ndarray:
         """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
 
         Points at distance >= delta from the bump center use the multipole
@@ -403,16 +407,16 @@ class PieceSet:
         if np.any(ring):
             sel = np.nonzero(ring)[0]
             nodes_c = c + self.offsets_c
-            for s in range(0, sel.size, chunk):
-                ss = sel[s:s + chunk]
+            for s in range(0, sel.size, self.CHUNK):
+                ss = sel[s:s + self.CHUNK]
                 K = 1.0 / (nodes_c[None, :] - z[ss, None])
                 out[ss] = K @ data["a_c"] - fz[ss] * (K @ self.b_c)
         kk = np.nonzero(inside)[0]
         if kk.size:
             nodes = c + self.offsets
             tiny = 1e-15 * self.partition.delta
-            for s in range(0, kk.size, chunk):
-                ss = kk[s:s + chunk]
+            for s in range(0, kk.size, self.CHUNK):
+                ss = kk[s:s + self.CHUNK]
                 den = nodes[None, :] - z[ss, None]
                 bad = np.abs(den) < tiny
                 if np.any(bad):
@@ -421,13 +425,12 @@ class PieceSet:
                 else:
                     K = 1.0 / den
                 out[ss] = K @ a - fz[ss] * (K @ self.b)
-            if patch:
-                patched, ix, iy = self._patch_values(c, z[kk], fz[kk])
-                q = self.nodes_by_cell[ix * self.cells + iy]  # (nz, order^2)
-                den = nodes[q] - z[kk, None]
-                den = np.where(np.abs(den) < tiny, np.inf, den)
-                base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (self.b[q] / den).sum(axis=1)
-                out[kk] += patched - base_cell
+            patched, ix, iy = self._patch_values(c, z[kk], fz[kk])
+            q = self.nodes_by_cell[ix * self.cells + iy]  # (nz, order^2)
+            den = nodes[q] - z[kk, None]
+            den = np.where(np.abs(den) < tiny, np.inf, den)
+            base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (self.b[q] / den).sum(axis=1)
+            out[kk] += patched - base_cell
         return out
 
     def contour_integrals(self, js, curve: PolyCurve, order: int = 8) -> dict:
@@ -446,6 +449,13 @@ class PieceSet:
 
 # ---------------------------------------------------------------------------
 # accurate per-point evaluation (cross-checks, finite differences)
+
+# the reference rule: tensor cells and Gauss order on the support, and the
+# angular and radial Gauss orders of the polar block about z
+_REF_CELLS = 12
+_REF_ORDER = 12
+_REF_NT = 24
+_REF_NR = 16
 
 
 def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
@@ -477,7 +487,7 @@ def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
     return ze, np.exp(1j * TH), WT, ct, st, np.minimum(tx, ty)
 
 
-def _polar_block(c, z, rect, g, delta, nt=24, nr=16):
+def _polar_block(c, z, rect, g, delta):
     """Polar rule for ∫ g(w) / (w - z) dA over an axis-aligned rect containing z.
 
     About z, 1/(w - z) times the polar Jacobian r is e^{-i theta}: the
@@ -485,14 +495,14 @@ def _polar_block(c, z, rect, g, delta, nt=24, nr=16):
     radial panels are split where a ray crosses the profile's center lines
     x = c.re or y = c.im, so the integrand is analytic on every panel.
     """
-    ze, E, WT, ct, st, rmax = (v[0] for v in _polar_frame(z, *rect, delta, nt))
+    ze, E, WT, ct, st, rmax = (v[0] for v in _polar_frame(z, *rect, delta, _REF_NT))
     with np.errstate(divide="ignore"):
         kx = (c.real - ze.real) / np.where(ct == 0, np.inf, ct)
         ky = (c.imag - ze.imag) / np.where(st == 0, np.inf, st)
     cuts = [np.where((kk > 0) & (kk < rmax), kk, rmax) for kk in (kx, ky)]
     bounds = np.stack([np.zeros_like(rmax), np.minimum(*cuts), np.maximum(*cuts), rmax],
                       axis=-1)  # (4, nt, 4)
-    gr, wr = gauss_legendre_01(nr)
+    gr, wr = gauss_legendre_01(_REF_NR)
     span = np.diff(bounds, axis=-1)
     S = bounds[..., :-1, None] + span[..., None] * gr  # (4, nt, 3, nr)
     W = (WT[..., None] * span)[..., None] * wr
@@ -500,7 +510,7 @@ def _polar_block(c, z, rect, g, delta, nt=24, nr=16):
     return complex((g(ze + S * E) * np.conj(E) * W).sum())
 
 
-def _accurate_piece_integral(partition, j, z, g, n_cells=12, order=12, nt=24, nr=16):
+def _accurate_piece_integral(partition, j, z, g):
     """∫ g(w) / (w - z) dA over the support of bump j, for g smooth on each cell.
 
     Tensor rule on the support, with the 3x3 cell block around z replaced by
@@ -509,26 +519,25 @@ def _accurate_piece_integral(partition, j, z, g, n_cells=12, order=12, nt=24, nr
     """
     delta = partition.delta
     c = partition.center(j)
-    edges, offsets, weights, cell = _tensor_rule(delta, n_cells, order)
+    edges, offsets, weights, cell = _tensor_rule(delta, _REF_CELLS, _REF_ORDER)
     keep = np.ones(cell.shape, dtype=bool)
     half = delta / 2.0
     block = None
     if abs(z.real - c.real) < half and abs(z.imag - c.imag) < half:
-        ix, iy = np.clip(np.searchsorted(edges, [z.real - c.real, z.imag - c.imag]) - 1, 0, n_cells - 1)
-        bx0, bx1 = max(ix - 1, 0), min(ix + 2, n_cells)
-        by0, by1 = max(iy - 1, 0), min(iy + 2, n_cells)
+        ix, iy = np.clip(np.searchsorted(edges, [z.real - c.real, z.imag - c.imag]) - 1, 0, _REF_CELLS - 1)
+        bx0, bx1 = max(ix - 1, 0), min(ix + 2, _REF_CELLS)
+        by0, by1 = max(iy - 1, 0), min(iy + 2, _REF_CELLS)
         block = (c.real + edges[bx0], c.real + edges[bx1], c.imag + edges[by0], c.imag + edges[by1])
-        cx, cy = np.divmod(cell, n_cells)
+        cx, cy = np.divmod(cell, _REF_CELLS)
         keep = ~((bx0 <= cx) & (cx < bx1) & (by0 <= cy) & (cy < by1))
     w = c + offsets[keep]
     total = complex((g(w) / (w - z) * weights[keep]).sum())
     if block:
-        total += _polar_block(c, z, block, g, delta, nt=nt, nr=nr)
+        total += _polar_block(c, z, block, g, delta)
     return total
 
 
-def localize(f: FunctionDescriptor, partition: Partition, j: int, z: complex,
-             n_cells: int = 12, order: int = 12) -> complex:
+def localize(f: FunctionDescriptor, partition: Partition, j: int, z: complex) -> complex:
     """Accurate value of the localized piece f_j at one point.
 
     Uses the bounded difference-quotient integrand everywhere; there is no
@@ -542,15 +551,13 @@ def localize(f: FunctionDescriptor, partition: Partition, j: int, z: complex,
     def g(w):
         return (f.value(w) - fz) * _dbar_phi(w.real - c.real, w.imag - c.imag, partition.delta) / math.pi
 
-    return _accurate_piece_integral(partition, j, z, g, n_cells=n_cells, order=order)
+    return _accurate_piece_integral(partition, j, z, g)
 
 
-def localize_cauchy(f: FunctionDescriptor, partition: Partition, j: int, z: complex,
-                    n_cells: int = 12, order: int = 12) -> complex:
+def localize_cauchy(f: FunctionDescriptor, partition: Partition, j: int, z: complex) -> complex:
     """Cross-check form of the piece: Cauchy transform of phi_j * dbar(f) at z."""
     return _accurate_piece_integral(partition, j, complex(z),
-                                    lambda w: -partition.phi(j, w) * f.dbar(w) / math.pi,
-                                    n_cells=n_cells, order=order)
+                                    lambda w: -partition.phi(j, w) * f.dbar(w) / math.pi)
 
 
 def reconstruct(f: FunctionDescriptor, partition: Partition, zs,

@@ -37,7 +37,7 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
 
     Where the distance is at most ``cap`` the result is the exact minimum over
     the edges; elsewhere it is some value above ``cap`` (possibly ``inf``).
-    The default ``cap=inf`` makes every point a candidate of every edge.
+    With the default ``cap=inf`` every point is a candidate of every edge.
     """
     if not cap >= 0:
         raise ValueError("cap must be nonnegative")
@@ -46,33 +46,23 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     zx, zy = flat.real, flat.imag
     best = np.full(flat.shape, np.inf)
     a, b, d = curve.starts, curve.ends, curve.edge_vectors
-    capped = math.isfinite(cap)
-    if capped:
-        # relative slack over cap and the coordinates absorbs the rounding of
-        # the projected point, so the minimising edge is always a candidate
-        v = curve.vertices
-        pad = cap + 1e-9 * (cap + max(np.abs(v.real).max(), np.abs(v.imag).max()))
-        xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
-        order = np.argsort(zy)
-        first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
-        stop = np.searchsorted(zy, np.maximum(a.imag, b.imag) + pad, "right", sorter=order)
-    else:
-        first = np.zeros(curve.n, dtype=np.intp)
-        stop = np.full(curve.n, flat.size, dtype=np.intp)
+    # relative slack over cap and the coordinates absorbs the rounding of
+    # the projected point, so the minimising edge is always a candidate
+    v = curve.vertices
+    pad = cap + 1e-9 * (cap + max(np.abs(v.real).max(), np.abs(v.imag).max()))
+    xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
+    order = np.argsort(zy)
+    first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
+    stop = np.searchsorted(zy, np.maximum(a.imag, b.imag) + pad, "right", sorter=order)
     for k in np.flatnonzero(stop > first):
         ax, ay = a[k].real, a[k].imag
         dx, dy = d[k].real, d[k].imag
         ll = dx * dx + dy * dy
         for s in range(first[k], stop[k], _CHUNK):
-            e = min(s + _CHUNK, stop[k])
-            if capped:
-                idx = order[s:e]
-                px = zx[idx]
-                inside = (px >= xlo[k]) & (px <= xhi[k])
-                idx, px = idx[inside], px[inside]
-            else:
-                idx = slice(s, e)
-                px = zx[idx]
+            idx = order[s:min(s + _CHUNK, stop[k])]
+            px = zx[idx]
+            inside = (px >= xlo[k]) & (px <= xhi[k])
+            idx, px = idx[inside], px[inside]
             py = zy[idx]
             t = ((px - ax) * dx + (py - ay) * dy) / ll
             np.clip(t, 0.0, 1.0, out=t)
@@ -111,7 +101,7 @@ def winding_number(curve: PolyCurve, z: complex) -> int:
     Raises OnCurve when the point is within the geometric tolerance of the
     curve, where the index is undefined.
     """
-    d = distance_to_curve(curve, np.array([z]))[0]
+    d = distance_to_curve(curve, np.array([z]), cap=curve.tau_geom)[0]
     if d <= curve.tau_geom:
         raise OnCurve(f"point {z} is within {d:.3g} of the curve")
     return int(winding_numbers(curve, np.array([z]))[0])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,16 +74,39 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"checks": "green"},
     {"function": {"family": "reciprocal", "params": {"pole": [0.3, 0.1]}},
      "mollifier": {"z": [0.3, 0.1], "eps": 0.05}, "checks": ["mollifier"]},
+    # non-finite numbers: Python's json reads NaN and Infinity unless told not to
+    {"function": {"family": "reciprocal", "params": {"pole": [float("nan"), 0]}},
+     "checks": ["mollifier"]},
+    {"function": {"family": "monomial", "params": {"a": 0, "b": 1},
+                  "cutoff": {"r_inner": 1.8, "r_outer": 2.2, "center": [float("nan"), 0]}},
+     "checks": ["vitushkin"]},
+    {"mollifier": {"z": [float("nan"), 0.1], "eps": 0.05}, "checks": ["mollifier"]},
+    {"square": {"center": [float("nan"), 0.0], "half": 0.25, "depth": 2}, "checks": ["square"]},
+    {"square": {"center": [0.0, 0.0], "half": float("inf"), "depth": 2}, "checks": ["square"]},
+    {"grid": {"resolution": 32, "dilate": -float("inf")}, "checks": ["green"]},
+    # an integer too large for float()
+    {"square": {"center": [0.0, 0.0], "half": 10 ** 400, "depth": 2}, "checks": ["square"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
-    doc = {"schema": 1, "seed": 1, "curve": _CIRCLE, **fields}
+    text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
     p = tmp_path / "s.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(text)
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     if fields["checks"] == "green":
         assert "checks must be a list" in err
+    if "NaN" in text or "Infinity" in text:
+        assert "every number must be finite" in err
+
+
+def test_overflowing_float_exit_2(tmp_path, capsys):
+    # json reads the literal 1e999 as inf; json.dumps cannot write it
+    p = tmp_path / "s.json"
+    p.write_text('{"schema": 1, "curve": {"family": "circle", "params": {"n": 16}}, '
+                 '"square": {"center": [0, 0], "half": 1e999, "depth": 2}, "checks": ["square"]}')
+    assert main(["run", str(p)]) == 2
+    assert "every number must be finite" in capsys.readouterr().err
 
 
 def test_python_m_greencurves(tmp_path):
@@ -139,7 +163,7 @@ def test_scenario_reproducible_bytes(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_full_scenario_all_checks(tmp_path, monkeypatch):
+def test_full_scenario_all_checks(tmp_path):
     doc = {
         "schema": 1, "seed": 7,
         "curve": {"family": "circle", "params": {"n": 128}},
@@ -156,8 +180,7 @@ def test_full_scenario_all_checks(tmp_path, monkeypatch):
     p = tmp_path / "full.json"
     p.write_text(json.dumps(doc))
     outs = []
-    for threads, sub in (("1", "seq"), ("4", "par")):
-        monkeypatch.setenv("GC_THREADS", threads)
+    for sub in ("a", "b"):
         out = tmp_path / sub
         report, code = run_scenario(str(p), out_dir=str(out), svg=True)
         assert code == 0
@@ -168,15 +191,30 @@ def test_full_scenario_all_checks(tmp_path, monkeypatch):
         assert (out / "sweep.svg").exists()
         assert (out / "mainlemma_0.svg").exists()
         assert (out / "mainlemma_0.json").exists()
-    assert outs[0] == outs[1]  # thread count must not change the report bytes
-    monkeypatch.delenv("GC_THREADS")
+    assert outs[0] == outs[1]
     # the geometry dump file renders on its own, and the report renders a sweep plot
-    out = tmp_path / "par"
     assert main(["render", str(out / "mainlemma_0.json"), "--kind", "mainlemma-diagram",
                  "--out", str(tmp_path / "ml.svg")]) == 0
     assert main(["render", str(out / "report.json"), "--kind", "sweep-plot",
                  "--out", str(tmp_path / "sw.svg")]) == 0
     assert (tmp_path / "sw.svg").read_text().count("polyline") >= 1
+
+
+def test_verbose_timing_lines(tmp_path, capsys):
+    # one [timing] line per check on stderr, in listed order; the benchmark
+    # parses these lines, and they never change the report
+    doc = {"schema": 1, "seed": 2, "curve": {"family": "circle", "params": {"n": 32}},
+           "grid": {"resolution": 32}, "square": {"center": [0.2, 0.1], "half": 0.15, "depth": 2},
+           "checks": ["square", "decompose", "green"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--out", str(tmp_path / "v"), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    timed = [re.fullmatch(r"\[timing\] (\w+): [0-9]+\.[0-9]{3}s", ln) for ln in lines]
+    assert all(timed) and [m.group(1) for m in timed] == doc["checks"]
+    assert main(["run", str(p), "--out", str(tmp_path / "q")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "v" / "report.json").read_bytes() == (tmp_path / "q" / "report.json").read_bytes()
 
 
 def test_gallery_listing():
