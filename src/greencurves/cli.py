@@ -106,7 +106,8 @@ def _green_cfg(doc: dict) -> GreenConfig:
         refine=int(q.get("refine", 3)),
         contour_order=int(q.get("contour_order", 8)),
     )
-    if cfg.resolution < 1 or cfg.contour_order < 1 or cfg.refine < 0:
+    if (cfg.resolution < 1 or cfg.contour_order < 1 or cfg.refine < 0
+            or not cfg.dilate >= 1.5 or not cfg.band_diagonals >= 0):
         raise ValueError(f"grid and quadrature settings out of range: {cfg}")
     return cfg
 

@@ -134,6 +134,21 @@ def _cross(o, a):  # 2D cross product of complex numbers
     return o.real * a.imag - o.imag * a.real
 
 
+def _ragged(count, lo: int = 0, hi: int = None):
+    """Owner and offset of each flat position of back-to-back ranges.
+
+    Range r holds ``count[r]`` consecutive positions; empty ranges hold none.
+    Returns, for every position in order, the range that holds it and its
+    offset from that range's start.  With ``hi`` given, only the positions
+    lo..hi-1 are expanded.
+    """
+    start = np.cumsum(count) - count
+    if hi is not None:
+        count = np.maximum(np.minimum(start + count, hi) - np.maximum(start, lo), 0)
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(lo, lo + owner.size) - np.repeat(start, count)
+
+
 def _candidate_pairs(curve: PolyCurve, pad: np.ndarray):
     """Non-adjacent edge pairs (i, j), i < j, whose boxes dilated by ``pad`` overlap.
 
@@ -148,8 +163,8 @@ def _candidate_pairs(curve: PolyCurve, pad: np.ndarray):
     order = np.argsort(xlo, kind="stable")
     first = np.arange(1, n + 1)
     count = np.maximum(np.searchsorted(xlo[order], xhi[order], "right") - first, 0)
-    p = np.repeat(np.arange(n), count)
-    q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + first[p]
+    p, q = _ragged(count)
+    q += first[p]
     i, j = order[p], order[q]
     i, j = np.minimum(i, j), np.maximum(i, j)
     keep = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i]) & (j - i > 1) & ~((i == 0) & (j == n - 1))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import PolyCurve
+from .curves import PolyCurve, _ragged
 from .errors import PoleOnCurve
 from .functions import FunctionDescriptor
 from .winding import GridSpec, IndexField, distance_to_curve, index_field, winding_numbers
@@ -104,6 +104,18 @@ class VerificationReport:
         return out
 
 
+# marks a winding number not yet known; no curve winds 2**31 times about a point
+_UNKNOWN = np.iinfo(np.int32).min
+
+
+def _known_windings(curve: PolyCurve, z, wind):
+    """``wind`` with its unknown entries replaced by the winding numbers at ``z``."""
+    miss = wind == _UNKNOWN
+    if np.any(miss):
+        wind[miss] = winding_numbers(curve, z[miss])
+    return wind
+
+
 def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: int = 3,
                            weight=None):
     """∫ dbar(f) * Ind (* weight) over the plane, without the 2i prefactor.
@@ -116,6 +128,21 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     are dropped.  Returns (value, info) where info reports the dropped area
     and the area of final-depth subcells that may still straddle the curve:
     that area times a local bound on |dbar(f)*Ind| is the honest error budget.
+
+    Each subcell's distance and winding come from its parent where they can.
+    The distance to the curve is 1-Lipschitz and a child's center lies
+    hypot(hx, hy) from its parent's, so with r that length plus a slack of
+    1e-9 (max |vertex coordinate| + 1), far above the rounding of centers and
+    distances, a child's distance lies within r of its parent's exact
+    distance p.  A child with p - r > band is clear; on the last level one
+    with p + r <= band and p - r > tau_on is kept; every other child gets its
+    exact distance.  A child whose distance exceeds r joins its parent's
+    center by a segment that misses the curve, so it shares the parent's
+    winding number; the other windings are counted.  Each decision is the one
+    the exact distance would give, and every level sums the same subcells in
+    the same order, so the value and info are bit-identical to measuring
+    every subcell.  Level 0 takes the cells' distances and windings from the
+    field; a field without ``dist`` measures every child.
     """
     if refine < 0:
         raise ValueError("refine must be nonnegative")
@@ -132,9 +159,14 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
 
     hx, hy = grid.cell_w / 2, grid.cell_h / 2
     act_z = centers[field_.near_mask].ravel()
+    # the exact distance (nan if unknown) and the winding of each active center
+    act_d = np.full(act_z.shape, np.nan) if field_.dist is None else field_.dist[field_.near_mask]
+    act_w = field_.values[field_.near_mask].astype(np.int32)
     dropped_area = 0.0
     straddle_area = 0.0
     tau_on = max(curve.tau_geom, 1e-14 * curve.diameter)
+    v = curve.vertices
+    slack = 1e-9 * (max(np.abs(v.real).max(), np.abs(v.imag).max()) + 1.0)
 
     if act_z.size and refine == 0:
         dropped_area = act_z.size * grid.cell_area
@@ -146,25 +178,39 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
         off = np.array([-hx - 1j * hy, hx - 1j * hy, -hx + 1j * hy, hx + 1j * hy])
         sub = (act_z[:, None] + off[None, :]).ravel()
         band = 2.0 * math.hypot(2 * hx, 2 * hy)
-        dist = distance_to_curve(curve, sub, cap=band)
+        r = math.hypot(hx, hy) + slack
+        # a lower bound on each child's distance stands in wherever it decides
+        need = ~(act_d - r > band)
+        if level == refine:
+            need &= ~((act_d + r <= band) & (act_d - r > tau_on))
+        act_d -= r
+        dist = np.repeat(act_d, 4)
+        need = np.repeat(need, 4)
+        dist[need] = distance_to_curve(curve, sub[need], cap=band)
+        del need
+        wind = np.repeat(act_w, 4)
+        wind[~(np.minimum(dist, band) > r)] = _UNKNOWN
         clear = dist > band
         area = 4 * hx * hy
         if np.any(clear):
             zc = sub[clear]
-            total += complex((f.dbar(zc) * winding_numbers(curve, zc) * w_of(zc)).sum() * area)
-        rest = sub[~clear]
+            total += complex((f.dbar(zc) * _known_windings(curve, zc, wind[clear]) * w_of(zc)).sum()
+                             * area)
+            del zc
+        rest = ~clear
         if level == refine:
-            if rest.size:
-                d = dist[~clear]
-                ok = d > tau_on
-                zr = rest[ok]
+            n_rest = int(np.count_nonzero(rest))
+            if n_rest:
+                ok = rest & (dist > tau_on)
+                zr = sub[ok]
                 if zr.size:
-                    total += complex((f.dbar(zr) * winding_numbers(curve, zr) * w_of(zr)).sum() * area)
+                    total += complex((f.dbar(zr) * _known_windings(curve, zr, wind[ok])
+                                      * w_of(zr)).sum() * area)
                 straddle_area += float(zr.size * area)
-                dropped_area += float((rest.size - zr.size) * area)
+                dropped_area += float((n_rest - zr.size) * area)
             act_z = np.empty(0, dtype=complex)
         else:
-            act_z = rest
+            act_z, act_d, act_w = sub[rest], dist[rest], wind[rest]
 
     info = {"dropped_area": dropped_area, "straddle_area": straddle_area}
     return total, info
@@ -214,9 +260,7 @@ def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
     nx = np.maximum(np.searchsorted(x - h, np.maximum(a.real, b.real) + side, "right") - x0, 0)
     y0 = np.searchsorted(y + h, np.minimum(a.imag, b.imag) - side, "left")
     ny = np.maximum(np.searchsorted(y - h, np.maximum(a.imag, b.imag) + side, "right") - y0, 0)
-    count = nx * ny
-    k = np.repeat(np.arange(curve.n), count)
-    m = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    k, m = _ragged(nx * ny)
     ix = x0[k] + m // ny[k]
     iy = y0[k] + m % ny[k]
     t0 = np.zeros(k.shape)

@@ -14,6 +14,15 @@ is O(sum of candidate-slab sizes) instead of O(edges x points).  Each
 candidate pair uses exactly the arithmetic of the every-edge loop, so results
 are bit-identical to it: the same integers, and the same floats wherever the
 distance is at most ``cap``.
+
+The slabs are walked in one of two ways.  When they hold at most
+``_PAIR_SLAB`` (512) points per live edge on average, as for a few query
+points or a thin band of them, every (edge, point) pair is expanded into flat
+arrays and evaluated at once, in chunks of ``_CHUNK`` pairs, and reduced with
+``np.minimum.at`` / ``np.add.at``; a minimum and an integer sum do not depend
+on the order of their terms, so the bits are those of the edge loop.  Longer
+slabs, as on a full grid, are evaluated edge by edge, where the per-edge
+Python overhead is small against the slab.  The crossover was measured.
 """
 
 from __future__ import annotations
@@ -23,13 +32,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve
+from .curves import PolyCurve, _ragged
 from .errors import OnCurve
 
 
-# Every numpy pass below covers at most this many points, which bounds the size
-# of each temporary however long an edge's candidate slab is.
+# Every numpy pass below covers at most this many points or (edge, point)
+# pairs, which bounds the size of each temporary however long a slab is.
 _CHUNK = 1 << 14
+# Slabs averaging at most this many points per live edge are expanded into one
+# list of (edge, point) pairs; longer ones are evaluated edge by edge.
+_PAIR_SLAB = 512
+
+
+def _slab_pairs(order, first, stop):
+    """Per-edge slab loop or chunks of the pair list: yields (edge, point indices).
+
+    On the edge-by-edge path the edge is one index and the points are
+    distinct; on the pair path it is an index array, one entry per point.
+    """
+    live = np.flatnonzero(stop > first)
+    count = stop[live] - first[live]
+    total = int(count.sum())
+    if total == live.size:  # one point per slab, as for a single query point
+        for lo in range(0, total, _CHUNK):
+            k = live[lo:lo + _CHUNK]
+            yield k, order[first[k]]
+    elif total <= _PAIR_SLAB * live.size:
+        for lo in range(0, total, _CHUNK):
+            owner, off = _ragged(count, lo, lo + _CHUNK) if total > _CHUNK else _ragged(count)
+            k = live[owner]
+            yield k, order[first[k] + off]
+    else:
+        for k in live:
+            for s in range(first[k], stop[k], _CHUNK):
+                yield k, order[s:min(s + _CHUNK, stop[k])]
 
 
 def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
@@ -54,20 +90,23 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag) + pad, "right", sorter=order)
-    for k in np.flatnonzero(stop > first):
-        ax, ay = a[k].real, a[k].imag
-        dx, dy = d[k].real, d[k].imag
-        ll = dx * dx + dy * dy
-        for s in range(first[k], stop[k], _CHUNK):
-            idx = order[s:min(s + _CHUNK, stop[k])]
-            px = zx[idx]
-            inside = (px >= xlo[k]) & (px <= xhi[k])
-            idx, px = idx[inside], px[inside]
-            py = zy[idx]
-            t = ((px - ax) * dx + (py - ay) * dy) / ll
-            np.clip(t, 0.0, 1.0, out=t)
-            ex = px - (ax + t * dx)
-            ey = py - (ay + t * dy)
+    for k, idx in _slab_pairs(order, first, stop):
+        px = zx[idx]
+        inside = (px >= xlo[k]) & (px <= xhi[k])
+        idx, px = idx[inside], px[inside]
+        pairs = np.ndim(k) > 0
+        if pairs:
+            k = k[inside]
+        ak, dk = a[k], d[k]
+        ax, ay, dx, dy = ak.real, ak.imag, dk.real, dk.imag
+        py = zy[idx]
+        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        np.clip(t, 0.0, 1.0, out=t)
+        ex = px - (ax + t * dx)
+        ey = py - (ay + t * dy)
+        if pairs:
+            np.minimum.at(best, idx, np.hypot(ex, ey))
+        else:
             best[idx] = np.minimum(best[idx], np.hypot(ex, ey))
     return best.reshape(z.shape)
 
@@ -82,16 +121,18 @@ def winding_numbers(curve: PolyCurve, zs) -> np.ndarray:
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag), "left", sorter=order)
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag), "left", sorter=order)
-    for k in np.flatnonzero(stop > first):
-        ax, ay = a[k].real, a[k].imag
-        bx, by = b[k].real, b[k].imag
-        for s in range(first[k], stop[k], _CHUNK):
-            idx = order[s:min(s + _CHUNK, stop[k])]
-            left = (bx - ax) * (zy[idx] - ay) - (zx[idx] - ax) * (by - ay)
-            if ay < by:
-                wn[idx] += left > 0
-            else:
-                wn[idx] -= left < 0
+    for k, idx in _slab_pairs(order, first, stop):
+        ak, bk = a[k], b[k]
+        ax, ay, bx, by = ak.real, ak.imag, bk.real, bk.imag
+        left = (bx - ax) * (zy[idx] - ay) - (zx[idx] - ax) * (by - ay)
+        # upward edges count points strictly left of them, downward ones subtract
+        # points strictly right
+        if np.ndim(k):
+            np.add.at(wn, idx, np.where(ay < by, left > 0, (left < 0) * -1))
+        elif ay < by:
+            wn[idx] += left > 0
+        else:
+            wn[idx] -= left < 0
     return wn.reshape(z.shape)
 
 
@@ -176,7 +217,8 @@ class IndexField:
 
     Values are exact integers wherever the cell center is off the curve; cells
     within ``band`` of the curve are flagged so quadrature can treat them
-    separately.
+    separately.  ``dist`` is the center's distance to the curve, exact on the
+    flagged cells (None when unknown).
     """
 
     grid: GridSpec
@@ -184,6 +226,7 @@ class IndexField:
     near_mask: np.ndarray
     band: float
     curve: PolyCurve
+    dist: np.ndarray = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,8 +251,9 @@ def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     c = grid.centers()
     values = winding_numbers(curve, c)
     cap = max(band, curve.tau_geom)
-    near = distance_to_curve(curve, c, cap=cap) <= cap
-    return IndexField(grid=grid, values=values, near_mask=near, band=band, curve=curve)
+    dist = distance_to_curve(curve, c, cap=cap)
+    return IndexField(grid=grid, values=values, near_mask=dist <= cap, band=band, curve=curve,
+                      dist=dist)
 
 
 def region_masks(field: IndexField):

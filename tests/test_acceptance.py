@@ -283,3 +283,19 @@ def test_delta_sweep_wall_clock():
     assert all(a["s_ii_abs"] > b["s_ii_abs"] for a, b in zip(rows, rows[1:]))
     assert elapsed < 14.0
     print(f"ACCEPTANCE floor: PASS - circle-256 cut-off zbar delta sweep 0.4..0.05 in {elapsed:.2f}s")
+
+
+def test_point_query_wall_clock():
+    # a one-point query expands its edges into one pair list instead of
+    # looping over every edge in Python
+    c = make_curve("circle", n=4096)
+    rng = seed_stream(5, "acceptance.point_query")
+    pts = rng.uniform(-1.5, 1.5, 200) + 1j * rng.uniform(-1.5, 1.5, 200)
+    elapsed = math.inf
+    for _ in range(3):  # best of three, so a busy machine does not decide
+        t0 = time.perf_counter()
+        d = [distance_to_curve(c, np.array([z]))[0] for z in pts]
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    assert np.allclose(d, np.abs(np.abs(pts) - 1.0), atol=1e-6)
+    assert elapsed < 0.25
+    print(f"ACCEPTANCE floor: PASS - 200 one-point distances to circle-4096 in {elapsed * 1e3:.0f}ms")

@@ -86,6 +86,9 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"grid": {"resolution": 32, "dilate": -float("inf")}, "checks": ["green"]},
     # an integer too large for float()
     {"square": {"center": [0.0, 0.0], "half": 10 ** 400, "depth": 2}, "checks": ["square"]},
+    # the grid box must dilate the curve's by 1.5; the band is a nonnegative width
+    {"grid": {"resolution": 32, "dilate": 1.0}, "checks": ["green"]},
+    {"grid": {"resolution": 32, "band_diagonals": -1}, "checks": ["green"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})

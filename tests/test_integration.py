@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curves,
                          index_field, make_curve, make_function, verify_green, with_cutoff)
 from greencurves.errors import PoleOnCurve
 from greencurves.integration import (area_integral_weighted, contour_integral,
                                      green_on_square, mollifier_identity_check)
+from greencurves.winding import IndexField, distance_to_curve
 
-from oracles import clip_polygon_by_halfplane, polygon_z_integral, shoelace_area
+from oracles import area_by_levels, clip_polygon_by_halfplane, polygon_z_integral, shoelace_area
 
 
 ZBAR = make_function("monomial", a=0, b=1)
@@ -79,6 +82,98 @@ def test_area_integral_refine_zero_excludes_band():
     assert info["dropped_area"] > 0
     # the dropped band removes roughly half its area from the disc integral
     assert abs(val.real - math.pi) < info["dropped_area"]
+
+
+# ---------------------------------------------------------------------------
+# near-band refinement: distances and windings reused from the parent level
+# against measuring every subcell
+
+
+def _assert_same_area(fld, f, refine, weight=None):
+    got, got_info = area_integral_weighted(fld, f, refine=refine, weight=weight)
+    want, want_info = area_by_levels(fld, f, refine=refine, weight=weight)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert list(got_info) == list(want_info)
+    assert [float(x).hex() for x in got_info.values()] == [float(x).hex() for x in want_info.values()]
+
+
+_FUNCTIONS = [ZBAR, make_function("zbar_absz"), make_function("monomial", a=1, b=1)]
+_GALLERY = gallery_curves()
+
+
+def _weight(z):
+    """A smooth positive weight, as class_sums passes its partition of unity."""
+    return 1.0 / (1.0 + np.abs(z - 0.2 - 0.1j) ** 2)
+
+
+_refinement = dict(refine=st.integers(0, 4), band=st.sampled_from([0.0, 0.5, 2.0, 3.0]),
+                   resolution=st.integers(16, 96), fn=st.integers(0, len(_FUNCTIONS) - 1),
+                   weighted=st.booleans())
+
+
+def _check_refinement(curve, refine, band, resolution, fn, weighted):
+    _assert_same_area(_field(curve, resolution, band), _FUNCTIONS[fn], refine,
+                      _weight if weighted else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, len(_GALLERY) - 1), **_refinement)
+def test_property_refinement_matches_every_subcell_gallery(k, **kw):
+    _check_refinement(_GALLERY[k][1], **kw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radii=st.lists(st.floats(0.2, 1.0, allow_nan=False), min_size=3, max_size=24), **_refinement)
+def test_property_refinement_matches_every_subcell_star(radii, **kw):
+    th = 2 * np.pi * np.arange(len(radii)) / len(radii)
+    _check_refinement(PolyCurve(np.array(radii) * np.exp(1j * th)), **kw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(-1.0, 1.0, allow_nan=False),
+                              st.floats(-1.0, 1.0, allow_nan=False)), min_size=3, max_size=16),
+       **_refinement)
+def test_property_refinement_matches_every_subcell_polygon(pts, **kw):
+    v = np.array([complex(x, y) for x, y in pts])
+    assume(np.all(np.abs(np.roll(v, -1) - v) > 1e-6) and np.ptp(v.real) > 0 and np.ptp(v.imag) > 0)
+    _check_refinement(PolyCurve(v), **kw)
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3])
+@pytest.mark.parametrize("s", [5, 3])
+def test_refinement_child_exactly_at_band(s, refine):
+    # a square with a notch whose reflex corner v lies on the diagonal through
+    # an inside near cell's center c, s level-1 half-sides h off in each
+    # coordinate.  Every coordinate is dyadic, so one level-1 child lies
+    # exactly band = 4 sqrt(2) h from v while c lies band + sqrt(2) h (s = 5)
+    # or band - sqrt(2) h (s = 3) from it.  At h = 3/64 the rounded
+    # p - hypot(h, h) exceeds band: without its slack the distance bound
+    # would release that child as clear.
+    grid = GridSpec(-6 - 6j, 6 + 6j, 64, 64)
+    h = grid.cell_w / 4
+    c = grid.centers()[32, 32]
+    v = c - s * h * (1 + 1j)
+    curve = PolyCurve(v + np.array([0, -2 - 0.5j, -2 + 2j, 2 + 2j, 2 - 2j, -0.5 - 2j]))
+    fld = index_field(curve, grid, 2 * grid.cell_diag)
+    band = 2.0 * math.hypot(2 * h, 2 * h)
+    child = c + (4 - s) * h * (1 + 1j)
+    assert fld.near_mask[32, 32] and fld.values[32, 32] != 0
+    assert distance_to_curve(curve, np.array([child]))[0] == band
+    p, r = fld.dist[32, 32], math.hypot(h, h)
+    assert p - r > band if s == 5 else p + r <= band
+    for f in _FUNCTIONS:
+        _assert_same_area(fld, f, refine)
+
+
+def test_refinement_without_field_distances():
+    # a field built by hand carries no distances: every child is measured
+    c = make_curve("trefoil")
+    fld = _field(c, 48)
+    bare = IndexField(grid=fld.grid, values=fld.values, near_mask=fld.near_mask, band=fld.band,
+                      curve=c)
+    for refine in (1, 3):
+        _assert_same_area(bare, ZBAR, refine)
+        assert area_integral_weighted(bare, ZBAR, refine) == area_integral_weighted(fld, ZBAR, refine)
 
 
 def test_verify_green_circle_zbar():

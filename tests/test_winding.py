@@ -8,10 +8,11 @@ import pytest
 from greencurves import (GridSpec, PolyCurve, gallery_curves, index_field, index_l2,
                          make_curve, region_masks, winding_number, winding_numbers)
 from greencurves._rng import seed_stream
+from greencurves import winding as winding_module
 from greencurves.errors import OnCurve
 from greencurves.winding import distance_to_curve
 
-from oracles import winding_by_angles
+from oracles import distance_by_edges, winding_by_angles, winding_by_edges
 
 
 def test_winding_circle_center_and_exterior():
@@ -167,3 +168,61 @@ def test_field_json_roundtrip_values():
     doc = fld.to_json_dict()
     assert doc["grid"]["nx"] == 48
     assert np.array_equal(np.asarray(doc["values"]), fld.values)
+
+
+def test_index_field_keeps_exact_near_distances():
+    c = make_curve("trefoil")
+    grid = GridSpec.cover(c, 64)
+    fld = index_field(c, grid, 2 * grid.cell_diag)
+    want = distance_by_edges(c.vertices, grid.centers())
+    assert np.array_equal(fld.dist[fld.near_mask], want[fld.near_mask])
+    assert np.all(fld.dist[~fld.near_mask] > fld.band)
+
+
+# ---------------------------------------------------------------------------
+# both kernel paths: the pair list below the crossover, the edge loop above
+
+
+def _zigzag(m):
+    """m edges that each span y in [0, 1]: every point with 0 < y < 1 is in every slab."""
+    return PolyCurve([complex(k, k % 2) for k in range(m)])
+
+
+@pytest.mark.parametrize("edges", [4, 40])  # 40 edges of pairs span several chunks
+@pytest.mark.parametrize("extra", [0, 1])  # at the crossover, and one point past it
+def test_kernel_paths_at_the_crossover(monkeypatch, edges, extra):
+    expansions = []
+    ragged = winding_module._ragged
+    monkeypatch.setattr(winding_module, "_ragged", lambda *a: expansions.append(a) or ragged(*a))
+    c = _zigzag(edges)
+    n = winding_module._PAIR_SLAB + extra
+    rng = seed_stream(11, "winding.crossover")
+    z = rng.uniform(-1, edges, n) + 1j * rng.uniform(0.001, 0.999, n)
+    z[:edges] = np.arange(edges) + 0.5 + 0.5j  # edge midpoints, at distance 0
+    z[edges:2 * edges] = np.arange(edges) + 0.25 + 0.5j  # a quarter step off them
+    assert np.array_equal(winding_numbers(c, z), winding_by_edges(c.vertices, z))
+    want = distance_by_edges(c.vertices, z)
+    for cap in (np.inf, 0.05, 0.0):
+        got = distance_to_curve(c, z, cap=cap)
+        near = want <= cap
+        assert np.array_equal(got[near], want[near]) and np.all(got[~near] > cap)
+    assert bool(expansions) == (extra == 0)
+    if edges * n > winding_module._CHUNK and not extra:
+        assert all(hi - lo <= winding_module._CHUNK for _, lo, hi in expansions)
+
+
+def test_kernel_paths_on_empty_and_single_points():
+    c = _zigzag(6)
+    empty = np.empty(0, dtype=complex)
+    assert np.array_equal(winding_numbers(c, empty), winding_by_edges(c.vertices, empty))
+    for cap in (np.inf, 0.05, 0.0):
+        assert distance_to_curve(c, empty, cap=cap).shape == (0,)
+    z = np.array([2.5 + 0.5j, 0.5 + 0.25j, 7 + 3j, 3 + 1j])  # on an edge, off it, far, vertex
+    assert np.array_equal(winding_numbers(c, z), winding_by_edges(c.vertices, z))
+    for p in z:
+        assert np.array_equal(winding_numbers(c, [p]), winding_by_edges(c.vertices, [p]))
+        assert np.array_equal(distance_to_curve(c, [p]), distance_by_edges(c.vertices, [p]))
+    # one point against more edges than one chunk holds
+    big = make_curve("circle", n=winding_module._CHUNK + 100)
+    p = np.array([0.3 + 0.2j])
+    assert np.array_equal(distance_to_curve(big, p), distance_by_edges(big.vertices, p))
