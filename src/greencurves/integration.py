@@ -21,6 +21,13 @@ from .functions import FunctionDescriptor
 from .winding import GridSpec, IndexField, distance_to_curve, index_field, winding_numbers
 
 
+# Elements per temporary of a blocked elementwise pass.  The dyadic-square
+# generations, the bump-activity probe and the polar patch run in blocks of
+# about this many values, so their temporaries stay the same size however
+# deep the square, however many the bumps or inside points.
+_BLOCK = 1 << 15
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre_01(order: int):
     """Nodes and weights on [0, 1]."""
@@ -304,6 +311,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
     gx, gw = gauss_legendre_01(quad_order)
     gx2 = (gx[:, None] + 1j * gx[None, :]).ravel()
     gw2 = (gw[:, None] * gw[None, :]).ravel()
+    step = max(_BLOCK // gx2.size, 1)  # sub-squares per block
 
     L = 2 * sq.half
     rows = []
@@ -321,8 +329,13 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
         rhs_n = 0j
         if n_i:
             base = (cx[~meets] - s / 2) + 1j * (cy[~meets] - s / 2)
-            nodes = base[:, None] + s * gx2[None, :]
-            rhs_n = 2j * complex((f.dbar(nodes) * gw2[None, :]).sum() * s * s)
+            # the values fill one array block by block and are summed at
+            # once: pairwise summation makes the bits depend on the array
+            vals = np.empty((n_i, gx2.size), dtype=complex)
+            for lo in range(0, n_i, step):
+                vals[lo:lo + step] = f.dbar(base[lo:lo + step, None] + s * gx2) * gw2
+            rhs_n = 2j * complex(vals.sum() * s * s)
+            del vals
         eps_n = math.sqrt(2.0) * s
         omega = f.modulus(eps_n, box=(sq.center - 2 * sq.half * (1 + 1j),
                                       sq.center + 2 * sq.half * (1 + 1j)))

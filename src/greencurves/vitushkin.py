@@ -38,7 +38,7 @@ import numpy as np
 from .curves import PolyCurve, length
 from .errors import UnresolvedDisc
 from .functions import FunctionDescriptor
-from .integration import contour_integral, gauss_legendre_01
+from .integration import _BLOCK, contour_integral, gauss_legendre_01
 from .winding import IndexField, distance_to_curve
 
 CLASS_I = "I"
@@ -294,7 +294,9 @@ class PieceSet:
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
     PATCH_NR = 10     # polar patch: Gauss nodes per ray
     CACHE_CAP = 96    # pieces kept in the per-piece cache
-    CHUNK = 1024      # points per kernel matrix block
+    # points per kernel matrix block: fixed, because the bits of a gemv
+    # (OpenBLAS) depend on its row count, so other blocks change the values
+    CHUNK = 1024
 
     def __init__(self, partition: Partition, f: FunctionDescriptor,
                  cells_per_axis: int = 16, order: int = 5):
@@ -325,8 +327,9 @@ class PieceSet:
         js = np.asarray(js, dtype=np.intp)
         todo = np.unique(js[self._flags[js] < 0])
         probe = self.offsets_c  # coarse probe suffices for the smooth gallery dbars
-        for s in range(0, todo.size, 256):
-            jj = todo[s:s + 256]
+        step = max(_BLOCK // probe.size, 1)  # bumps per block
+        for s in range(0, todo.size, step):
+            jj = todo[s:s + step]
             dbv = self.f.dbar(self._centers[jj, None] + probe[None, :])
             self._flags[jj] = np.any(np.abs(dbv) != 0.0, axis=1)
         return self._flags[js] == 1
@@ -404,33 +407,40 @@ class PieceSet:
             out[far] = -s_a * u
             if self._use_b_tail:
                 out[far] += fz[far] * self._horner(self.b_moments, u) * u
+        # each kernel block is built and inverted in place, and freed before
+        # the next one
         if np.any(ring):
             sel = np.nonzero(ring)[0]
             nodes_c = c + self.offsets_c
             for s in range(0, sel.size, self.CHUNK):
                 ss = sel[s:s + self.CHUNK]
-                K = 1.0 / (nodes_c[None, :] - z[ss, None])
+                K = nodes_c[None, :] - z[ss, None]
+                np.divide(1.0, K, out=K)
                 out[ss] = K @ data["a_c"] - fz[ss] * (K @ self.b_c)
+                del K
         kk = np.nonzero(inside)[0]
         if kk.size:
             nodes = c + self.offsets
             tiny = 1e-15 * self.partition.delta
             for s in range(0, kk.size, self.CHUNK):
                 ss = kk[s:s + self.CHUNK]
-                den = nodes[None, :] - z[ss, None]
-                bad = np.abs(den) < tiny
-                if np.any(bad):
-                    den = np.where(bad, 1.0, den)
-                    K = np.where(bad, 0.0, 1.0 / den)
-                else:
-                    K = 1.0 / den
+                K = nodes[None, :] - z[ss, None]
+                bad = np.abs(K) < tiny  # a node on z: its kernel entry is 0
+                K[bad] = 1.0
+                np.divide(1.0, K, out=K)
+                K[bad] = 0.0
                 out[ss] = K @ a - fz[ss] * (K @ self.b)
-            patched, ix, iy = self._patch_values(c, z[kk], fz[kk])
-            q = self.nodes_by_cell[ix * self.cells + iy]  # (nz, order^2)
-            den = nodes[q] - z[kk, None]
-            den = np.where(np.abs(den) < tiny, np.inf, den)
-            base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (self.b[q] / den).sum(axis=1)
-            out[kk] += patched - base_cell
+                del K, bad
+            # inside points per patch block, at 4 panels x PATCH_NT x PATCH_NR nodes each
+            step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)
+            for s in range(0, kk.size, step):
+                ss = kk[s:s + step]
+                patched, ix, iy = self._patch_values(c, z[ss], fz[ss])
+                q = self.nodes_by_cell[ix * self.cells + iy]  # (nz, order^2)
+                den = nodes[q] - z[ss, None]
+                den = np.where(np.abs(den) < tiny, np.inf, den)
+                base_cell = (a[q] / den).sum(axis=1) - fz[ss] * (self.b[q] / den).sum(axis=1)
+                out[ss] += patched - base_cell
         return out
 
     def contour_integrals(self, js, curve: PolyCurve, order: int = 8) -> dict:

@@ -45,27 +45,36 @@ _PAIR_SLAB = 512
 
 
 def _slab_pairs(order, first, stop):
-    """Per-edge slab loop or chunks of the pair list: yields (edge, point indices).
+    """The live edges, and their slabs as chunks of (edge, point) pairs when the slabs are short.
 
-    On the edge-by-edge path the edge is one index and the points are
-    distinct; on the pair path it is an index array, one entry per point.
+    The chunks are ``None`` when the slabs average more than ``_PAIR_SLAB``
+    points per live edge; the caller then walks the slabs of the live edges
+    one edge at a time.  The path is chosen once per call.
     """
     live = np.flatnonzero(stop > first)
     count = stop[live] - first[live]
     total = int(count.sum())
-    if total == live.size:  # one point per slab, as for a single query point
+    if total > _PAIR_SLAB * live.size:
+        return live, None
+
+    def chunks():
         for lo in range(0, total, _CHUNK):
-            k = live[lo:lo + _CHUNK]
-            yield k, order[first[k]]
-    elif total <= _PAIR_SLAB * live.size:
-        for lo in range(0, total, _CHUNK):
-            owner, off = _ragged(count, lo, lo + _CHUNK) if total > _CHUNK else _ragged(count)
-            k = live[owner]
-            yield k, order[first[k] + off]
-    else:
-        for k in live:
-            for s in range(first[k], stop[k], _CHUNK):
-                yield k, order[s:min(s + _CHUNK, stop[k])]
+            if total == live.size:  # one point per slab, as for a single query point
+                k = live[lo:lo + _CHUNK]
+                yield k, order[first[k]]
+            else:
+                owner, off = _ragged(count, lo, lo + _CHUNK) if total > _CHUNK else _ragged(count)
+                k = live[owner]
+                yield k, order[first[k] + off]
+    return live, chunks()
+
+
+def _segment_distance(px, py, a, d):
+    """Distance from the points (px, py) to the segments from ``a`` along ``d``."""
+    ax, ay, dx, dy = a.real, a.imag, d.real, d.imag
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
@@ -90,25 +99,26 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag) + pad, "right", sorter=order)
-    for k, idx in _slab_pairs(order, first, stop):
-        px = zx[idx]
-        inside = (px >= xlo[k]) & (px <= xhi[k])
-        idx, px = idx[inside], px[inside]
-        pairs = np.ndim(k) > 0
-        if pairs:
-            k = k[inside]
-        ak, dk = a[k], d[k]
-        ax, ay, dx, dy = ak.real, ak.imag, dk.real, dk.imag
-        py = zy[idx]
-        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-        np.clip(t, 0.0, 1.0, out=t)
-        ex = px - (ax + t * dx)
-        ey = py - (ay + t * dy)
-        if pairs:
-            np.minimum.at(best, idx, np.hypot(ex, ey))
-        else:
-            best[idx] = np.minimum(best[idx], np.hypot(ex, ey))
+    live, chunks = _slab_pairs(order, first, stop)
+    if chunks is None:
+        for k in live:
+            for s in range(first[k], stop[k], _CHUNK):
+                idx = order[s:min(s + _CHUNK, stop[k])]
+                px = zx[idx]
+                idx = idx[(px >= xlo[k]) & (px <= xhi[k])]
+                best[idx] = np.minimum(best[idx], _segment_distance(zx[idx], zy[idx], a[k], d[k]))
+    else:
+        for k, idx in chunks:
+            px = zx[idx]
+            inside = (px >= xlo[k]) & (px <= xhi[k])
+            k, idx = k[inside], idx[inside]
+            np.minimum.at(best, idx, _segment_distance(zx[idx], zy[idx], a[k], d[k]))
     return best.reshape(z.shape)
+
+
+def _left(a, b, px, py):
+    """Cross product (b - a) x (p - a): positive where p is strictly left of a -> b."""
+    return (b.real - a.real) * (py - a.imag) - (px - a.real) * (b.imag - a.imag)
 
 
 def winding_numbers(curve: PolyCurve, zs) -> np.ndarray:
@@ -121,18 +131,24 @@ def winding_numbers(curve: PolyCurve, zs) -> np.ndarray:
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag), "left", sorter=order)
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag), "left", sorter=order)
-    for k, idx in _slab_pairs(order, first, stop):
-        ak, bk = a[k], b[k]
-        ax, ay, bx, by = ak.real, ak.imag, bk.real, bk.imag
-        left = (bx - ax) * (zy[idx] - ay) - (zx[idx] - ax) * (by - ay)
-        # upward edges count points strictly left of them, downward ones subtract
-        # points strictly right
-        if np.ndim(k):
-            np.add.at(wn, idx, np.where(ay < by, left > 0, (left < 0) * -1))
-        elif ay < by:
-            wn[idx] += left > 0
-        else:
-            wn[idx] -= left < 0
+    # upward edges count points strictly left of them, downward ones subtract
+    # points strictly right
+    live, chunks = _slab_pairs(order, first, stop)
+    if chunks is None:
+        for k in live:
+            ak, bk = a[k], b[k]
+            for s in range(first[k], stop[k], _CHUNK):
+                idx = order[s:min(s + _CHUNK, stop[k])]
+                left = _left(ak, bk, zx[idx], zy[idx])
+                if ak.imag < bk.imag:
+                    wn[idx] += left > 0
+                else:
+                    wn[idx] -= left < 0
+    else:
+        for k, idx in chunks:
+            ak, bk = a[k], b[k]
+            left = _left(ak, bk, zx[idx], zy[idx])
+            np.add.at(wn, idx, np.where(ak.imag < bk.imag, left > 0, (left < 0) * -1))
     return wn.reshape(z.shape)
 
 

@@ -11,6 +11,9 @@ self-intersection search and the dyadic-square test, and ``area_by_levels``
 for the near-band refinement, which it runs by measuring every subcell.  ``profile_two_sided``,
 ``profile_d_two_sided`` and ``dbar_phi_two_sided`` evaluate both branches of
 the bump profile, where the library evaluates only the live one.
+``square_generation_sums`` and ``piece_eval_unblocked`` evaluate every
+dyadic-square generation and every piece kernel in one pass each, where the
+library runs them in blocks of bounded size.
 """
 
 import math
@@ -320,3 +323,83 @@ def area_by_levels(field_, f, refine: int = 3, weight=None):
         else:
             act_z = rest
     return total, {"dropped_area": dropped_area, "straddle_area": straddle_area}
+
+
+def square_generation_sums(sq, f, curve, depth: int, quad_order: int = 6) -> list:
+    """rhs_n of each generation of the dyadic-square identity, dbar(f) taken in one pass.
+
+    The class-I sub-squares come from ``squares_by_edges``; dbar(f) is
+    evaluated on all their tensor Gauss nodes at once and summed.
+    """
+    x, w = np.polynomial.legendre.leggauss(quad_order)
+    gx, gw = (x + 1.0) / 2.0, w / 2.0
+    gx2 = (gx[:, None] + 1j * gx[None, :]).ravel()
+    gw2 = (gw[:, None] * gw[None, :]).ravel()
+    out = []
+    for n in range(depth + 1):
+        m = 2 ** n
+        s = 2 * sq.half / m
+        x = sq.center.real - sq.half + (np.arange(m) + 0.5) * s
+        y = sq.center.imag - sq.half + (np.arange(m) + 0.5) * s
+        cx, cy = np.repeat(x, m), np.tile(y, m)
+        clear = ~squares_by_edges(curve.vertices, cx, cy, s / 2)
+        rhs_n = 0j
+        if np.any(clear):
+            base = (cx[clear] - s / 2) + 1j * (cy[clear] - s / 2)
+            nodes = base[:, None] + s * gx2[None, :]
+            rhs_n = 2j * complex((f.dbar(nodes) * gw2[None, :]).sum() * s * s)
+        out.append(rhs_n)
+    return out
+
+
+def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
+    """Values of piece j of the PieceSet ``ps``, each kernel matrix built whole.
+
+    The arithmetic of ``PieceSet.eval`` with freshly allocated kernel
+    matrices and one polar-patch call over all inside points.
+    """
+    z = np.asarray(zs, dtype=complex).ravel()
+    if not ps._active([j])[0]:
+        return np.zeros(z.shape, dtype=complex)
+    data = ps.piece(j)
+    c, a = data["center"], data["a"]
+    fz = ps.f.value(z) if fz is None else np.asarray(fz).ravel()
+    out = np.empty(z.shape, dtype=complex)
+    dz = z - c
+    far = np.abs(dz) >= ps.far_radius
+    inside = (np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)
+    ring = ~far & ~inside
+    if np.any(far):
+        u = 1.0 / dz[far]
+        s_a = ps._horner(data["a_moments"], u)
+        out[far] = -s_a * u
+        if ps._use_b_tail:
+            out[far] += fz[far] * ps._horner(ps.b_moments, u) * u
+    if np.any(ring):
+        sel = np.nonzero(ring)[0]
+        nodes_c = c + ps.offsets_c
+        for s in range(0, sel.size, ps.CHUNK):
+            ss = sel[s:s + ps.CHUNK]
+            K = 1.0 / (nodes_c[None, :] - z[ss, None])
+            out[ss] = K @ data["a_c"] - fz[ss] * (K @ ps.b_c)
+    kk = np.nonzero(inside)[0]
+    if kk.size:
+        nodes = c + ps.offsets
+        tiny = 1e-15 * ps.partition.delta
+        for s in range(0, kk.size, ps.CHUNK):
+            ss = kk[s:s + ps.CHUNK]
+            den = nodes[None, :] - z[ss, None]
+            bad = np.abs(den) < tiny
+            if np.any(bad):
+                den = np.where(bad, 1.0, den)
+                K = np.where(bad, 0.0, 1.0 / den)
+            else:
+                K = 1.0 / den
+            out[ss] = K @ a - fz[ss] * (K @ ps.b)
+        patched, ix, iy = ps._patch_values(c, z[kk], fz[kk])
+        q = ps.nodes_by_cell[ix * ps.cells + iy]
+        den = nodes[q] - z[kk, None]
+        den = np.where(np.abs(den) < tiny, np.inf, den)
+        base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (ps.b[q] / den).sum(axis=1)
+        out[kk] += patched - base_cell
+    return out

@@ -6,6 +6,7 @@ the test name itself carries the verdict under pytest -v.
 
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,36 @@ def test_delta_sweep_wall_clock():
     assert all(a["s_ii_abs"] > b["s_ii_abs"] for a, b in zip(rows, rows[1:]))
     assert elapsed < 14.0
     print(f"ACCEPTANCE floor: PASS - circle-256 cut-off zbar delta sweep 0.4..0.05 in {elapsed:.2f}s")
+
+
+def _peak_mb(fn):
+    """Peak traced memory of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dyadic_square_memory():
+    # dbar(f) runs over the depth-7 generation in fixed-size blocks, so the
+    # peak is its one result array, not the temporaries of a whole pass
+    curve = PolyCurve([-2 - 0.03j, 2 + 0.17j, 2 - 2j, -2 - 2j])
+    sq = Square(center=0.1 + 0.05j, half=0.125)
+    peak = _peak_mb(lambda: green_on_square(sq, with_cutoff(ZBAR, 1.8, 2.2), curve, depth=7))
+    assert peak < 28.0
+    print(f"ACCEPTANCE floor: PASS - depth-7 dyadic square peaks at {peak:.1f} MB")
+
+
+def test_delta_sweep_memory():
+    # the activity probe and the polar patch run in fixed-size blocks and the
+    # kernel matrices are built in place
+    curve = make_curve("circle", n=256)
+    f = with_cutoff(ZBAR, 1.8, 2.2)
+    peak = _peak_mb(lambda: delta_sweep(f, curve, [0.4, 0.2, 0.1, 0.05]))
+    assert peak < 25.0
+    print(f"ACCEPTANCE floor: PASS - circle-256 cut-off zbar delta sweep peaks at {peak:.1f} MB")
 
 
 def test_point_query_wall_clock():

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curves,
                          index_field, make_curve, make_function, verify_green, with_cutoff)
 from greencurves.errors import PoleOnCurve
-from greencurves.integration import (area_integral_weighted, contour_integral,
+from greencurves.integration import (_BLOCK, area_integral_weighted, contour_integral,
                                      green_on_square, mollifier_identity_check)
 from greencurves.winding import IndexField, distance_to_curve
 
-from oracles import area_by_levels, clip_polygon_by_halfplane, polygon_z_integral, shoelace_area
+from oracles import (area_by_levels, clip_polygon_by_halfplane, polygon_z_integral,
+                     shoelace_area, square_generation_sums)
 
 
 ZBAR = make_function("monomial", a=0, b=1)
@@ -304,6 +305,50 @@ def test_green_on_square_field_precondition():
     sq = Square(center=1.3 + 1.3j, half=0.1)  # outside D: clean zero-index cells
     with pytest.raises(ValueError):
         green_on_square(sq, ZBAR, c, depth=2, fld=fld)
+
+
+def _assert_square_sums_match(sq, f, curve, depth):
+    """Every generation's rhs has the bits of the one-pass sum."""
+    rows = green_on_square(sq, f, curve, depth=depth).extras["generations"]
+    want = square_generation_sums(sq, f, curve, depth)
+    assert [[x.hex() for x in row["rhs"]] for row in rows] == \
+        [[w.real.hex(), w.imag.hex()] for w in want]
+    return rows
+
+
+_CUT_ZBAR = with_cutoff(ZBAR, 1.8, 2.2)
+_SQUARE_BLOCK = _BLOCK // 36  # sub-squares per block at the default 6 x 6 nodes
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_square_sums_at_the_block_edge(extra):
+    # three vertical edges cross whole columns of the 32 x 32 generation and
+    # a horizontal spike reaches in from the right along one row, so exactly
+    # 96 + (32 - tip) sub-squares meet the curve
+    sq = Square(center=0.1 + 0.05j, half=0.5)
+    s = 2 * sq.half / 32
+    col = lambda k: sq.center.real - sq.half + (k + 0.5) * s
+    y_a = sq.center.imag - sq.half + 20.5 * s
+    top, bot = sq.center.imag + 2, sq.center.imag - 2
+    right, left = sq.center.real + 2, sq.center.real - 2
+    tip = _SQUARE_BLOCK + extra - (1024 - 96 - 32)
+    curve = PolyCurve([
+        complex(col(2), bot), complex(col(2), top), complex(col(5), top), complex(col(5), bot),
+        complex(col(8), bot), complex(col(8), top), complex(right, top),
+        complex(right, y_a + s / 8), complex(col(tip), y_a), complex(right, y_a - s / 8),
+        complex(right, bot - 1), complex(left, bot - 1)])
+    rows = _assert_square_sums_match(sq, _CUT_ZBAR, curve, 5)
+    assert rows[5]["n_clear"] == _SQUARE_BLOCK + extra
+
+
+@settings(max_examples=25, deadline=None)
+@given(angle=st.floats(0.0, 2 * math.pi), radius=st.floats(0.4, 1.1),
+       depth=st.integers(0, 7), fn=st.integers(0, 1))
+def test_property_square_sums_match_one_pass(angle, radius, depth, fn):
+    curve = make_curve("star", n=48, seed=3)  # radii 0.5 to 1
+    center = radius * complex(math.cos(angle), math.sin(angle))
+    f = (_CUT_ZBAR, make_function("zbar_absz"))[fn]
+    _assert_square_sums_match(Square(center=center, half=0.125), f, curve, depth)
 
 
 # ---------------------------------------------------------------------------

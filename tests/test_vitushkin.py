@@ -9,13 +9,13 @@ import pytest
 from greencurves import (GridSpec, index_field, make_curve, make_function, with_cutoff)
 from greencurves._rng import seed_stream
 from greencurves.errors import UnresolvedDisc
-from greencurves.integration import contour_integral
+from greencurves.integration import _BLOCK, contour_integral
 from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, Partition, PieceSet,
                                    build_partition, class_sums, classify_many, delta_sweep,
                                    localize, localize_cauchy, reconstruct)
 from greencurves.winding import IndexField
 
-from oracles import shoelace_area
+from oracles import piece_eval_unblocked, shoelace_area
 
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -308,6 +308,9 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
     js = rng.choice(partition.n_bumps, size=300, replace=False).tolist()
     got = ps.active_pieces(js)
     assert sum(probed) <= len(js) * ps.offsets_c.size
+    # more bumps than one probe block holds: each block stays within the budget
+    assert len(js) > _BLOCK // ps.offsets_c.size
+    assert len(probed) > 1 and max(probed) <= _BLOCK
     full = set(PieceSet(partition, zbar_cut).active_pieces())
     assert got == [j for j in js if j in full]
     assert 0 < len(got) < len(js)
@@ -316,3 +319,44 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
     assert ps.active_pieces(js[::-1]) == got[::-1]
     ps.eval(got[0], np.array([0.1 + 0.2j]))
     assert len(probed) == n
+
+
+# ---------------------------------------------------------------------------
+# blocked kernels and polar patch against the one-pass evaluator
+
+_PATCH_BLOCK = _BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR)  # inside points per block
+
+
+def _assert_eval_matches_unblocked(ps, j, z):
+    got, want = ps.eval(j, z), piece_eval_unblocked(ps, j, z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+@pytest.mark.parametrize("n_inside", [1, _PATCH_BLOCK - 1, _PATCH_BLOCK, _PATCH_BLOCK + 1])
+def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_inside, cells):
+    ps = PieceSet(partition, zbar_cut, cells_per_axis=cells)
+    j = _bump_near(partition, 1.0 + 0.5j)  # dbar of the cut-off conj z is 1 there
+    c = partition.center(j)
+    rng = seed_stream(n_inside, "vitushkin.blocks")
+    h = ps.half
+    inside = c + rng.uniform(-h, h, n_inside) + 1j * rng.uniform(-h, h, n_inside)
+    inside[0] = c + ps.offsets[7]  # a point on a node: its kernel entry is 0
+    ring = c + 0.9 * DELTA * np.exp(2j * np.pi * rng.random(5))
+    far = c + 1.5 * DELTA * np.exp(2j * np.pi * rng.random(5))
+    z = np.concatenate([ring[:2], inside, far, ring[2:]])
+    assert np.count_nonzero((np.abs((z - c).real) < h) & (np.abs((z - c).imag) < h)) == n_inside
+    _assert_eval_matches_unblocked(ps, j, z)
+
+
+def test_eval_matches_unblocked_on_a_dense_contour(zbar_cut):
+    # delta 0.4 with the sweep's rule: each support holds over 200 curve points
+    part = build_partition(0.4, (-2 - 2j, 2 + 2j))
+    ps = PieceSet(part, zbar_cut, cells_per_axis=8)
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for w in (1.0, np.exp(0.7j), np.exp(2.3j)):
+        j = _bump_near(part, w)
+        dz = z - part.center(j)
+        assert np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)) > 200
+        _assert_eval_matches_unblocked(ps, j, z)
