@@ -263,7 +263,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
         if "mollifier" in specs:
             _check_mollifier_input(f, *specs["mollifier"])
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
 
     results = {}

@@ -17,6 +17,14 @@ from ._rng import seed_stream
 from .errors import DegenerateOverlap, UnknownFamily
 
 
+# Elements per temporary of a blocked elementwise pass.  The index field, the
+# clean-cell sum, each refinement level, the dyadic-square generations, the
+# bump-activity probe and the polar patch run in blocks of about this many
+# values, so their temporaries stay the same size however fine the grid,
+# however deep the square, however many the bumps or inside points.
+_BLOCK = 1 << 15
+
+
 class PolyCurve:
     """Closed oriented polyline approximating a rectifiable curve.
 
@@ -364,7 +372,20 @@ def make_curve(family: str, **params) -> PolyCurve:
         builder, _ = _FAMILIES[family]
     except KeyError:
         raise UnknownFamily(f"unknown curve family {family!r}; see curve_families()") from None
-    return builder(**params)
+    curve = builder(**params)
+    if _collinear(curve):
+        raise ValueError(f"curve {family!r} is collinear: every vertex lies on one line")
+    return curve
+
+
+def _collinear(curve: PolyCurve) -> bool:
+    """Whether every vertex lies within tau_geom of one line, so the curve encloses nothing.
+
+    The line runs through the first vertex and the vertex farthest from it.
+    """
+    d = curve.vertices - curve.vertices[0]
+    far = d[np.argmax(np.abs(d))]
+    return bool(np.all(np.abs(_cross(far, d)) <= curve.tau_geom * abs(far)))
 
 
 def curve_families() -> dict:

@@ -38,22 +38,36 @@ class FunctionDescriptor:
         are reused for every delta, so the estimate is monotone in delta for
         the gallery functions.
         """
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if prefer_exact and self.exact_modulus is not None:
-            return float(self.exact_modulus(delta))
-        if box is None:
-            r = self.support_radius if self.support_radius else 2.0
-            box = (complex(-r, -r), complex(r, r))
-        lo, hi = box
-        rng = seed_stream(seed, "modulus")
-        zx = rng.uniform(lo.real, hi.real, samples)
-        zy = rng.uniform(lo.imag, hi.imag, samples)
-        theta = rng.uniform(0.0, 2 * math.pi, samples)
-        u = rng.uniform(0.0, 1.0, samples)
-        z = zx + 1j * zy
-        w = z + u * delta * np.exp(1j * theta)
-        return float(np.max(np.abs(self.value(w) - self.value(z))))
+        return self.modulus_estimator(box, samples, seed, prefer_exact)(delta)
+
+    def modulus_estimator(self, box=None, samples: int = 20000, seed: int = 7,
+                          prefer_exact: bool = True) -> Callable:
+        """``delta -> modulus(delta, box, samples, seed, prefer_exact)``.
+
+        The seeded sample and f at its base points are drawn once, so each
+        further delta costs one evaluation of f.
+        """
+        exact = self.exact_modulus if prefer_exact else None
+        if exact is None:
+            if box is None:
+                r = self.support_radius if self.support_radius else 2.0
+                box = (complex(-r, -r), complex(r, r))
+            lo, hi = box
+            rng = seed_stream(seed, "modulus")
+            zx = rng.uniform(lo.real, hi.real, samples)
+            zy = rng.uniform(lo.imag, hi.imag, samples)
+            theta = rng.uniform(0.0, 2 * math.pi, samples)
+            u = rng.uniform(0.0, 1.0, samples)
+            z = zx + 1j * zy
+            fz, turn = self.value(z), np.exp(1j * theta)
+
+        def omega(delta: float) -> float:
+            if delta <= 0:
+                raise ValueError("delta must be positive")
+            if exact is not None:
+                return float(exact(delta))
+            return float(np.max(np.abs(self.value(z + u * delta * turn) - fz)))
+        return omega
 
 
 def _monomial(a=0, b=1, coeff=1.0):

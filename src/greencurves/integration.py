@@ -15,17 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import PolyCurve, _ragged
+from .curves import _BLOCK, PolyCurve, _ragged
 from .errors import PoleOnCurve
 from .functions import FunctionDescriptor
 from .winding import GridSpec, IndexField, distance_to_curve, index_field, winding_numbers
-
-
-# Elements per temporary of a blocked elementwise pass.  The dyadic-square
-# generations, the bump-activity probe and the polar patch run in blocks of
-# about this many values, so their temporaries stay the same size however
-# deep the square, however many the bumps or inside points.
-_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=32)
@@ -150,30 +143,49 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     the same order, so the value and info are bit-identical to measuring
     every subcell.  Level 0 takes the cells' distances and windings from the
     field; a field without ``dist`` measures every child.
+
+    The clean cells run in blocks of whole grid rows and each level in blocks
+    of parents, about ``_BLOCK`` values each, so no temporary grows with the
+    grid or the band.  Every value is computed point by point as before and
+    each sum still runs once over one whole array, so the bits do not change.
     """
     if refine < 0:
         raise ValueError("refine must be nonnegative")
     curve = field_.curve
     grid = field_.grid
 
-    def w_of(z):
-        return 1.0 if weight is None else weight(z)
+    def term(z, wind):
+        return f.dbar(z) * wind * (1.0 if weight is None else weight(z))
 
-    centers = grid.centers()
-    clean = ~field_.near_mask
-    total = complex((f.dbar(centers[clean]) * field_.values[clean] * w_of(centers[clean])).sum()
-                    * grid.cell_area)
+    # the clean cells fill one array row block by row block, in row-major
+    # order, and are summed at once: pairwise summation makes the bits
+    # depend on the array being summed
+    near = field_.near_mask
+    clean = ~near
+    vals = np.empty(int(np.count_nonzero(clean)), dtype=complex)
+    k = 0
+    for rows, c in grid.row_blocks():
+        ok = clean[rows]
+        z = c[ok]
+        if z.size:
+            vals[k:k + z.size] = term(z, field_.values[rows][ok])
+            k += z.size
+    total = complex(vals.sum() * grid.cell_area)
+    del vals, clean
 
     hx, hy = grid.cell_w / 2, grid.cell_h / 2
-    act_z = centers[field_.near_mask].ravel()
+    x, y = grid.axes()
+    iy, ix = np.nonzero(near)
+    act_z = x[ix] + 1j * y[iy]
     # the exact distance (nan if unknown) and the winding of each active center
-    act_d = np.full(act_z.shape, np.nan) if field_.dist is None else field_.dist[field_.near_mask]
-    act_w = field_.values[field_.near_mask].astype(np.int32)
+    act_d = np.full(act_z.shape, np.nan) if field_.dist is None else field_.dist[near]
+    act_w = field_.values[near].astype(np.int32)
     dropped_area = 0.0
     straddle_area = 0.0
     tau_on = max(curve.tau_geom, 1e-14 * curve.diameter)
     v = curve.vertices
     slack = 1e-9 * (max(np.abs(v.real).max(), np.abs(v.imag).max()) + 1.0)
+    step = _BLOCK // 4  # parents per block
 
     if act_z.size and refine == 0:
         dropped_area = act_z.size * grid.cell_area
@@ -181,43 +193,55 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     for level in range(1, refine + 1):
         if act_z.size == 0:
             break
+        last = level == refine
         hx, hy = hx / 2, hy / 2
         off = np.array([-hx - 1j * hy, hx - 1j * hy, -hx + 1j * hy, hx + 1j * hy])
-        sub = (act_z[:, None] + off[None, :]).ravel()
         band = 2.0 * math.hypot(2 * hx, 2 * hy)
         r = math.hypot(hx, hy) + slack
-        # a lower bound on each child's distance stands in wherever it decides
-        need = ~(act_d - r > band)
-        if level == refine:
-            need &= ~((act_d + r <= band) & (act_d - r > tau_on))
-        act_d -= r
-        dist = np.repeat(act_d, 4)
-        need = np.repeat(need, 4)
-        dist[need] = distance_to_curve(curve, sub[need], cap=band)
-        del need
-        wind = np.repeat(act_w, 4)
-        wind[~(np.minimum(dist, band) > r)] = _UNKNOWN
-        clear = dist > band
         area = 4 * hx * hy
-        if np.any(clear):
-            zc = sub[clear]
-            total += complex((f.dbar(zc) * _known_windings(curve, zc, wind[clear]) * w_of(zc)).sum()
-                             * area)
-            del zc
-        rest = ~clear
-        if level == refine:
-            n_rest = int(np.count_nonzero(rest))
-            if n_rest:
+        # the level's clear values (and, on the last level, its kept values)
+        # are collected block by block and each summed once, as one array
+        clear_vals, kept_vals, rest_parts = [], [], []
+        n_rest = 0
+        for p0 in range(0, act_z.size, step):
+            pd = act_d[p0:p0 + step]
+            sub = (act_z[p0:p0 + step, None] + off[None, :]).ravel()
+            # a lower bound on each child's distance stands in wherever it decides
+            need = ~(pd - r > band)
+            if last:
+                need &= ~((pd + r <= band) & (pd - r > tau_on))
+            dist = np.repeat(pd - r, 4)
+            need = np.repeat(need, 4)
+            dist[need] = distance_to_curve(curve, sub[need], cap=band)
+            del need
+            wind = np.repeat(act_w[p0:p0 + step], 4)
+            wind[~(np.minimum(dist, band) > r)] = _UNKNOWN
+            clear = dist > band
+            if np.any(clear):
+                zc = sub[clear]
+                clear_vals.append(term(zc, _known_windings(curve, zc, wind[clear])))
+            rest = ~clear
+            if last:
+                n_rest += int(np.count_nonzero(rest))
                 ok = rest & (dist > tau_on)
                 zr = sub[ok]
                 if zr.size:
-                    total += complex((f.dbar(zr) * _known_windings(curve, zr, wind[ok])
-                                      * w_of(zr)).sum() * area)
-                straddle_area += float(zr.size * area)
-                dropped_area += float((n_rest - zr.size) * area)
+                    kept_vals.append(term(zr, _known_windings(curve, zr, wind[ok])))
+            else:
+                rest_parts.append((sub[rest], dist[rest], wind[rest]))
+        if clear_vals:
+            total += complex(np.concatenate(clear_vals).sum() * area)
+        del clear_vals
+        if last:
+            if n_rest:
+                n_kept = sum(part.size for part in kept_vals)
+                if n_kept:
+                    total += complex(np.concatenate(kept_vals).sum() * area)
+                straddle_area += float(n_kept * area)
+                dropped_area += float((n_rest - n_kept) * area)
             act_z = np.empty(0, dtype=complex)
         else:
-            act_z, act_d, act_w = sub[rest], dist[rest], wind[rest]
+            act_z, act_d, act_w = (np.concatenate(parts) for parts in zip(*rest_parts))
 
     info = {"dropped_area": dropped_area, "straddle_area": straddle_area}
     return total, info
@@ -301,8 +325,10 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
     the final-depth value.
     """
     if fld is not None:
-        inside = np.abs((sq.center - fld.grid.centers()).real) <= sq.half
-        inside &= np.abs((sq.center - fld.grid.centers()).imag) <= sq.half
+        # a center's real and imaginary parts are its x and y axis values
+        x, y = fld.grid.axes()
+        inside = ((np.abs(sq.center.real - x) <= sq.half)[None, :]
+                  & (np.abs(sq.center.imag - y) <= sq.half)[:, None])
         vals = fld.values[inside & ~fld.near_mask]
         if vals.size and np.any(vals == 0):
             raise ValueError("square is not inside a disc with all off-curve index nonzero")
@@ -313,6 +339,8 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
     gw2 = (gw[:, None] * gw[None, :]).ravel()
     step = max(_BLOCK // gx2.size, 1)  # sub-squares per block
 
+    omega_of = f.modulus_estimator(box=(sq.center - 2 * sq.half * (1 + 1j),
+                                        sq.center + 2 * sq.half * (1 + 1j)))
     L = 2 * sq.half
     rows = []
     rhs_final = 0j
@@ -337,9 +365,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
             rhs_n = 2j * complex(vals.sum() * s * s)
             del vals
         eps_n = math.sqrt(2.0) * s
-        omega = f.modulus(eps_n, box=(sq.center - 2 * sq.half * (1 + 1j),
-                                      sq.center + 2 * sq.half * (1 + 1j)))
-        bound = omega * n_j * 4 * s
+        bound = omega_of(eps_n) * n_j * 4 * s
         rows.append({
             "generation": n,
             "side": s,

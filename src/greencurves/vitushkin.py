@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, length
+from .curves import _BLOCK, PolyCurve, length
 from .errors import UnresolvedDisc
 from .functions import FunctionDescriptor
-from .integration import _BLOCK, contour_integral, gauss_legendre_01
+from .integration import contour_integral, gauss_legendre_01
 from .winding import IndexField, distance_to_curve
 
 CLASS_I = "I"
@@ -241,10 +241,10 @@ def _classify_by_field(partition: Partition, j: int, fld: IndexField) -> str:
     # scan cells covered by the disc for a clean one
     reach_x = int(partition.delta / grid.cell_w) + 1
     reach_y = int(partition.delta / grid.cell_h) + 1
-    centers = grid.centers()
+    x, y = grid.axes()
     x0, x1 = max(ix - reach_x, 0), min(ix + reach_x + 1, grid.nx)
     y0, y1 = max(iy - reach_y, 0), min(iy + reach_y + 1, grid.ny)
-    patch_c = centers[y0:y1, x0:x1]
+    patch_c = x[None, x0:x1] + 1j * y[y0:y1, None]
     patch_clean = ~fld.near_mask[y0:y1, x0:x1] & (np.abs(patch_c - c) < partition.delta)
     if np.any(patch_clean):
         v = int(fld.values[y0:y1, x0:x1][patch_clean][0])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _ragged
+from .curves import _BLOCK, PolyCurve, _ragged
 from .errors import OnCurve
 
 
@@ -207,11 +207,27 @@ class GridSpec:
     def cell_diag(self) -> float:
         return math.hypot(self.cell_w, self.cell_h)
 
-    def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape (ny, nx), row-major from the lower-left."""
+    def axes(self):
+        """Cell-center x coordinates (length nx) and y coordinates (length ny)."""
         x = self.lo.real + (np.arange(self.nx) + 0.5) * self.cell_w
         y = self.lo.imag + (np.arange(self.ny) + 0.5) * self.cell_h
+        return x, y
+
+    def centers(self) -> np.ndarray:
+        """Cell-center coordinates, shape (ny, nx), row-major from the lower-left."""
+        x, y = self.axes()
         return x[None, :] + 1j * y[:, None]
+
+    def row_blocks(self):
+        """Yield (rows, centers) over blocks of whole rows, about ``_BLOCK`` centers each.
+
+        ``rows`` is the block's slice of the (ny, nx) grid and ``centers`` its
+        cell centers, the values ``centers()[rows]`` holds.
+        """
+        x, y = self.axes()
+        step = max(_BLOCK // self.nx, 1)
+        for r0 in range(0, self.ny, step):
+            yield slice(r0, r0 + step), x[None, :] + 1j * y[r0:r0 + step, None]
 
     def contains_dilated_bbox(self, curve: PolyCurve, dilate: float = 1.5) -> bool:
         lo, hi = curve.bbox
@@ -259,15 +275,21 @@ class IndexField:
 
 
 def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
-    """Sample the winding number on the grid and flag cells within ``band`` of the curve."""
+    """Sample the winding number on the grid and flag cells within ``band`` of the curve.
+
+    The grid is walked in ``GridSpec.row_blocks``.  Both kernels are exact per point whatever other points share the call, so
+    the field is the one a single call over the whole grid gives.
+    """
     if band < 0:
         raise ValueError("band must be nonnegative")
     if not grid.contains_dilated_bbox(curve):
         raise ValueError("grid box must contain the curve bounding box dilated by 1.5")
-    c = grid.centers()
-    values = winding_numbers(curve, c)
     cap = max(band, curve.tau_geom)
-    dist = distance_to_curve(curve, c, cap=cap)
+    values = np.empty((grid.ny, grid.nx), dtype=np.int64)
+    dist = np.empty((grid.ny, grid.nx))
+    for rows, c in grid.row_blocks():
+        values[rows] = winding_numbers(curve, c)
+        dist[rows] = distance_to_curve(curve, c, cap=cap)
     return IndexField(grid=grid, values=values, near_mask=dist <= cap, band=band, curve=curve,
                       dist=dist)
 

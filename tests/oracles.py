@@ -13,13 +13,16 @@ for the near-band refinement, which it runs by measuring every subcell.  ``profi
 the bump profile, where the library evaluates only the live one.
 ``square_generation_sums`` and ``piece_eval_unblocked`` evaluate every
 dyadic-square generation and every piece kernel in one pass each, where the
-library runs them in blocks of bounded size.
+library runs them in blocks of bounded size.  ``modulus_by_fresh_draw`` draws
+the modulus sample and evaluates f at its base points for every delta, where
+the library draws them once per estimator.
 """
 
 import math
 
 import numpy as np
 
+from greencurves._rng import seed_stream
 from greencurves.errors import DegenerateOverlap
 
 
@@ -403,3 +406,16 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
         base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (ps.b[q] / den).sum(axis=1)
         out[kk] += patched - base_cell
     return out
+
+
+def modulus_by_fresh_draw(f, delta: float, box, samples: int = 20000, seed: int = 7) -> float:
+    """The sampled modulus of continuity, its seeded pairs drawn and f evaluated for this delta alone."""
+    lo, hi = box
+    rng = seed_stream(seed, "modulus")
+    zx = rng.uniform(lo.real, hi.real, samples)
+    zy = rng.uniform(lo.imag, hi.imag, samples)
+    theta = rng.uniform(0.0, 2 * math.pi, samples)
+    u = rng.uniform(0.0, 1.0, samples)
+    z = zx + 1j * zy
+    w = z + u * delta * np.exp(1j * theta)
+    return float(np.max(np.abs(f.value(w) - f.value(z))))

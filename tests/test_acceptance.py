@@ -296,6 +296,15 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
+def test_green_resolution_1024_memory():
+    # the index field, the clean-cell sum and each refinement level run in
+    # fixed-size blocks, so the peak is the field and the one clean-cell array
+    c = make_curve("circle", n=256)
+    peak = _peak_mb(lambda: verify_green(c, ZBAR, GreenConfig(resolution=1024)))
+    assert peak < 45.0
+    print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 peaks at {peak:.1f} MB")
+
+
 def test_dyadic_square_memory():
     # dbar(f) runs over the depth-7 generation in fixed-size blocks, so the
     # peak is its one result array, not the temporaries of a whole pass

@@ -5,10 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencurves import GridSpec, index_field, make_curve
 from greencurves.cli import canonical_json, cmd_gallery, main, run_scenario
@@ -144,6 +149,66 @@ def test_collinear_curve_green_terminates(tmp_path):
                            "run", str(p), "--out", str(tmp_path / "o")],
                           env=env, capture_output=True, timeout=10)
     assert proc.returncode in (0, 2), proc.stderr
+
+
+@pytest.mark.parametrize("check", ["green", "decompose"])
+def test_collinear_curve_exit_2(tmp_path, capsys, check):
+    # every vertex on one line: an input error before any check runs
+    doc = {"schema": 1, "seed": 3, "curve": {"family": "spiral", "params": {"turns": 0, "n": 32}},
+           "grid": {"resolution": 64}, "checks": [check]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "collinear" in err[0], err
+
+
+# every check but the vitushkin sweep, whose default deltas take seconds
+_FUZZ_CHECKS = ("green", "decompose", "square", "mollifier", "mainlemma")
+_FUZZ_SMALL = {"resolution": st.integers(-2, 40), "n": st.integers(-1, 24),
+               "depth": st.integers(-1, 3)}
+_FUZZ_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-4.0, 4.0),
+                       st.text(max_size=3), st.lists(st.floats(-2.0, 2.0), max_size=3),
+                       st.just({}))
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_cli_fuzz_bundled_scenarios(data):
+    # a bundled scenario with small sizes, then up to three keys deleted or
+    # replaced: the CLI ends with a documented exit code and no traceback
+    name = data.draw(st.sampled_from(sorted(p.name for p in SCEN_DIR.glob("*.json"))))
+    doc = json.loads((SCEN_DIR / name).read_text())
+    doc["checks"] = data.draw(st.lists(st.sampled_from(_FUZZ_CHECKS), min_size=1, max_size=3,
+                                       unique=True))
+    doc["grid"]["resolution"] = data.draw(_FUZZ_SMALL["resolution"])
+    if "n" in doc["curve"]["params"]:
+        doc["curve"]["params"]["n"] = data.draw(_FUZZ_SMALL["n"])
+    doc["square"] = {"center": [0.3, -0.4], "half": 0.1, "depth": data.draw(_FUZZ_SMALL["depth"])}
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(_key_paths(doc))))
+        parent = reduce(getitem, path[:-1], doc)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_FUZZ_SMALL.get(path[-1], _FUZZ_JUNK))
+    src = str(SCEN_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "s.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "greencurves", "run", str(p),
+                               "--out", str(Path(tmp) / "o")],
+                              env=env, capture_output=True, timeout=60)
+    assert proc.returncode in (0, 1, 2), (doc, proc.stderr)
+    assert b"Traceback" not in proc.stderr, (doc, proc.stderr)
 
 
 def test_green_probe_exhaustion_exit_2(tmp_path, monkeypatch):

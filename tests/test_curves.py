@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from greencurves import (PolyCurve, gallery_curves, is_jordan, jordan_decompose, length,
                          make_curve, self_intersections)
-from greencurves.curves import curve_families
+from greencurves.curves import _collinear, curve_families
 from greencurves.errors import DegenerateOverlap, UnknownFamily
 from greencurves.integration import contour_integral, polyline_integral
 from greencurves.functions import make_function
@@ -145,6 +147,38 @@ def test_random_selfintersecting_decomposition_sweep():
         gmax = float(np.max(np.abs(g.value(c.vertices))))
         assert abs(direct - split) <= 1e-9 * (1 + length(c) * gmax), seed
     assert done >= 35
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(-1.0, 1.0, allow_nan=False),
+                              st.floats(-1.0, 1.0, allow_nan=False)), min_size=3, max_size=12))
+def test_property_decomposition_preserves_conj_z_measure(pts):
+    # ∮ conj z dz over the loops equals the curve's, relative to the ML bound
+    # length * max|z| on either side
+    v = np.array([complex(x, y) for x, y in pts])
+    assume(np.all(np.abs(np.roll(v, -1) - v) > 1e-6))
+    c = PolyCurve(v)
+    try:
+        dec = jordan_decompose(c)
+    except DegenerateOverlap:
+        assume(False)
+    g = make_function("monomial", a=0, b=1)
+    direct = contour_integral(c, g)
+    split = sum((contour_integral(lp, g) for lp in dec.loops), 0j)
+    assert abs(direct - split) <= 1e-9 * length(c) * np.abs(v).max()
+
+
+def test_make_curve_rejects_collinear_curves():
+    with pytest.raises(ValueError, match="collinear"):
+        make_curve("spiral", turns=0, n=32)
+    with pytest.raises(ValueError, match="collinear"):
+        make_curve("kfold", k=2, n=4)  # back and forth along one diameter
+    assert _collinear(PolyCurve([0, 1 + 1j, 3 + 3j, 2 + 2j]))
+    # a figure-eight whose lobes cancel encloses zero signed area, but is kept
+    eight = PolyCurve([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
+    assert shoelace_area(eight.vertices) == 0.0
+    assert not _collinear(eight)
+    assert not _collinear(PolyCurve([0, 1, 1 + 1e-9j]))
 
 
 def test_make_curve_families():

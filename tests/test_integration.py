@@ -1,6 +1,7 @@
 """Contour/area integrals, the Green verdict, the dyadic-square and mollifier identities."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 
 from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curves,
                          index_field, make_curve, make_function, verify_green, with_cutoff)
+from greencurves._rng import seed_stream
 from greencurves.errors import PoleOnCurve
 from greencurves.integration import (_BLOCK, area_integral_weighted, contour_integral,
                                      green_on_square, mollifier_identity_check)
+from greencurves.vitushkin import build_partition
 from greencurves.winding import IndexField, distance_to_curve
 
-from oracles import (area_by_levels, clip_polygon_by_halfplane, polygon_z_integral,
-                     shoelace_area, square_generation_sums)
+from oracles import (area_by_levels, clip_polygon_by_halfplane, modulus_by_fresh_draw,
+                     polygon_z_integral, shoelace_area, square_generation_sums)
 
 
 ZBAR = make_function("monomial", a=0, b=1)
@@ -175,6 +178,52 @@ def test_refinement_without_field_distances():
     for refine in (1, 3):
         _assert_same_area(bare, ZBAR, refine)
         assert area_integral_weighted(bare, ZBAR, refine) == area_integral_weighted(fld, ZBAR, refine)
+
+
+_PARENTS = _BLOCK // 4  # parents per block of a refinement level
+
+
+@lru_cache(maxsize=1)
+def _dense_field():
+    # 768 columns: 42 rows per block, 19 row blocks; about 9,200 near cells
+    c = make_curve("circle", n=64)
+    return _field(c, 768)
+
+
+def _first_near(fld, n):
+    """The field with only its first ``n`` near cells (row-major) left near."""
+    near = np.zeros(fld.near_mask.size, dtype=bool)
+    near[np.flatnonzero(fld.near_mask)[:n]] = True
+    return IndexField(grid=fld.grid, values=fld.values, near_mask=near.reshape(fld.near_mask.shape),
+                      band=fld.band, curve=fld.curve, dist=fld.dist)
+
+
+def _band_weight(z):
+    """Concentrated on the unit circle, so the near-band levels weigh as much as the clean cells."""
+    return np.exp(-((np.abs(z) - 1.0) / 0.005) ** 2)
+
+
+@pytest.mark.parametrize("n_near", [_PARENTS - 1, _PARENTS, _PARENTS + 1, None])
+def test_refinement_blocks_at_the_block_edge(n_near):
+    # level 1 holds exactly n_near parents (all 9,000-odd near cells for
+    # None) and level 2 several blocks of them; the clean cells span every
+    # row block.  With dbar f = z the weighted terms cancel around the
+    # circle, so summing any of the three arrays block by block would change
+    # the bits of the total; conj z would sum integers, exact in any order
+    fld = _dense_field()
+    assert np.count_nonzero(fld.near_mask) > _PARENTS + 1
+    if n_near is not None:
+        fld = _first_near(fld, n_near)
+    _assert_same_area(fld, _FUNCTIONS[2], 2, _band_weight)
+
+
+def test_refinement_blocks_with_partition_weight():
+    # class_sums weighs the area integral with a partition-of-unity sum
+    fld = _dense_field()
+    part = build_partition(0.2, (-1.6 - 1.6j, 1.6 + 1.6j))
+    subset = seed_stream(3, "integration.weight").uniform(size=part.n_bumps) < 0.5
+    _assert_same_area(_first_near(fld, _PARENTS + 1), _FUNCTIONS[1], 2,
+                      lambda z: part.sum_phi(z, subset=subset))
 
 
 def test_verify_green_circle_zbar():
@@ -409,6 +458,20 @@ def test_modulus_bump_gradient_bound():
     for delta in (0.2, 0.05):
         est = f.modulus(delta, box=box, samples=50000, prefer_exact=False)
         assert est <= f.lip * delta * (1 + 1e-12)
+
+
+def test_modulus_estimator_keeps_modulus_bits():
+    # one seeded sample serves every delta, with the bits of a fresh draw
+    box = (-0.4 - 0.3j, 0.6 + 0.7j)
+    for f in (_CUT_ZBAR, make_function("zbar_absz")):
+        omega = f.modulus_estimator(box=box)
+        for delta in (0.5, 0.1, 0.1, 0.013):
+            want = modulus_by_fresh_draw(f, delta, box).hex()
+            assert omega(delta).hex() == want
+            assert f.modulus(delta, box=box).hex() == want
+        with pytest.raises(ValueError):
+            omega(0.0)
+    assert ZBAR.modulus_estimator(box=box)(0.3) == 0.3  # closed form
 
 
 def test_modulus_monotone_under_fixed_seed():

@@ -10,6 +10,7 @@ from greencurves import (GridSpec, PolyCurve, gallery_curves, index_field, index
 from greencurves._rng import seed_stream
 from greencurves import winding as winding_module
 from greencurves.errors import OnCurve
+from greencurves.curves import _BLOCK
 from greencurves.winding import distance_to_curve
 
 from oracles import distance_by_edges, winding_by_angles, winding_by_edges
@@ -104,6 +105,28 @@ def test_index_field_circle():
     clean = ~fld.near_mask
     assert np.all(fld.values[clean & (r < 0.9)] == 1)
     assert np.all(fld.values[clean & (r > 1.1)] == 0)
+
+
+_ROWS = _BLOCK // 1024  # rows per block of a 1024-column grid
+
+
+@pytest.mark.parametrize("ny", [_ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+@pytest.mark.parametrize("band_diagonals", [2.0, 0.0])  # 0: the cap tau_geom exceeds the band
+def test_index_field_blocks_match_one_call(ny, band_diagonals):
+    # the field runs over blocks of whole rows; each kernel called once over
+    # the whole grid must give the same integers and the same distances
+    c = make_curve("trefoil")
+    box = GridSpec.cover(c, 1024)
+    grid = GridSpec(box.lo, box.hi, 1024, ny)
+    band = band_diagonals * grid.cell_diag
+    fld = index_field(c, grid, band)
+    z = grid.centers()
+    cap = max(band, c.tau_geom)
+    dist = distance_to_curve(c, z, cap=cap)
+    assert fld.values.shape == fld.dist.shape == (ny, 1024)
+    assert np.array_equal(fld.values, winding_numbers(c, z))
+    assert fld.dist.tobytes() == dist.tobytes()
+    assert np.array_equal(fld.near_mask, dist <= cap)
 
 
 def test_index_field_kfold_and_bowtie():
