@@ -70,19 +70,37 @@ class FunctionDescriptor:
         return omega
 
 
+def _power_product(k: complex, z, p: int, q: int):
+    """k * z**p * conj(z)**q as numpy evaluates it, without a power call for p, q in {0, 1}.
+
+    numpy's complex power gives exactly 1+0j for exponent 0, and for
+    exponent 1 its base, except that a zero base gives +0+0j; those factors
+    are built as such.  Every product stays as written: a factor 1+0j can
+    flip the sign of a zero, and the bits of a product depend on which
+    operand is an array.
+    """
+    z = np.asarray(z, dtype=complex)
+
+    def factor(n, conj):
+        if n == 0:
+            return np.ones(z.shape, dtype=complex)
+        base = np.conj(z) if conj else z
+        return np.where(base == 0, 0j, base) if n == 1 else base ** n
+
+    return k * factor(p, False) * factor(q, True)
+
+
 def _monomial(a=0, b=1, coeff=1.0):
     a, b = int(a), int(b)
     c = complex(coeff)
 
     def value(z):
-        z = np.asarray(z, dtype=complex)
-        return c * z ** a * np.conj(z) ** b
+        return _power_product(c, z, a, b)
 
     def dbar(z):
-        z = np.asarray(z, dtype=complex)
         if b == 0:
-            return np.zeros_like(z)
-        return c * b * z ** a * np.conj(z) ** (b - 1)
+            return np.zeros_like(np.asarray(z, dtype=complex))
+        return _power_product(c * b, z, a, b - 1)
 
     name = f"monomial(z^{a} zbar^{b})"
     exact = None
@@ -180,8 +198,13 @@ def with_cutoff(f: FunctionDescriptor, r_inner: float, r_outer: float,
     width = r_outer - r_inner
 
     def chi(z):
+        # for r <= r_inner the ramp argument rounds to >= 1, where smoothstep is exactly 1
         r = np.abs(np.asarray(z, dtype=complex) - z0)
-        return smoothstep((r_outer - r) / width)
+        out = np.ones(r.shape)
+        ramp = ~(r <= r_inner)
+        if ramp.any():
+            out[ramp] = smoothstep((r_outer - r[ramp]) / width)
+        return out
 
     def dbar_chi(z):
         z = np.asarray(z, dtype=complex)

@@ -23,9 +23,11 @@ from .winding import GridSpec, IndexField, distance_to_curve, index_field, windi
 
 @lru_cache(maxsize=32)
 def gauss_legendre_01(order: int):
-    """Nodes and weights on [0, 1]."""
+    """Nodes and weights on [0, 1], read-only: every caller shares the cached arrays."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def polyline_integral(points, fn, order: int = 8, closed: bool = False) -> complex:

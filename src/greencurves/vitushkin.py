@@ -74,7 +74,7 @@ def _value(x):
 
 
 def _slope(t, r: float, x):
-    rho = (315.0 / (256.0 * r)) * np.where(np.abs(x) < 1.0, (1.0 - np.minimum(x * x, 1.0)) ** 4, 0.0)
+    rho = (315.0 / (256.0 * r)) * (1.0 - x * x) ** 4  # x is clipped: rho(+-1) is exactly 0
     return np.where(t < 0, rho, 0.0 - rho)  # 0.0 - rho keeps the +0.0 of rho(t + r) - rho(t - r)
 
 
@@ -314,8 +314,12 @@ class PieceSet:
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, order * order)
-        # shared multipole data: powers of the offsets, and the moments of b
-        self._powers = np.vstack([self.offsets ** m for m in range(self.N_MOMENTS + 1)])
+        self._node_re, self._node_im = np.unique(self.offsets.real), np.unique(self.offsets.imag)
+        # shared multipole data: powers of the offsets (filled row by row, so
+        # no second copy is built), and the moments of b
+        self._powers = np.empty((self.N_MOMENTS + 1, self.offsets.size), dtype=complex)
+        for m, row in enumerate(self._powers):
+            row[:] = self.offsets ** m
         self.b_moments = self._powers @ self.b  # all ~0: dbar(phi) kills holomorphic moments
         self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
         self._cache = {}
@@ -354,16 +358,22 @@ class PieceSet:
         js = list(range(self.partition.n_bumps) if js is None else js)
         return [j for j, on in zip(js, self._active(js)) if on]
 
+    def _near_node(self, c: complex, zs: np.ndarray, tiny: float) -> bool:
+        """Does some z have a fine-rule node of the bump at c within ``tiny`` in both coordinates?"""
+        def hit(nodes, t):  # nodes: the parts of c + offsets on one axis
+            return (np.abs(nodes[None, :] - t[:, None]) < tiny).any(axis=1)
+        return bool(np.any(hit(c.real + self._node_re, zs.real) & hit(c.imag + self._node_im, zs.imag)))
+
     @staticmethod
     def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = np.full(u.shape, coeffs[-1], dtype=complex)
-        for m in range(coeffs.size - 2, -1, -1):
+        for m in range(len(coeffs) - 2, -1, -1):
             out *= u
             out += coeffs[m]
         return out
 
-    def _patch_values(self, c: complex, zs: np.ndarray, fzs: np.ndarray):
-        """Polar-rule values over each z's cell, vectorized over z (all inside support)."""
+    def _patch_values(self, c: np.ndarray, zs: np.ndarray, fzs: np.ndarray):
+        """Polar-rule values over each z's cell, vectorized over z, each inside the support about its c."""
         dx = zs.real - c.real
         dy = zs.imag - c.imag
         ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.cells - 1)
@@ -372,88 +382,129 @@ class PieceSet:
             zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
             c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta, self.PATCH_NT)
         # one radial panel per ray: even cells_per_axis puts the profile's
-        # center lines on cell edges, so no cell straddles them
+        # center lines on cell edges, so no cell straddles them.  Products are
+        # taken in place and each node-sized array is built where it is used,
+        # so few of them are alive at once.
         gr, wr = gauss_legendre_01(self.PATCH_NR)
-        S = rmax[..., None] * gr
-        W = (WT * rmax)[..., None] * wr
         E = E[..., None]
-        wpts = ze[:, None, None, None] + S * E
-        vals = (self.f.value(wpts) - fzs[:, None, None, None]) * np.conj(E) \
-            * _dbar_phi(wpts.real - c.real, wpts.imag - c.imag, self.partition.delta)
-        return (vals * W).sum(axis=(1, 2, 3)) / math.pi, ix, iy
+        wpts = ze[:, None, None, None] + (rmax[..., None] * gr) * E
+        c = c[:, None, None, None]
+        vals = (self.f.value(wpts) - fzs[:, None, None, None]) * np.conj(E)
+        dx, dy = wpts.real - c.real, wpts.imag - c.imag
+        del wpts
+        vals *= _dbar_phi(dx, dy, self.partition.delta)
+        del dx, dy
+        vals *= (WT * rmax)[..., None] * wr
+        return vals.sum(axis=(1, 2, 3)) / math.pi, ix, iy
 
     def eval(self, j: int, zs, fz=None) -> np.ndarray:
-        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
-
-        Points at distance >= delta from the bump center use the multipole
-        re-summation, points outside the support square but closer use the
-        coarse rule (the integrand is smooth there), and points inside the
-        support use the fine rule with the polar patch on their cell.
-        """
+        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it."""
         z = np.asarray(zs, dtype=complex).ravel()
-        if not self._active([j])[0]:
-            return np.zeros(z.shape, dtype=complex)
-        data = self.piece(j)
-        c, a = data["center"], data["a"]
-        fz = self.f.value(z) if fz is None else np.asarray(fz).ravel()
-        out = np.empty(z.shape, dtype=complex)
-        dz = z - c
+        return self._eval_block([j], z, None if fz is None else np.asarray(fz).ravel())[0]
+
+    def _eval_block(self, js, z: np.ndarray, fz=None) -> np.ndarray:
+        """Values of the pieces ``js`` at the points ``z``, one row per piece.
+
+        Points at distance >= delta from a bump center use the multipole
+        re-summation, one Horner pass over the whole block; points outside
+        the support square but closer use the coarse rule (the integrand is
+        smooth there), and points inside the support use the fine rule with
+        the polar patch on their cell.  The kernel matrices stay per piece and
+        per ``CHUNK`` points; the polar patch runs over fixed blocks of the
+        block's (piece, inside point) pairs.  Every value is bit for bit the
+        one a block of that piece alone gives.
+        """
+        on = np.flatnonzero(self._active(js))
+        if not on.size:
+            return np.zeros((len(js), z.size), dtype=complex)
+        fz = self.f.value(z) if fz is None else fz
+        data = [self.piece(js[i]) for i in on]
+        c = np.array([d["center"] for d in data])
+        dz = z[None, :] - c[:, None]
         far = np.abs(dz) >= self.far_radius
         inside = (np.abs(dz.real) < self.half) & (np.abs(dz.imag) < self.half)
+        # far field on every entry; the near entries are overwritten below
+        u = np.zeros(dz.shape, dtype=complex)
+        np.divide(1.0, dz, out=u, where=far)
+        del dz
+        vals = self._horner(np.stack([d["a_moments"] for d in data], axis=1)[:, :, None], u)
+        np.negative(vals, out=vals)
+        vals *= u
+        if self._use_b_tail:
+            vals += fz * self._horner(self.b_moments, u) * u
+        del u
         ring = ~far & ~inside
-        if np.any(far):
-            u = 1.0 / dz[far]
-            s_a = self._horner(data["a_moments"], u)
-            out[far] = -s_a * u
-            if self._use_b_tail:
-                out[far] += fz[far] * self._horner(self.b_moments, u) * u
+        del far
+        tiny = 1e-15 * self.partition.delta
         # each kernel block is built and inverted in place, and freed before
         # the next one
-        if np.any(ring):
-            sel = np.nonzero(ring)[0]
-            nodes_c = c + self.offsets_c
+        for row, near, d in zip(vals, ring, data):
+            sel = np.nonzero(near)[0]
+            nodes_c = d["center"] + self.offsets_c
             for s in range(0, sel.size, self.CHUNK):
                 ss = sel[s:s + self.CHUNK]
                 K = nodes_c[None, :] - z[ss, None]
                 np.divide(1.0, K, out=K)
-                out[ss] = K @ data["a_c"] - fz[ss] * (K @ self.b_c)
+                row[ss] = K @ d["a_c"] - fz[ss] * (K @ self.b_c)
                 del K
-        kk = np.nonzero(inside)[0]
-        if kk.size:
-            nodes = c + self.offsets
-            tiny = 1e-15 * self.partition.delta
+        for row, near, d in zip(vals, inside, data):
+            kk = np.nonzero(near)[0]
+            c_j = d["center"]
+            nodes = c_j + self.offsets
             for s in range(0, kk.size, self.CHUNK):
                 ss = kk[s:s + self.CHUNK]
                 K = nodes[None, :] - z[ss, None]
-                bad = np.abs(K) < tiny  # a node on z: its kernel entry is 0
-                K[bad] = 1.0
+                # a node on z has kernel entry 0; |K| < tiny needs both parts
+                # < tiny, so test that on the per-axis node coordinates first
+                bad = None
+                if self._near_node(c_j, z[ss], tiny):
+                    bad = np.abs(K) < tiny
+                    K[bad] = 1.0
                 np.divide(1.0, K, out=K)
-                K[bad] = 0.0
-                out[ss] = K @ a - fz[ss] * (K @ self.b)
+                if bad is not None:
+                    K[bad] = 0.0
+                row[ss] = K @ d["a"] - fz[ss] * (K @ self.b)
                 del K, bad
-            # inside points per patch block, at 4 panels x PATCH_NT x PATCH_NR nodes each
-            step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)
-            for s in range(0, kk.size, step):
-                ss = kk[s:s + step]
-                patched, ix, iy = self._patch_values(c, z[ss], fz[ss])
-                q = self.nodes_by_cell[ix * self.cells + iy]  # (nz, order^2)
-                den = nodes[q] - z[ss, None]
-                den = np.where(np.abs(den) < tiny, np.inf, den)
-                base_cell = (a[q] / den).sum(axis=1) - fz[ss] * (self.b[q] / den).sum(axis=1)
-                out[ss] += patched - base_cell
+        # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
+        # PATCH_NR nodes each; the cell term takes each piece's own coefficients
+        pi, pk = np.nonzero(inside)
+        step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)
+        for s in range(0, pi.size, step):
+            bi, bk = pi[s:s + step], pk[s:s + step]
+            patched, ix, iy = self._patch_values(c[bi], z[bk], fz[bk])
+            q = self.nodes_by_cell[ix * self.cells + iy]  # (n, order^2)
+            den = (c[bi, None] + self.offsets[q]) - z[bk, None]
+            den = np.where(np.abs(den) < tiny, np.inf, den)
+            cell_a = np.empty(bi.size, dtype=complex)
+            for i in np.unique(bi):
+                m = bi == i
+                cell_a[m] = (data[i]["a"][q[m]] / den[m]).sum(axis=1)
+            base_cell = cell_a - fz[bk] * (self.b[q] / den).sum(axis=1)
+            vals[bi, bk] += patched - base_cell
+        if on.size == len(js):
+            return vals
+        out = np.zeros((len(js), z.size), dtype=complex)
+        out[on] = vals
         return out
 
     def contour_integrals(self, js, curve: PolyCurve, order: int = 8) -> dict:
-        """∮ f_j dz around the curve for each requested piece."""
+        """∮ f_j dz around the curve for each requested piece.
+
+        The pieces run in blocks of about ``_BLOCK / 2`` values, at most
+        ``CACHE_CAP`` pieces so each block's piece data stays cached.
+        """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
         zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
         dzw = (w[None, :] * d[:, None]).ravel()
         fz = self.f.value(zc)
+        js = list(js)
+        step = min(max(_BLOCK // (2 * zc.size), 1), self.CACHE_CAP)  # pieces per block
         out = {}
-        for j in js:
-            vals = self.eval(j, zc, fz=fz)
-            out[j] = complex((vals * dzw).sum())
+        for s in range(0, len(js), step):
+            block = js[s:s + step]
+            for j, vals in zip(block, self._eval_block(block, zc, fz)):
+                out[j] = complex((vals * dzw).sum())
         return out
 
 
@@ -494,7 +545,9 @@ def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
     with np.errstate(divide="ignore"):
         tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
         ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
-    return ze, np.exp(1j * TH), WT, ct, st, np.minimum(tx, ty)
+    E = np.empty(TH.shape, dtype=complex)  # e^{i theta}: exp(i theta) is exactly (cos, sin)
+    E.real, E.imag = ct, st
+    return ze, E, WT, ct, st, np.minimum(tx, ty)
 
 
 def _polar_block(c, z, rect, g, delta):

@@ -13,7 +13,11 @@ for the near-band refinement, which it runs by measuring every subcell.  ``profi
 the bump profile, where the library evaluates only the live one.
 ``square_generation_sums`` and ``piece_eval_unblocked`` evaluate every
 dyadic-square generation and every piece kernel in one pass each, where the
-library runs them in blocks of bounded size.  ``modulus_by_fresh_draw`` draws
+library runs them in blocks of bounded size, and ``contour_integrals_per_piece``
+sums one such piece at a time, where the library evaluates blocks of pieces.
+``monomial_by_powers`` and ``cutoff_by_ramp`` take every power and the
+whole smoothstep ramp, where the library skips the factors and the ramp
+values that are exactly 1.  ``modulus_by_fresh_draw`` draws
 the modulus sample and evaluates f at its base points for every delta, where
 the library draws them once per estimator.
 """
@@ -399,13 +403,39 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
             else:
                 K = 1.0 / den
             out[ss] = K @ a - fz[ss] * (K @ ps.b)
-        patched, ix, iy = ps._patch_values(c, z[kk], fz[kk])
+        patched, ix, iy = ps._patch_values(np.full(kk.size, c), z[kk], fz[kk])
         q = ps.nodes_by_cell[ix * ps.cells + iy]
         den = nodes[q] - z[kk, None]
         den = np.where(np.abs(den) < tiny, np.inf, den)
         base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (ps.b[q] / den).sum(axis=1)
         out[kk] += patched - base_cell
     return out
+
+
+def contour_integrals_per_piece(ps, js, curve, order: int = 8) -> dict:
+    """∮ f_j dz around the curve for each piece of ``ps``, one ``piece_eval_unblocked`` per piece."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    a, d = curve.starts, curve.edge_vectors
+    zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
+    dzw = (w[None, :] * d[:, None]).ravel()
+    fz = ps.f.value(zc)
+    return {j: complex((piece_eval_unblocked(ps, j, zc, fz=fz) * dzw).sum()) for j in js}
+
+
+def monomial_by_powers(coeff, a: int, b: int, z):
+    """Value and d-bar of coeff * z^a * zbar^b with every power and product taken."""
+    c, z = complex(coeff), np.asarray(z, dtype=complex)
+    value = c * z ** a * np.conj(z) ** b
+    dbar = np.zeros_like(z) if b == 0 else c * b * z ** a * np.conj(z) ** (b - 1)
+    return value, dbar
+
+
+def cutoff_by_ramp(values, z, r_inner: float, r_outer: float, center=0j):
+    """``values`` times the radial cutoff, its smoothstep ramp evaluated at every point."""
+    r = np.abs(np.asarray(z, dtype=complex) - complex(center))
+    t = np.clip((r_outer - r) / (r_outer - r_inner), 0.0, 1.0)
+    return values * (t * t * t * (t * (6.0 * t - 15.0) + 10.0))
 
 
 def modulus_by_fresh_draw(f, delta: float, box, samples: int = 20000, seed: int = 7) -> float:

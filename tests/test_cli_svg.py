@@ -1,5 +1,6 @@
 """Scenario runner, report reproducibility, SVG rendering."""
 
+import hashlib
 import json
 import os
 import re
@@ -37,6 +38,37 @@ def test_bundled_bowtie_scenario(tmp_path):
     assert code == 0
     assert report["checks"]["decompose"]["n_loops"] == 2
     assert report["checks"]["green"]["rel_residual"] <= 2e-3
+
+
+# sha256 of report.json bytes: the two bundled scenarios (as the benchmark
+# records them) and a small cut-off conj z localization scenario
+_PINNED_REPORTS = {
+    "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
+    "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
+    "cutoff_localize": "b00ba29144a92deb5635f04ecb7e8eaf3063801f7f655b757d49fd8df0edcc8c",
+}
+_CUTOFF_LOCALIZE = {
+    "schema": 1, "seed": 7,
+    "curve": {"family": "circle", "params": {"n": 64, "radius": 0.57}},
+    "function": {"family": "monomial", "params": {"a": 0, "b": 1},
+                 "cutoff": {"r_inner": 1.8, "r_outer": 2.2}},
+    "deltas": [0.4, 0.2, 0.1],
+    "square": {"center": [0.55, 0.1], "half": 0.125, "depth": 5},
+    "mollifier": {"z": [0.2, -0.1], "eps": 0.05},
+    "checks": ["vitushkin", "square", "mollifier"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, name):
+    path = SCEN_DIR / name
+    if name == "cutoff_localize":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_CUTOFF_LOCALIZE))
+    _, code = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+    assert code == 0
+    data = (tmp_path / "out" / "report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_REPORTS[name]
 
 
 def test_malformed_scenario_exit_2(tmp_path):

@@ -13,12 +13,14 @@ from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curve
 from greencurves._rng import seed_stream
 from greencurves.errors import PoleOnCurve
 from greencurves.integration import (_BLOCK, area_integral_weighted, contour_integral,
-                                     green_on_square, mollifier_identity_check)
+                                     gauss_legendre_01, green_on_square,
+                                     mollifier_identity_check)
 from greencurves.vitushkin import build_partition
 from greencurves.winding import IndexField, distance_to_curve
 
-from oracles import (area_by_levels, clip_polygon_by_halfplane, modulus_by_fresh_draw,
-                     polygon_z_integral, shoelace_area, square_generation_sums)
+from oracles import (area_by_levels, clip_polygon_by_halfplane, cutoff_by_ramp,
+                     modulus_by_fresh_draw, monomial_by_powers, polygon_z_integral,
+                     shoelace_area, square_generation_sums)
 
 
 ZBAR = make_function("monomial", a=0, b=1)
@@ -480,3 +482,59 @@ def test_modulus_monotone_under_fixed_seed():
     vals = [f.modulus(d, box=box, samples=20000, prefer_exact=False)
             for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_gauss_rule_is_read_only():
+    # the rule is cached: one in-place write would corrupt every later caller
+    x, w = np.polynomial.legendre.leggauss(7)
+    nodes, weights = gauss_legendre_01(7)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    again = gauss_legendre_01(7)
+    assert again[0] is nodes and again[1] is weights
+    assert np.array_equal(again[0], (x + 1.0) / 2.0) and np.array_equal(again[1], w / 2.0)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _edge_points(radii):
+    """Points with +-0, +-r and the neighbours of each r as coordinates, and on circles of radius r."""
+    coords = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.75, 3.0, np.inf, -np.inf, np.nan]
+    for r in radii:
+        coords += [s * v for v in (r, np.nextafter(r, 0.0), np.nextafter(r, 9.0)) for s in (1, -1)]
+    x = np.array(coords)
+    z = np.empty((x.size, x.size), dtype=complex)
+    z.real, z.imag = x[:, None], x[None, :]
+    rng = seed_stream(31, "functions.edges")
+    th = rng.uniform(0.0, 2 * np.pi, 400)
+    rings = [r * (1.0 + k * 2.0 ** -52) * np.exp(1j * th) for r in radii for k in (-2, -1, 0, 1, 2)]
+    return np.concatenate([z.ravel()] + rings)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
+@pytest.mark.parametrize("b", [0, 1, 2])
+@pytest.mark.parametrize("coeff", [1.0, -1.0, 1j, -0.0 + 1j, 2.5 - 1.0j, 0.0])
+def test_monomial_matches_power_formula_bit_for_bit(a, b, coeff):
+    z = _edge_points([0.4, 1.0])
+    f = make_function("monomial", a=a, b=b, coeff=coeff)
+    with np.errstate(all="ignore"):
+        want_value, want_dbar = monomial_by_powers(coeff, a, b, z)
+        assert _same_bytes(f.value(z), want_value)
+        assert _same_bytes(f.dbar(z), want_dbar)
+
+
+@pytest.mark.parametrize("center", [0j, 0.25 - 0.5j])
+@pytest.mark.parametrize("fn", [ZBAR, make_function("monomial", a=1, b=1, coeff=-2.0),
+                                make_function("zbar_absz")])
+def test_cutoff_matches_full_ramp_bit_for_bit(fn, center):
+    r_inner, r_outer = 0.6, 1.7
+    z = center + _edge_points([r_inner, r_outer])
+    with np.errstate(all="ignore"):
+        got = with_cutoff(fn, r_inner, r_outer, center=center).value(z)
+        assert _same_bytes(got, cutoff_by_ramp(fn.value(z), z, r_inner, r_outer, center=center))

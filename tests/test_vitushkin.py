@@ -11,11 +11,11 @@ from greencurves._rng import seed_stream
 from greencurves.errors import UnresolvedDisc
 from greencurves.integration import _BLOCK, contour_integral
 from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, Partition, PieceSet,
-                                   build_partition, class_sums, classify_many, delta_sweep,
-                                   localize, localize_cauchy, reconstruct)
+                                   _meets_curve, build_partition, class_sums, classify_many,
+                                   delta_sweep, localize, localize_cauchy, reconstruct)
 from greencurves.winding import IndexField
 
-from oracles import piece_eval_unblocked, shoelace_area
+from oracles import contour_integrals_per_piece, piece_eval_unblocked, shoelace_area
 
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -360,3 +360,99 @@ def test_eval_matches_unblocked_on_a_dense_contour(zbar_cut):
         dz = z - part.center(j)
         assert np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)) > 200
         _assert_eval_matches_unblocked(ps, j, z)
+
+
+# ---------------------------------------------------------------------------
+# pieces evaluated in blocks against one piece at a time
+
+def _hex(values: dict) -> dict:
+    return {j: (v.real.hex(), v.imag.hex()) for j, v in values.items()}
+
+
+def _assert_blocks_match_per_piece(ps, js, curve, order=6):
+    got = ps.contour_integrals(js, curve, order=order)
+    assert list(got) == list(dict.fromkeys(js))
+    assert _hex(got) == _hex(contour_integrals_per_piece(ps, js, curve, order=order))
+
+
+def _pieces_per_block(curve, order=6):
+    n_points = curve.starts.size * order
+    return min(max(_BLOCK // (2 * n_points), 1), PieceSet.CACHE_CAP)
+
+
+def _sweep_pieces(curve, delta, f):
+    part = build_partition(delta, (-1.6 - 1.6j, 1.6 + 1.6j))
+    cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
+    ps = PieceSet(part, f, cells_per_axis=8)
+    return part, ps, ps.active_pieces(cand.tolist())
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra):
+    curve = make_curve("circle", n=64)
+    step = _pieces_per_block(curve)
+    assert 1 < step < PieceSet.CACHE_CAP
+    _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
+    for n in (step + extra, 2 * step + extra):
+        _assert_blocks_match_per_piece(ps, js[:n], curve)
+
+
+def test_contour_integrals_match_per_piece_with_b_tail():
+    # at delta 4 the high powers of the node offsets leave the moments of b
+    # far above round-off, so the far field adds the f(z) * b tail
+    curve = make_curve("circle", n=32, radius=3.0)
+    part = build_partition(4.0, (-6 - 6j, 6 + 6j))
+    ps = PieceSet(part, with_cutoff(make_function("monomial", a=0, b=1), 5.0, 9.0),
+                  cells_per_axis=8)
+    assert ps._use_b_tail
+    js = ps.active_pieces()
+    assert len(js) > _pieces_per_block(curve)
+    _assert_blocks_match_per_piece(ps, js, curve)
+
+
+def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
+    # f vanishes outside |z| = 0.8, so the pieces on the far side of the
+    # off-center circle are identically zero
+    f = with_cutoff(make_function("monomial", a=0, b=1), 0.5, 0.8)
+    curve = make_curve("circle", n=64, center=0.6)
+    part = build_partition(0.1, (-1.0 - 1.6j, 2.2 + 1.6j))
+    ps = PieceSet(part, f, cells_per_axis=8)
+    near = np.nonzero(_meets_curve(curve, part.centers_array(), 0.1))[0].tolist()[::3]
+    far = [_bump_near(part, w) for w in (0.6, 0.3 + 0.1j, 0.5 - 0.3j, 0.7 + 0.2j)]
+    on = set(ps.active_pieces(near + far))
+    assert set(far) <= on and 0 < len(on & set(near)) < len(near)
+    assert all(np.min(np.abs(curve.vertices - part.center(j))) > 0.2 for j in far)
+    js = near[:len(near) // 2] + far + near[len(near) // 2:]
+    _assert_blocks_match_per_piece(ps, js, curve)
+    got = ps.contour_integrals(js, curve, order=6)
+    assert all(got[j] == 0 for j in js if j not in on)
+
+
+def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut):
+    curve = make_curve("circle", n=64)
+    part, ps, js = _sweep_pieces(curve, 0.4, zbar_cut)
+    t = np.polynomial.legendre.leggauss(6)[0] / 2 + 0.5
+    zc = (curve.starts[:, None] + t[None, :] * curve.edge_vectors[:, None]).ravel()
+    js = js[:_pieces_per_block(curve) + 3]
+    counts = []
+    for j in js:
+        dz = zc - part.center(j)
+        counts.append(np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)))
+    step = max(_BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR), 1)
+    # in the first block of pieces, some patch block holds the inside points
+    # of two pieces: the piece of a pair changes away from a block boundary
+    n = _pieces_per_block(curve)
+    owner = np.repeat(np.arange(n), counts[:n])
+    changes = np.flatnonzero(np.diff(owner)) + 1
+    assert owner.size > step and np.any(changes % step != 0)
+    _assert_blocks_match_per_piece(ps, js, curve)
+
+
+def test_polar_directions_are_exp_of_the_angles():
+    # the polar frame builds e^{i theta} from its cos and sin, which is
+    # np.exp(1j * theta) bit for bit
+    rng = seed_stream(21, "vitushkin.phasor")
+    th = np.concatenate([rng.uniform(-4.0, 10.0, 200_000), np.linspace(-np.pi, 3 * np.pi, 20_001)])
+    got = np.empty(th.shape, dtype=complex)
+    got.real, got.imag = np.cos(th), np.sin(th)
+    assert np.array_equal(got.view(np.uint8), np.exp(1j * th).view(np.uint8))
