@@ -314,7 +314,6 @@ class PieceSet:
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, order * order)
-        self._node_re, self._node_im = np.unique(self.offsets.real), np.unique(self.offsets.imag)
         # shared multipole data: powers of the offsets (filled row by row, so
         # no second copy is built), and the moments of b
         self._powers = np.empty((self.N_MOMENTS + 1, self.offsets.size), dtype=complex)
@@ -358,12 +357,6 @@ class PieceSet:
         js = list(range(self.partition.n_bumps) if js is None else js)
         return [j for j, on in zip(js, self._active(js)) if on]
 
-    def _near_node(self, c: complex, zs: np.ndarray, tiny: float) -> bool:
-        """Does some z have a fine-rule node of the bump at c within ``tiny`` in both coordinates?"""
-        def hit(nodes, t):  # nodes: the parts of c + offsets on one axis
-            return (np.abs(nodes[None, :] - t[:, None]) < tiny).any(axis=1)
-        return bool(np.any(hit(c.real + self._node_re, zs.real) & hit(c.imag + self._node_im, zs.imag)))
-
     @staticmethod
     def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = np.full(u.shape, coeffs[-1], dtype=complex)
@@ -397,10 +390,23 @@ class PieceSet:
         vals *= (WT * rmax)[..., None] * wr
         return vals.sum(axis=(1, 2, 3)) / math.pi, ix, iy
 
-    def eval(self, j: int, zs, fz=None) -> np.ndarray:
-        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it."""
+    def eval(self, j: int, zs, fz=None, rows=None) -> np.ndarray:
+        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
+
+        A caller that wants several pieces at the same points passes ``rows``,
+        a dict whose keys are those pieces and whose values start as None: the
+        first call evaluates them all in one block and keeps their rows there,
+        and each later call takes its own row out.
+        """
+        if rows is not None and rows.get(j) is not None:
+            return rows.pop(j)
+        js = [j] + [k for k, v in (rows or {}).items() if v is None and k != j]
         z = np.asarray(zs, dtype=complex).ravel()
-        return self._eval_block([j], z, None if fz is None else np.asarray(fz).ravel())[0]
+        vals = self._eval_block(js, z, None if fz is None else np.asarray(fz).ravel())
+        if rows is not None:
+            rows.update(zip(js[1:], vals[1:]))
+            rows.pop(j, None)
+        return vals[0]
 
     def _eval_block(self, js, z: np.ndarray, fz=None) -> np.ndarray:
         """Values of the pieces ``js`` at the points ``z``, one row per piece.
@@ -447,22 +453,21 @@ class PieceSet:
                 np.divide(1.0, K, out=K)
                 row[ss] = K @ d["a_c"] - fz[ss] * (K @ self.b_c)
                 del K
+        sub = max(_BLOCK // self.offsets.size, 1)  # rows per |K| test
         for row, near, d in zip(vals, inside, data):
             kk = np.nonzero(near)[0]
-            c_j = d["center"]
-            nodes = c_j + self.offsets
+            nodes = d["center"] + self.offsets
             for s in range(0, kk.size, self.CHUNK):
                 ss = kk[s:s + self.CHUNK]
                 K = nodes[None, :] - z[ss, None]
-                # a node on z has kernel entry 0; |K| < tiny needs both parts
-                # < tiny, so test that on the per-axis node coordinates first
-                bad = None
-                if self._near_node(c_j, z[ss], tiny):
-                    bad = np.abs(K) < tiny
-                    K[bad] = 1.0
+                # a node on z: its kernel entry is 0.  |K| is taken a few rows
+                # at a time, so no float copy of the whole block is built
+                bad = np.empty(K.shape, dtype=bool)
+                for r in range(0, ss.size, sub):
+                    np.less(np.abs(K[r:r + sub]), tiny, out=bad[r:r + sub])
+                K[bad] = 1.0
                 np.divide(1.0, K, out=K)
-                if bad is not None:
-                    K[bad] = 0.0
+                K[bad] = 0.0
                 row[ss] = K @ d["a"] - fz[ss] * (K @ self.b)
                 del K, bad
         # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
@@ -490,8 +495,10 @@ class PieceSet:
     def contour_integrals(self, js, curve: PolyCurve, order: int = 8) -> dict:
         """∮ f_j dz around the curve for each requested piece.
 
-        The pieces run in blocks of about ``_BLOCK / 2`` values, at most
-        ``CACHE_CAP`` pieces so each block's piece data stays cached.
+        The pieces run through ``eval`` in blocks of about ``_BLOCK / 2``
+        values; a block holds every piece's data (about 115 kB each at the
+        default rule) until it is done, so it takes at most ``CACHE_CAP``
+        pieces, which bounds that memory when the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -502,9 +509,9 @@ class PieceSet:
         step = min(max(_BLOCK // (2 * zc.size), 1), self.CACHE_CAP)  # pieces per block
         out = {}
         for s in range(0, len(js), step):
-            block = js[s:s + step]
-            for j, vals in zip(block, self._eval_block(block, zc, fz)):
-                out[j] = complex((vals * dzw).sum())
+            rows = dict.fromkeys(js[s:s + step])
+            for j in list(rows):
+                out[j] = complex((self.eval(j, zc, fz, rows) * dzw).sum())
         return out
 
 
@@ -545,9 +552,7 @@ def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
     with np.errstate(divide="ignore"):
         tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
         ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
-    E = np.empty(TH.shape, dtype=complex)  # e^{i theta}: exp(i theta) is exactly (cos, sin)
-    E.real, E.imag = ct, st
-    return ze, E, WT, ct, st, np.minimum(tx, ty)
+    return ze, np.exp(1j * TH), WT, ct, st, np.minimum(tx, ty)
 
 
 def _polar_block(c, z, rect, g, delta):

@@ -387,11 +387,29 @@ def _sweep_pieces(curve, delta, f):
     return part, ps, ps.active_pieces(cand.tolist())
 
 
+def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
+    # an active piece with points inside its support, one beyond them, and
+    # one past the cutoff, where f is 0 and the piece vanishes
+    ps = PieceSet(partition, zbar_cut, cells_per_axis=8)
+    js = [_bump_near(partition, w) for w in (1.0 + 0.5j, 0.2j, 2.45)]
+    assert ps._active(js).tolist() == [True, True, False]
+    r = np.linspace(0.0, 0.6, 40)
+    z = 1.0 + 0.5j + r * np.exp(2j * np.pi * 7 * r)
+    rows = dict.fromkeys(js)
+    got = {j: ps.eval(j, z, rows=rows) for j in js}
+    assert rows == {}
+    for j in js:
+        assert np.array_equal(got[j].view(np.uint8), ps.eval(j, z).view(np.uint8))
+
+
+@pytest.mark.parametrize("n_edges", [64, 16])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra):
-    curve = make_curve("circle", n=64)
+def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra, n_edges):
+    # 16 edges give 96 contour points, under 171: CACHE_CAP caps the block
+    curve = make_curve("circle", n=n_edges)
     step = _pieces_per_block(curve)
-    assert 1 < step < PieceSet.CACHE_CAP
+    assert 1 < step <= PieceSet.CACHE_CAP
+    assert (step == PieceSet.CACHE_CAP) == (n_edges == 16)
     _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
     for n in (step + extra, 2 * step + extra):
         _assert_blocks_match_per_piece(ps, js[:n], curve)
@@ -446,13 +464,3 @@ def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cu
     changes = np.flatnonzero(np.diff(owner)) + 1
     assert owner.size > step and np.any(changes % step != 0)
     _assert_blocks_match_per_piece(ps, js, curve)
-
-
-def test_polar_directions_are_exp_of_the_angles():
-    # the polar frame builds e^{i theta} from its cos and sin, which is
-    # np.exp(1j * theta) bit for bit
-    rng = seed_stream(21, "vitushkin.phasor")
-    th = np.concatenate([rng.uniform(-4.0, 10.0, 200_000), np.linspace(-np.pi, 3 * np.pi, 20_001)])
-    got = np.empty(th.shape, dtype=complex)
-    got.real, got.imag = np.cos(th), np.sin(th)
-    assert np.array_equal(got.view(np.uint8), np.exp(1j * th).view(np.uint8))
