@@ -9,6 +9,7 @@ a loop off a stack each time the walk revisits a split vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,12 @@ from ._rng import seed_stream
 from .errors import DegenerateOverlap, UnknownFamily
 
 
-# Elements per temporary of a blocked elementwise pass.  The index field, the
-# clean-cell sum, each refinement level, the dyadic-square generations, the
-# bump-activity probe and the polar patch run in blocks of about this many
-# values, so their temporaries stay the same size however fine the grid,
-# however deep the square, however many the bumps or inside points.
+# Elements per temporary of a blocked elementwise pass.  The clean-cell sum,
+# each refinement level, the dyadic-square generations, the bump-activity
+# probe and the polar patch run in blocks of about this many values, and the
+# grid field's pairs in an eighth of it, so their temporaries stay the same
+# size however fine the grid, however deep the square, however many the bumps
+# or inside points.
 _BLOCK = 1 << 15
 
 
@@ -243,16 +245,25 @@ def is_jordan(curve: PolyCurve) -> bool:
 
 
 def _cluster_points(points, tau):
-    """Greedy spatial clustering; returns (labels, canonical points)."""
+    """Greedy spatial clustering; returns (labels, canonical points).
+
+    A point joins the first cluster whose canonical point q has abs(p - q) <= tau.
+    The q sit in cells of side 2 tau keyed by Python ints, and a point looks in
+    its 3x3 cells: a gap of tau, rounding included, crosses one cell border at most.
+    """
     labels = np.full(len(points), -1, dtype=int)
     canon = []
+    cells = {}
+    side = 2 * tau
     for k, p in enumerate(points):
-        for cid, q in enumerate(canon):
-            if abs(p - q) <= tau:
-                labels[k] = cid
-                break
+        cx, cy = math.floor(p.real / side), math.floor(p.imag / side)
+        near = [cid for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                for cid in cells.get((i, j), ()) if abs(p - canon[cid]) <= tau]
+        if near:
+            labels[k] = min(near)
         else:
             labels[k] = len(canon)
+            cells.setdefault((cx, cy), []).append(len(canon))
             canon.append(p)
     return labels, canon
 

@@ -15,10 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import _BLOCK, PolyCurve, _ragged
+from .curves import _BLOCK, PolyCurve
 from .errors import PoleOnCurve
 from .functions import FunctionDescriptor
-from .winding import GridSpec, IndexField, distance_to_curve, index_field, winding_numbers
+from .winding import (GridSpec, IndexField, _grid_pairs, distance_to_curve, index_field,
+                      winding_numbers)
 
 
 @lru_cache(maxsize=32)
@@ -166,9 +167,12 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     clean = ~near
     vals = np.empty(int(np.count_nonzero(clean)), dtype=complex)
     k = 0
-    for rows, c in grid.row_blocks():
+    x, y = grid.axes()
+    step = max(_BLOCK // grid.nx, 1)  # whole rows per block
+    for r0 in range(0, grid.ny, step):
+        rows = slice(r0, r0 + step)
         ok = clean[rows]
-        z = c[ok]
+        z = (x[None, :] + 1j * y[rows, None])[ok]
         if z.size:
             vals[k:k + z.size] = term(z, field_.values[rows][ok])
             k += z.size
@@ -176,7 +180,6 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     del vals, clean
 
     hx, hy = grid.cell_w / 2, grid.cell_h / 2
-    x, y = grid.axes()
     iy, ix = np.nonzero(near)
     act_z = x[ix] + 1j * y[iy]
     # the exact distance (nan if unknown) and the winding of each active center
@@ -281,35 +284,27 @@ def verify_green(curve: PolyCurve, f: FunctionDescriptor,
 def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
     """Closed-square vs curve test on the grid of squares of half-side h about x[ix] + i y[iy].
 
-    Liang-Barsky clipping of each edge against the squares whose index range
-    meets the edge's bounding box dilated by one side 2h; every other square
-    lies more than a side away, where the clip is empty.  All edge/square
-    pairs are clipped in one vectorized pass.  Returns the flags in
+    Liang-Barsky clipping of each edge against the squares that meet the
+    edge's bounding box dilated by one side 2h; every other square lies more
+    than a side away, where the clip is empty.  The edge/square pairs are
+    clipped in bounded vectorized chunks.  Returns the flags in
     ``ix * y.size + iy`` order.
     """
-    a, b, d = curve.starts, curve.ends, curve.edge_vectors
-    side = 2 * h
-    x0 = np.searchsorted(x + h, np.minimum(a.real, b.real) - side, "left")
-    nx = np.maximum(np.searchsorted(x - h, np.maximum(a.real, b.real) + side, "right") - x0, 0)
-    y0 = np.searchsorted(y + h, np.minimum(a.imag, b.imag) - side, "left")
-    ny = np.maximum(np.searchsorted(y - h, np.maximum(a.imag, b.imag) + side, "right") - y0, 0)
-    k, m = _ragged(nx * ny)
-    ix = x0[k] + m // ny[k]
-    iy = y0[k] + m % ny[k]
-    t0 = np.zeros(k.shape)
-    t1 = np.ones(k.shape)
-    ok = np.ones(k.shape, dtype=bool)
-    for p, q0, q1 in ((d.real[k], x[ix] - h - a.real[k], x[ix] + h - a.real[k]),
-                      (d.imag[k], y[iy] - h - a.imag[k], y[iy] + h - a.imag[k])):
-        flat = p == 0.0
-        ok &= ~flat | ((q0 <= 0) & (q1 >= 0))
-        with np.errstate(all="ignore"):  # 0/0 only where p == 0, masked below
-            ta, tb = q0 / p, q1 / p
-        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
-        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
-    ok &= t0 <= t1
+    a, d = curve.starts, curve.edge_vectors
     meets = np.zeros(x.size * y.size, dtype=bool)
-    meets[ix[ok] * y.size + iy[ok]] = True
+    for k, ix, iy in _grid_pairs(curve, x, y, 2 * h, h):
+        t0, t1 = np.zeros(k.shape), np.ones(k.shape)
+        ok = np.ones(k.shape, dtype=bool)
+        for p, q0, q1 in ((d.real[k], x[ix] - h - a.real[k], x[ix] + h - a.real[k]),
+                          (d.imag[k], y[iy] - h - a.imag[k], y[iy] + h - a.imag[k])):
+            flat = p == 0.0
+            ok &= ~flat | ((q0 <= 0) & (q1 >= 0))
+            with np.errstate(all="ignore"):  # 0/0 only where p == 0, masked below
+                ta, tb = q0 / p, q1 / p
+            t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+            t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+        ok &= t0 <= t1
+        meets[ix[ok] * y.size + iy[ok]] = True
     return meets
 
 

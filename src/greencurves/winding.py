@@ -6,23 +6,21 @@ half-open vertex rule (an edge counts when it spans the ray's level in
 in polygon problem for arbitrary polygons", 2001).  For a point off the curve
 the result is the exact integer (1/2πi) ∮ dw/(w−z).
 
-Both kernels are output-sensitive: each edge is evaluated only at its
-candidate points, found by binary search in the query points sorted by y.
-For the crossing count these are the points in the edge's half-open y-range;
-for the distance, the points in its bounding box dilated by ``cap``.  The cost
-is O(sum of candidate-slab sizes) instead of O(edges x points).  Each
-candidate pair uses exactly the arithmetic of the every-edge loop, so results
-are bit-identical to it: the same integers, and the same floats wherever the
-distance is at most ``cap``.
+For scattered points both kernels evaluate each edge only at its candidate
+points, found by binary search in the points sorted by y: those in the
+edge's half-open y-range for the crossing count, those in its bounding box
+dilated by ``cap`` for the distance.  Each pair uses the arithmetic of the
+every-edge loop, so results are bit-identical to it (the distance wherever it
+is at most ``cap``).  Slabs averaging at most ``_PAIR_SLAB`` points per live
+edge are expanded into pair chunks and reduced with ``np.minimum.at`` /
+``np.add.at``, which ignore the order of their terms; longer slabs are
+walked edge by edge.  The crossover was measured.
 
-The slabs are walked in one of two ways.  When they hold at most
-``_PAIR_SLAB`` (512) points per live edge on average, as for a few query
-points or a thin band of them, every (edge, point) pair is expanded into flat
-arrays and evaluated at once, in chunks of ``_CHUNK`` pairs, and reduced with
-``np.minimum.at`` / ``np.add.at``; a minimum and an integer sum do not depend
-on the order of their terms, so the bits are those of the edge loop.  Longer
-slabs, as on a full grid, are evaluated edge by edge, where the per-edge
-Python overhead is small against the slab.  The crossover was measured.
+On a grid nothing is sorted: a cell center is exactly (x[ix], y[iy]), so an
+edge's candidate centers are a range of columns times a range of rows.  Along
+a row the crossing test is monotone in the column, so an edge counts a prefix
+of each row it spans: +-1 at the row's start and its opposite at the
+prefix's end, summed along the row, give the crossing counts exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +40,8 @@ _CHUNK = 1 << 14
 # Slabs averaging at most this many points per live edge are expanded into one
 # list of (edge, point) pairs; longer ones are evaluated edge by edge.
 _PAIR_SLAB = 512
+# (edge, cell) and (edge, row) pairs per chunk of the grid field and the square test
+_GRID_PAIRS = _BLOCK >> 3
 
 
 def _slab_pairs(order, first, stop):
@@ -77,6 +77,34 @@ def _segment_distance(px, py, a, d):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def _pad(curve: PolyCurve, cap: float) -> float:
+    """Each edge box's dilation for a distance capped at ``cap``, with slack for rounding."""
+    v = curve.vertices
+    return cap + 1e-9 * (cap + max(np.abs(v.real).max(), np.abs(v.imag).max()))
+
+
+def _grid_pairs(curve: PolyCurve, x, y, pad: float, half: float = 0.0):
+    """(edge, column, row) triples in chunks: each edge with the cells that meet its padded box.
+
+    Cell (ix, iy) is the closed square of half-side ``half`` about (x[ix], y[iy]), and the box
+    is dilated by ``pad``.  The axes ascend, so the cells are a column range x a row range.
+    """
+    a, b = curve.starts, curve.ends
+    x0 = np.searchsorted(x + half, np.minimum(a.real, b.real) - pad, "left")
+    nx = np.maximum(np.searchsorted(x - half, np.maximum(a.real, b.real) + pad, "right") - x0, 0)
+    y0 = np.searchsorted(y + half, np.minimum(a.imag, b.imag) - pad, "left")
+    ny = np.maximum(np.searchsorted(y - half, np.maximum(a.imag, b.imag) + pad, "right") - y0, 0)
+    count = nx * ny
+    end = np.cumsum(count)
+    for lo in range(0, int(end[-1]), _GRID_PAIRS):
+        # only the edges whose pairs meet this chunk are expanded
+        e0, e1 = np.searchsorted(end, [lo, lo + _GRID_PAIRS], "right")
+        base = lo - end[e0] + count[e0]
+        k, m = _ragged(count[e0:e1 + 1], base, base + _GRID_PAIRS)
+        k += e0
+        yield k, x0[k] + m % nx[k], y0[k] + m // nx[k]
+
+
 def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     """Euclidean distance from each query point to the polyline, exact up to ``cap``.
 
@@ -91,10 +119,7 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     zx, zy = flat.real, flat.imag
     best = np.full(flat.shape, np.inf)
     a, b, d = curve.starts, curve.ends, curve.edge_vectors
-    # relative slack over cap and the coordinates absorbs the rounding of
-    # the projected point, so the minimising edge is always a candidate
-    v = curve.vertices
-    pad = cap + 1e-9 * (cap + max(np.abs(v.real).max(), np.abs(v.imag).max()))
+    pad = _pad(curve, cap)
     xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
@@ -218,17 +243,6 @@ class GridSpec:
         x, y = self.axes()
         return x[None, :] + 1j * y[:, None]
 
-    def row_blocks(self):
-        """Yield (rows, centers) over blocks of whole rows, about ``_BLOCK`` centers each.
-
-        ``rows`` is the block's slice of the (ny, nx) grid and ``centers`` its
-        cell centers, the values ``centers()[rows]`` holds.
-        """
-        x, y = self.axes()
-        step = max(_BLOCK // self.nx, 1)
-        for r0 in range(0, self.ny, step):
-            yield slice(r0, r0 + step), x[None, :] + 1j * y[r0:r0 + step, None]
-
     def contains_dilated_bbox(self, curve: PolyCurve, dilate: float = 1.5) -> bool:
         lo, hi = curve.bbox
         cx, cy = (lo.real + hi.real) / 2, (lo.imag + hi.imag) / 2
@@ -277,19 +291,39 @@ class IndexField:
 def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     """Sample the winding number on the grid and flag cells within ``band`` of the curve.
 
-    The grid is walked in ``GridSpec.row_blocks``.  Both kernels are exact per point whatever other points share the call, so
-    the field is the one a single call over the whole grid gives.
+    Bit for bit what one call of each kernel on ``grid.centers()`` gives, the
+    distance capped at ``max(band, tau_geom)``.  A row's counted prefix is
+    exact because ``_left`` is a chain of correctly rounded, monotone numpy
+    operations in px and x ascends; bisection on that predicate finds it.
     """
     if band < 0:
         raise ValueError("band must be nonnegative")
     if not grid.contains_dilated_bbox(curve):
         raise ValueError("grid box must contain the curve bounding box dilated by 1.5")
     cap = max(band, curve.tau_geom)
-    values = np.empty((grid.ny, grid.nx), dtype=np.int64)
-    dist = np.empty((grid.ny, grid.nx))
-    for rows, c in grid.row_blocks():
-        values[rows] = winding_numbers(curve, c)
-        dist[rows] = distance_to_curve(curve, c, cap=cap)
+    x, y = grid.axes()
+    a, b, d = curve.starts, curve.ends, curve.edge_vectors
+    dist = np.full((grid.ny, grid.nx), np.inf)
+    for k, ix, iy in _grid_pairs(curve, x, y, _pad(curve, cap)):
+        np.minimum.at(dist.ravel(), iy * grid.nx + ix, _segment_distance(x[ix], y[iy], a[k], d[k]))
+    values = np.zeros((grid.ny, grid.nx), dtype=np.int64)
+    first = np.searchsorted(y, np.minimum(a.imag, b.imag), "left")
+    rows = np.searchsorted(y, np.maximum(a.imag, b.imag), "left") - first
+    for p0 in range(0, int(rows.sum()), _GRID_PAIRS):
+        k, m = _ragged(rows, p0, p0 + _GRID_PAIRS)
+        ak, bk, row = a[k], b[k], first[k] + m
+        up, py = ak.imag < bk.imag, y[row]
+        lo, hi = np.zeros(k.size, dtype=np.intp), np.full(k.size, grid.nx)
+        for _ in range(int(grid.nx).bit_length()):  # ceil(log2(nx + 1)) halvings of [lo, hi]
+            mid = (lo + hi) >> 1
+            left = _left(ak, bk, x[np.minimum(mid, grid.nx - 1)], py)
+            counted = np.where(up, left > 0, left < 0)
+            lo = np.where(counted & (mid < hi), mid + 1, lo)
+            hi = np.where(counted, hi, mid)
+        sign, inner = np.where(up, 1, -1), lo < grid.nx
+        np.add.at(values.ravel(), row * grid.nx, sign)
+        np.add.at(values.ravel(), row[inner] * grid.nx + lo[inner], -sign[inner])
+    np.cumsum(values, axis=1, out=values)
     return IndexField(grid=grid, values=values, near_mask=dist <= cap, band=band, curve=curve,
                       dist=dist)
 

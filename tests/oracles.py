@@ -19,7 +19,9 @@ sums one such piece at a time, where the library evaluates blocks of pieces.
 whole smoothstep ramp, where the library skips the factors and the ramp
 values that are exactly 1.  ``modulus_by_fresh_draw`` draws
 the modulus sample and evaluates f at its base points for every delta, where
-the library draws them once per estimator.
+the library draws them once per estimator.  ``cluster_points_greedy``
+compares each point with every earlier cluster, where the library looks only
+in nearby cells of a hash grid.
 """
 
 import math
@@ -449,3 +451,18 @@ def modulus_by_fresh_draw(f, delta: float, box, samples: int = 20000, seed: int 
     z = zx + 1j * zy
     w = z + u * delta * np.exp(1j * theta)
     return float(np.max(np.abs(f.value(w) - f.value(z))))
+
+
+def cluster_points_greedy(points, tau):
+    """Each point joins the first earlier cluster within tau, comparing with every cluster."""
+    labels = np.full(len(points), -1, dtype=int)
+    canon = []
+    for k, p in enumerate(points):
+        for cid, q in enumerate(canon):
+            if abs(p - q) <= tau:
+                labels[k] = cid
+                break
+        else:
+            labels[k] = len(canon)
+            canon.append(p)
+    return labels, canon

@@ -305,6 +305,17 @@ def test_green_resolution_1024_memory():
     print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 peaks at {peak:.1f} MB")
 
 
+@pytest.mark.parametrize("name", ["trefoil-8000", "bowtie"])
+def test_index_field_memory(name):
+    # the (edge, cell) and (edge, row) pairs run in bounded chunks, so the
+    # peak is the field itself (values, dist and near_mask: 17 MB) and little more
+    c = make_curve("trefoil", n=8000) if name == "trefoil-8000" else make_curve("bowtie")
+    grid = GridSpec.cover(c, 1024)
+    peak = _peak_mb(lambda: index_field(c, grid, 2 * grid.cell_diag))
+    assert peak < 19.0
+    print(f"ACCEPTANCE floor: PASS - {name} index field at 1024x1024 peaks at {peak:.1f} MB")
+
+
 def test_dyadic_square_memory():
     # dbar(f) runs over the depth-7 generation in fixed-size blocks, so the
     # peak is its one result array, not the temporaries of a whole pass

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from greencurves import (PolyCurve, gallery_curves, is_jordan, jordan_decompose, length,
                          make_curve, self_intersections)
-from greencurves.curves import _collinear, curve_families
+from greencurves.curves import _cluster_points, _collinear, curve_families
 from greencurves.errors import DegenerateOverlap, UnknownFamily
 from greencurves.integration import contour_integral, polyline_integral
 from greencurves.functions import make_function
 
-from oracles import brute_force_crossings, gl_contour, shoelace_area
+from oracles import brute_force_crossings, cluster_points_greedy, gl_contour, shoelace_area
 
 
 def test_length_inscribed_square():
@@ -232,3 +232,53 @@ def test_contour_oracle_agreement():
     g = make_function("monomial", a=1, b=1)
     assert contour_integral(c, g) == pytest.approx(
         gl_contour(c.vertices, g.value), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# clustering of walk nodes: hash-grid cells against the every-cluster scan
+
+
+def _assert_clusters_match(points, tau):
+    labels, canon = _cluster_points(points, tau)
+    want_labels, want_canon = cluster_points_greedy(points, tau)
+    assert np.array_equal(labels, want_labels)
+    assert [complex(q) for q in canon] == [complex(q) for q in want_canon]
+
+
+def test_clusters_at_rounding_boundaries():
+    # 2 - (1 - 2**-53) rounds to 1 = tau, yet x / tau puts the two points
+    # two cells of side tau apart
+    _assert_clusters_match([2.0 + 0j, 1 - 2 ** -53 + 0j], 1.0)
+    _assert_clusters_match([2.0 + 0j, 1 - 2 ** -53 + 0j, 3 + 2 ** -52 + 0j], 1.0)
+    _assert_clusters_match([-2.0 + 0j, -(1 - 2 ** -53) + 0j, 1j, -1j, 0j], 1.0)
+
+
+def test_clusters_at_the_tau_floor():
+    # jordan_decompose lets tau fall to 1e-300, where x / tau overflows int64
+    tiny = 1e-300
+    pts = [0j, tiny + 0j, 2 * tiny + 0j, 3 * tiny + 0j, 1 + 0j, 1 + 0j, 1 + 2 ** -52 + 0j,
+           -tiny * 1j, 1e8 + 1e8j, 1e8 + 1e8j, -2.5 * tiny + 0j]
+    _assert_clusters_match(pts, tiny)
+    labels, _ = _cluster_points(pts, tiny)
+    assert labels[5] == labels[4] != labels[6] and labels[9] == labels[8]
+
+
+_steps = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2), (3 - 4j) / 5, 0.5, 2j, 0])
+_scales = st.sampled_from([1 - 2 ** -52, 1.0, 1 + 2 ** -52, 1 + 2 ** -51])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tau=st.sampled_from([1.0, 0.1, 3e-7, 1e-12, 1e-300]),
+       x0=st.floats(-10, 10), y0=st.floats(-10, 10),
+       steps=st.lists(st.tuples(_steps, _scales), min_size=1, max_size=40),
+       order=st.randoms(use_true_random=False))
+def test_property_clusters_match_greedy_on_chains(tau, x0, y0, steps, order):
+    # chains of points about tau apart, where which cluster a point joins
+    # depends on the order the points come in
+    p = complex(x0, y0)
+    pts = [p]
+    for step, scale in steps:
+        p = p + step * (tau * scale)
+        pts.append(p)
+    order.shuffle(pts)
+    _assert_clusters_match(pts, tau)

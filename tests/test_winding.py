@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from greencurves import (GridSpec, PolyCurve, gallery_curves, index_field, index_l2,
                          make_curve, region_masks, winding_number, winding_numbers)
@@ -249,3 +251,68 @@ def test_kernel_paths_on_empty_and_single_points():
     big = make_curve("circle", n=winding_module._CHUNK + 100)
     p = np.array([0.3 + 0.2j])
     assert np.array_equal(distance_to_curve(big, p), distance_by_edges(big.vertices, p))
+
+
+# ---------------------------------------------------------------------------
+# the grid field against one call of each kernel over the cell centers
+
+
+def _assert_field_matches_kernels(curve, grid, band):
+    fld = index_field(curve, grid, band)
+    z = grid.centers()
+    cap = max(band, curve.tau_geom)
+    dist = distance_to_curve(curve, z, cap=cap)
+    assert np.array_equal(fld.values, winding_numbers(curve, z))
+    assert np.array_equal(fld.values, winding_by_edges(curve.vertices, z))
+    assert fld.dist.tobytes() == dist.tobytes()
+    assert np.array_equal(fld.near_mask, dist <= cap)
+
+
+@st.composite
+def _grid_and_polygon(draw):
+    """A grid about [-1, 1]^2 and a polygon inside [-0.6, 0.6]^2 whose vertices
+    mostly sit on cell-center columns and rows, so edges run along rows and
+    columns and through centers."""
+    nx, ny = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    hi = complex(draw(st.sampled_from([1.0, 1.25])), draw(st.sampled_from([1.0, 1.5])))
+    grid = GridSpec(-1 - 1j, hi, nx, ny)
+    x, y = grid.axes()
+    xs = [v for v in x if abs(v) <= 0.6] + [-0.6, -0.21, 0.0, 0.37, 0.6]
+    ys = [v for v in y if abs(v) <= 0.6] + [-0.6, -0.13, 0.0, 0.29, 0.6]
+    pts = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), min_size=3, max_size=9))
+    v = np.array([complex(a, b) for a, b in pts])
+    assume(np.all(np.roll(v, -1) != v))
+    band = draw(st.sampled_from([0.0, grid.cell_diag, 5.0]))  # 5: wider than the curve
+    return PolyCurve(v), grid, band
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_grid_and_polygon())
+def test_property_grid_field_matches_kernels(case):
+    _assert_field_matches_kernels(*case)
+
+
+def test_grid_field_on_single_rows_and_columns():
+    square = PolyCurve([-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j])
+    through = PolyCurve([-0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j, 0.0 - 0.4j])  # on the middle row and column
+    for curve in (square, through, PolyCurve(0.3 * make_curve("trefoil", n=30).vertices)):
+        for nx, ny in ((1, 1), (1, 9), (9, 1), (3, 7), (8, 5)):
+            grid = GridSpec(-1 - 1j, 1 + 1j, nx, ny)
+            for band in (0.0, grid.cell_diag, 5.0):
+                _assert_field_matches_kernels(curve, grid, band)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_index_field_pair_totals_at_chunk_multiples(monkeypatch, shift):
+    # with a band wider than the curve every cell is a candidate of every
+    # edge; the chunk size is set so that each pair total, (edge, cell) for
+    # distances and (edge, row) for windings, is one or two chunks plus shift
+    curve = PolyCurve(0.3 * make_curve("star", n=7, seed=2).vertices)
+    grid = GridSpec(-1 - 1j, 1 + 1j, 11, 9)
+    a, b = curve.starts, curve.ends
+    y = grid.axes()[1]
+    rows = np.searchsorted(y, np.maximum(a.imag, b.imag)) - np.searchsorted(y, np.minimum(a.imag, b.imag))
+    for total in (curve.n * grid.nx * grid.ny, int(rows.sum())):
+        for chunk in {total - shift, (total - shift) // 2 if (total - shift) % 2 == 0 else total - shift}:
+            monkeypatch.setattr(winding_module, "_GRID_PAIRS", chunk)
+            _assert_field_matches_kernels(curve, grid, 5.0)
