@@ -302,17 +302,24 @@ def test_grid_field_on_single_rows_and_columns():
                 _assert_field_matches_kernels(curve, grid, band)
 
 
+@pytest.mark.parametrize("band", [0.0, 5.0])  # 5: every cell is a candidate of every edge
 @pytest.mark.parametrize("shift", [-1, 0, 1])
-def test_index_field_pair_totals_at_chunk_multiples(monkeypatch, shift):
-    # with a band wider than the curve every cell is a candidate of every
-    # edge; the chunk size is set so that each pair total, (edge, cell) for
-    # distances and (edge, row) for windings, is one or two chunks plus shift
-    curve = PolyCurve(0.3 * make_curve("star", n=7, seed=2).vertices)
-    grid = GridSpec(-1 - 1j, 1 + 1j, 11, 9)
+def test_index_field_pair_totals_at_chunk_multiples(monkeypatch, shift, band):
+    # the chunk size is set so that each pair total, (edge, cell) for
+    # distances and (edge, row) for windings, is one or two whole chunks plus shift
+    curve = PolyCurve(0.6 * make_curve("star", n=7, seed=2).vertices)
+    grid = GridSpec(-1 - 1j, 1 + 1j, 11, 41)
+    x, y = grid.axes()
     a, b = curve.starts, curve.ends
-    y = grid.axes()[1]
+    pad = winding_module._pad(curve, max(band, curve.tau_geom))
+
+    def in_box(axis, u, v):  # per edge, the axis values within its padded extent
+        return ((axis >= np.minimum(u, v)[:, None] - pad) & (axis <= np.maximum(u, v)[:, None] + pad)).sum(1)
+
+    cells = in_box(x, a.real, b.real) * in_box(y, a.imag, b.imag)
     rows = np.searchsorted(y, np.maximum(a.imag, b.imag)) - np.searchsorted(y, np.minimum(a.imag, b.imag))
-    for total in (curve.n * grid.nx * grid.ny, int(rows.sum())):
-        for chunk in {total - shift, (total - shift) // 2 if (total - shift) % 2 == 0 else total - shift}:
-            monkeypatch.setattr(winding_module, "_GRID_PAIRS", chunk)
-            _assert_field_matches_kernels(curve, grid, 5.0)
+    for total in (int(cells.sum()), int(rows.sum())):
+        for chunks in (1, 2):
+            if (total - shift) % chunks == 0:
+                monkeypatch.setattr(winding_module, "_GRID_PAIRS", (total - shift) // chunks)
+                _assert_field_matches_kernels(curve, grid, band)
