@@ -34,10 +34,13 @@ from .integration import (GreenConfig, Square, _check_mollifier_input, contour_i
                           green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
-from .vitushkin import delta_sweep
+from .vitushkin import delta_sweep, sweep_partition
 from .winding import GridSpec, distance_to_curve, index_field, winding_numbers
 
 _CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
+# Most grid cells, sub-squares in the deepest square generation, or bumps at the
+# smallest delta that a scenario may ask for; more would not fit in memory.
+_MAX_ITEMS = 1 << 21
 
 
 def _finite(text: str) -> float:
@@ -106,9 +109,10 @@ def _green_cfg(doc: dict) -> GreenConfig:
         refine=int(q.get("refine", 3)),
         contour_order=int(q.get("contour_order", 8)),
     )
-    if (cfg.resolution < 1 or cfg.contour_order < 1 or cfg.refine < 0
-            or not cfg.dilate >= 1.5 or not cfg.band_diagonals >= 0):
-        raise ValueError(f"grid and quadrature settings out of range: {cfg}")
+    if (not 1 <= cfg.resolution <= math.isqrt(_MAX_ITEMS) or cfg.contour_order < 1
+            or cfg.refine < 0 or not cfg.dilate >= 1.5 or not cfg.band_diagonals >= 0):
+        raise ValueError(f"grid and quadrature settings out of range (resolution at most "
+                         f"{math.isqrt(_MAX_ITEMS)}): {cfg}")
     return cfg
 
 
@@ -128,8 +132,8 @@ def _discs(doc: dict) -> list:
 def _square(doc: dict):
     spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
     depth = int(spec.get("depth", 5))
-    if depth < 0:
-        raise ValueError("square.depth must be at least 0")
+    if not 0 <= depth <= math.log(_MAX_ITEMS, 4):  # 4**depth sub-squares, never computed
+        raise ValueError(f"square.depth must be at least 0, with at most {_MAX_ITEMS} sub-squares")
     return Square(center=complex(*spec["center"]), half=float(spec["half"])), depth
 
 
@@ -261,9 +265,12 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         curve = _build_curve(doc)
         f = _build_function(doc)
         specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
+        deltas = specs.get("vitushkin")
+        if deltas and sweep_partition(curve, deltas[-1]).n_bumps > _MAX_ITEMS:
+            raise ValueError(f"deltas: more than {_MAX_ITEMS} bumps at the smallest delta")
         if "mollifier" in specs:
             _check_mollifier_input(f, *specs["mollifier"])
-    except (AttributeError, TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, KeyError, ArithmeticError) as exc:
         raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
 
     results = {}

@@ -21,9 +21,9 @@ from .errors import DegenerateOverlap, UnknownFamily
 # Elements per temporary of a blocked elementwise pass.  The clean-cell sum,
 # each refinement level, the dyadic-square generations, the bump-activity
 # probe and the polar patch run in blocks of about this many values, and the
-# grid field's pairs in an eighth of it, so their temporaries stay the same
-# size however fine the grid, however deep the square, however many the bumps
-# or inside points.
+# curve kernels' (edge, candidate) pairs in half of it, so their temporaries
+# stay the same size however fine the grid, however deep the square, however
+# many the bumps or inside points.
 _BLOCK = 1 << 15
 
 
@@ -157,6 +157,21 @@ def _ragged(count, lo: int = 0, hi: int = None):
         count = np.maximum(np.minimum(start + count, hi) - np.maximum(start, lo), 0)
     owner = np.repeat(np.arange(count.size), count)
     return owner, np.arange(lo, lo + owner.size) - np.repeat(start, count)
+
+
+def _chunks(count, size: int):
+    """``_ragged(count)`` in blocks of at most ``size`` positions, in order.
+
+    Each block expands only the ranges that meet it, found by binary search
+    on the cumulative ends, so a block costs O(size + ranges it meets).
+    """
+    end = np.cumsum(count)
+    for lo in range(0, int(end[-1]) if end.size else 0, size):
+        r0, r1 = np.searchsorted(end, [lo, lo + size], "right")
+        base = lo - end[r0] + count[r0]  # lo's offset into range r0
+        owner, off = _ragged(count[r0:r1 + 1], base, base + size)
+        owner += r0
+        yield owner, off
 
 
 def _candidate_pairs(curve: PolyCurve, pad: np.ndarray):

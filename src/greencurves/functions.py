@@ -19,6 +19,8 @@ from .errors import UnknownFamily
 
 @dataclass
 class FunctionDescriptor:
+    MODULUS_SEED = 7  # seed of the sampled modulus (unannotated: a constant, not a field)
+
     name: str
     value: Callable
     dbar: Callable
@@ -28,7 +30,7 @@ class FunctionDescriptor:
     sup_norm: Optional[float] = None
     support_radius: Optional[float] = None
 
-    def modulus(self, delta: float, box=None, samples: int = 20000, seed: int = 7,
+    def modulus(self, delta: float, box=None, samples: int = 20000,
                 prefer_exact: bool = True) -> float:
         """Modulus of continuity at scale delta.
 
@@ -38,11 +40,11 @@ class FunctionDescriptor:
         are reused for every delta, so the estimate is monotone in delta for
         the gallery functions.
         """
-        return self.modulus_estimator(box, samples, seed, prefer_exact)(delta)
+        return self.modulus_estimator(box, samples, prefer_exact)(delta)
 
-    def modulus_estimator(self, box=None, samples: int = 20000, seed: int = 7,
+    def modulus_estimator(self, box=None, samples: int = 20000,
                           prefer_exact: bool = True) -> Callable:
-        """``delta -> modulus(delta, box, samples, seed, prefer_exact)``.
+        """``delta -> modulus(delta, box, samples, prefer_exact)``.
 
         The seeded sample and f at its base points are drawn once, so each
         further delta costs one evaluation of f.
@@ -53,7 +55,7 @@ class FunctionDescriptor:
                 r = self.support_radius if self.support_radius else 2.0
                 box = (complex(-r, -r), complex(r, r))
             lo, hi = box
-            rng = seed_stream(seed, "modulus")
+            rng = seed_stream(self.MODULUS_SEED, "modulus")
             zx = rng.uniform(lo.real, hi.real, samples)
             zy = rng.uniform(lo.imag, hi.imag, samples)
             theta = rng.uniform(0.0, 2 * math.pi, samples)

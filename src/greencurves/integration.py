@@ -21,6 +21,9 @@ from .functions import FunctionDescriptor
 from .winding import (GridSpec, IndexField, _grid_pairs, distance_to_curve, index_field,
                       winding_numbers)
 
+# Gauss orders of the dyadic-square check: per axis of a clear sub-square, per edge of the square
+SQUARE_QUAD_ORDER, SQUARE_CONTOUR_ORDER = 6, 8
+
 
 @lru_cache(maxsize=32)
 def gauss_legendre_01(order: int):
@@ -309,8 +312,7 @@ def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
 
 
 def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: int,
-                    fld: IndexField = None, quad_order: int = 6,
-                    contour_order: int = 8) -> VerificationReport:
+                    fld: IndexField = None) -> VerificationReport:
     """Dyadic-square Green identity: classify sub-squares against the curve.
 
     At generation n the square splits into 4^n dyadic sub-squares of side
@@ -329,9 +331,9 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
         vals = fld.values[inside & ~fld.near_mask]
         if vals.size and np.any(vals == 0):
             raise ValueError("square is not inside a disc with all off-curve index nonzero")
-    lhs = polyline_integral(sq.corners, f.value, order=contour_order, closed=True)
+    lhs = polyline_integral(sq.corners, f.value, order=SQUARE_CONTOUR_ORDER, closed=True)
 
-    gx, gw = gauss_legendre_01(quad_order)
+    gx, gw = gauss_legendre_01(SQUARE_QUAD_ORDER)
     gx2 = (gx[:, None] + 1j * gx[None, :]).ravel()
     gw2 = (gw[:, None] * gw[None, :]).ravel()
     step = max(_BLOCK // gx2.size, 1)  # sub-squares per block
@@ -373,7 +375,8 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
             "remainder": abs(lhs - rhs_n),
         })
         rhs_final = rhs_n
-    settings = {"depth": depth, "quad_order": quad_order, "contour_order": contour_order}
+    settings = {"depth": depth, "quad_order": SQUARE_QUAD_ORDER,
+                "contour_order": SQUARE_CONTOUR_ORDER}
     return VerificationReport.build(lhs, rhs_final, settings, generations=rows)
 
 
@@ -382,6 +385,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
 
 
 MOLLIFIER_NORM = 5.0 / math.pi  # normalizes ∫ (1-|w|^2)^4 dA over the unit disc to 1
+MOLLIFIER_ORDER = 12  # radial Gauss nodes of the disc rule; four times as many angles
 
 
 def mollifier(w, eps: float):
@@ -419,8 +423,7 @@ def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
         raise ValueError("square of side 2*eps about z must avoid the pole of f")
 
 
-def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float,
-                             quad_order: int = 12) -> VerificationReport:
+def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float) -> VerificationReport:
     """Check (f * dbar rho_eps)(z) == (dbar f * rho_eps)(z).
 
     Both sides are integrals over the disc |u| <= eps, evaluated with the
@@ -429,10 +432,9 @@ def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float,
     to avoid any pole of f.
     """
     _check_mollifier_input(f, z, eps)
-    n_r = max(quad_order, 10)
-    u, w = _polar_disc_rule(eps, n_r, 4 * n_r)
+    u, w = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
     pts = z - u
     lhs = complex((f.value(pts) * mollifier_dbar(u, eps) * w).sum())
     rhs = complex((f.dbar(pts) * mollifier(u, eps) * w).sum())
-    settings = {"eps": eps, "quad_order": quad_order, "z": [z.real, z.imag]}
+    settings = {"eps": eps, "quad_order": MOLLIFIER_ORDER, "z": [z.real, z.imag]}
     return VerificationReport.build(lhs, rhs, settings)

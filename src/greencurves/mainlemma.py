@@ -29,6 +29,10 @@ ENTER = "enter"
 LEAVE = "leave"
 
 TWO_PI = 2.0 * math.pi
+CONTOUR_ORDER = 8  # Gauss nodes per curve edge
+ARC_ORDER = 16  # Gauss nodes per signed circle piece
+ARC_SAMPLES_MIN = 16  # fewest points of a candidate closing arc
+JITTER_ATTEMPTS = 8  # radius inflations tried before a tangency is an error
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,7 @@ def exterior_components(curve: PolyCurve, disc: Disc):
     return comps, crossings
 
 
-def select_interval(component: ArcComponent, disc: Disc,
-                    samples_min: int = 16) -> BoundaryInterval:
+def select_interval(component: ArcComponent, disc: Disc) -> BoundaryInterval:
     """The circle interval closing the component into a curve with center index zero.
 
     Both candidate closed curves are built with the circle interval sampled
@@ -196,7 +199,7 @@ def select_interval(component: ArcComponent, disc: Disc,
 
     def candidate(ccw: bool):
         span = span_ccw if ccw else span_cw
-        m = max(samples_min, int(math.ceil(span / (TWO_PI / 64))) + 1)
+        m = max(ARC_SAMPLES_MIN, int(math.ceil(span / (TWO_PI / 64))) + 1)
         s = np.linspace(0.0, span, m + 2)[1:-1]
         ang = th_e + s if ccw else th_e - s
         arc = c + r * np.exp(1j * ang)
@@ -265,7 +268,7 @@ def build_generations(intervals: list) -> GenerationTree:
     return GenerationTree(intervals=list(intervals), depth=depth, parent=parent)
 
 
-def _arc_integral(disc: Disc, theta0: float, span: float, fn, order: int = 16) -> complex:
+def _arc_integral(disc: Disc, theta0: float, span: float, fn, order: int) -> complex:
     """∫ fn(z) dz over the circle arc running counterclockwise from theta0."""
     t, w = gauss_legendre_01(order)
     phi = theta0 + span * t
@@ -309,15 +312,15 @@ def _generations(comps: list, disc: Disc):
     return intervals, build_generations(intervals)
 
 
-def exterior_integral_identity(curve: PolyCurve, disc: Disc, h: FunctionDescriptor,
-                               contour_order: int = 8, arc_order: int = 16) -> VerificationReport:
+def exterior_integral_identity(curve: PolyCurve, disc: Disc,
+                               h: FunctionDescriptor) -> VerificationReport:
     """Check ∮ over the exterior components against the signed interval integrals."""
     comps, crossings = exterior_components(curve, disc)
-    settings = {"contour_order": contour_order, "arc_order": arc_order,
+    settings = {"contour_order": CONTOUR_ORDER, "arc_order": ARC_ORDER,
                 "radius": disc.radius,
                 "center": [disc.center.real, disc.center.imag]}
     if comps and comps[0].closed:
-        lhs = polyline_integral(comps[0].points, h.value, order=contour_order, closed=True)
+        lhs = polyline_integral(comps[0].points, h.value, order=CONTOUR_ORDER, closed=True)
         ind = int(winding_numbers(curve, np.array([disc.center]))[0])
         rhs = ind * _arc_integral(disc, 0.0, TWO_PI, h.value, order=64)
         pieces = [(0.0, TWO_PI, ind)] if ind else []
@@ -325,12 +328,12 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc, h: FunctionDescript
                                         n_components=1, closed=True)
     lhs = 0j
     for comp in comps:
-        lhs += polyline_integral(comp.points, h.value, order=contour_order, closed=False)
+        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=False)
     intervals, tree = _generations(comps, disc)
     pieces = exterior_pieces(tree)
     rhs = 0j
     for theta0, span, eps in pieces:
-        rhs += eps * _arc_integral(disc, theta0, span, h.value, order=arc_order)
+        rhs += eps * _arc_integral(disc, theta0, span, h.value, order=ARC_ORDER)
     extras = {
         "n_components": len(comps),
         "n_crossings": len(crossings),
@@ -342,8 +345,7 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc, h: FunctionDescript
     return VerificationReport.build(lhs, rhs, settings, **extras)
 
 
-def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor,
-                contour_order: int = 8) -> VerificationReport:
+def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor) -> VerificationReport:
     """Assert |∮ over the exterior part| <= 2 pi sup|h| radius.
 
     A violation signals a geometry bug (wrong interval or sign), never a
@@ -354,20 +356,19 @@ def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor,
     comps, _ = exterior_components(curve, disc)
     lhs = 0j
     for comp in comps:
-        lhs += polyline_integral(comp.points, h.value, order=contour_order,
-                                 closed=comp.closed)
+        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
     bound = TWO_PI * h.sup_norm * disc.radius
     if abs(lhs) > bound * (1 + 1e-9):
         raise BoundViolated(f"|{abs(lhs)}| exceeds 2*pi*sup|h|*radius = {bound}")
-    return VerificationReport.build(lhs, bound, {"contour_order": contour_order},
+    return VerificationReport.build(lhs, bound, {"contour_order": CONTOUR_ORDER},
                                     kind="exterior_bound")
 
 
-def with_jitter(curve: PolyCurve, disc: Disc, seed: int = 0, attempts: int = 8):
+def with_jitter(curve: PolyCurve, disc: Disc, seed: int = 0):
     """Return a disc (possibly with slightly inflated radius) that crosses transversally."""
     rng = seed_stream(seed, "mainlemma.jitter")
     trial = disc
-    for k in range(attempts):
+    for _ in range(JITTER_ATTEMPTS):
         try:
             circle_crossings(curve, trial)
             return trial

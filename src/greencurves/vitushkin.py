@@ -44,6 +44,10 @@ from .winding import IndexField, distance_to_curve
 CLASS_I = "I"
 CLASS_II = "II"
 CLASS_III = "III"
+# class_sums: Gauss nodes per curve edge, and refinement levels of the area form
+CLASS_CONTOUR_ORDER, CLASS_REFINE = 8, 2
+# delta_sweep: Gauss nodes per curve edge, template cells per axis, the bound's constant
+SWEEP_CONTOUR_ORDER, SWEEP_CELLS, SWEEP_BOUND_CONSTANT = 6, 8, 8.0
 
 
 def _w9(u):
@@ -290,6 +294,7 @@ class PieceSet:
     path.
     """
 
+    ORDER = 5         # Gauss nodes per axis of each template cell
     N_MOMENTS = 96
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
     PATCH_NR = 10     # polar patch: Gauss nodes per ray
@@ -298,8 +303,7 @@ class PieceSet:
     # (OpenBLAS) depend on its row count, so other blocks change the values
     CHUNK = 1024
 
-    def __init__(self, partition: Partition, f: FunctionDescriptor,
-                 cells_per_axis: int = 16, order: int = 5):
+    def __init__(self, partition: Partition, f: FunctionDescriptor, cells_per_axis: int = 16):
         if cells_per_axis % 2:
             raise ValueError("cells_per_axis must be even (profile breakpoint at 0)")
         self.partition = partition
@@ -308,12 +312,12 @@ class PieceSet:
         delta = partition.delta
         self.half = delta / 2.0
         self.far_radius = 1.0 * delta  # corner-node multipole ratio sqrt(2)/2 per term
-        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, cells_per_axis, order)
+        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, cells_per_axis, self.ORDER)
         self.b = w * _dbar_phi(self.offsets.real, self.offsets.imag, delta) / math.pi
-        _, self.offsets_c, w, _ = _tensor_rule(delta, 6, order)  # coarse rule: points outside the support
+        _, self.offsets_c, w, _ = _tensor_rule(delta, 6, self.ORDER)  # coarse rule: points outside the support
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
-        self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, order * order)
+        self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, self.ORDER ** 2)
         # shared multipole data: powers of the offsets (filled row by row, so
         # no second copy is built), and the moments of b
         self._powers = np.empty((self.N_MOMENTS + 1, self.offsets.size), dtype=complex)
@@ -628,8 +632,7 @@ def localize_cauchy(f: FunctionDescriptor, partition: Partition, j: int, z: comp
                                     lambda w: -partition.phi(j, w) * f.dbar(w) / math.pi)
 
 
-def reconstruct(f: FunctionDescriptor, partition: Partition, zs,
-                cells_per_axis: int = 16, order: int = 5):
+def reconstruct(f: FunctionDescriptor, partition: Partition, zs, cells_per_axis: int = 16):
     """Sup over ``zs`` of |f - sum of pieces|, with inert pieces skipped.
 
     Returns (discrepancy, number of active pieces).  Doubling
@@ -637,7 +640,7 @@ def reconstruct(f: FunctionDescriptor, partition: Partition, zs,
     convergence of the evaluator itself is checked.
     """
     z = np.asarray(zs, dtype=complex).ravel()
-    ps = PieceSet(partition, f, cells_per_axis=cells_per_axis, order=order)
+    ps = PieceSet(partition, f, cells_per_axis=cells_per_axis)
     js = ps.active_pieces()
     total = np.zeros(z.shape, dtype=complex)
     for j in js:
@@ -661,8 +664,7 @@ class ClassSums:
 
 
 def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
-               fld: IndexField, contour_order: int = 8, cells_per_axis: int = 16,
-               order: int = 5, refine: int = 2) -> ClassSums:
+               fld: IndexField) -> ClassSums:
     """Per-class sums of ∮ f_j dz, their direct total, and the area form for class I.
 
     The class-I sum is compared against 2i ∫ (sum of class-I bumps) dbar(f) Ind dA,
@@ -670,33 +672,38 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
     """
     from .integration import area_integral_weighted
 
-    ps = PieceSet(partition, f, cells_per_axis=cells_per_axis, order=order)
+    ps = PieceSet(partition, f)
     js = ps.active_pieces()
     sums = {CLASS_I: 0j, CLASS_II: 0j, CLASS_III: 0j}
     counts = {CLASS_I: 0, CLASS_II: 0, CLASS_III: 0}
     classes = classify_many(partition, js, curve, fld)
     for j in js:
         counts[classes[j]] += 1
-    integrals = ps.contour_integrals(js, curve, order=contour_order)
+    integrals = ps.contour_integrals(js, curve, order=CLASS_CONTOUR_ORDER)
     for j, val in integrals.items():
         sums[classes[j]] += val
 
     subset = np.zeros(partition.n_bumps, dtype=bool)
     subset[[j for j in js if classes[j] == CLASS_I]] = True
     weight = lambda zs: partition.sum_phi(zs, subset=subset)
-    area, _ = area_integral_weighted(fld, f, refine=refine, weight=weight)
-    direct = contour_integral(curve, f, order=contour_order)
+    area, _ = area_integral_weighted(fld, f, refine=CLASS_REFINE, weight=weight)
+    direct = contour_integral(curve, f, order=CLASS_CONTOUR_ORDER)
     return ClassSums(s_i=sums[CLASS_I], s_ii=sums[CLASS_II], s_iii=sums[CLASS_III],
                      direct=direct, area_form_i=2j * area, counts=counts)
 
 
-def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas,
-                contour_order: int = 6, cells_per_axis: int = 8, order: int = 5,
-                bound_constant: float = 8.0) -> list:
+def sweep_partition(curve: PolyCurve, delta: float) -> Partition:
+    """The bumps of one delta_sweep level: the curve's box padded by 1.6 delta."""
+    lo, hi = curve.bbox
+    pad = delta * 1.6
+    return build_partition(delta, (lo - pad * (1 + 1j), hi + pad * (1 + 1j)))
+
+
+def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
     """|S_II| against the modulus bound over a decreasing list of delta.
 
     Only class-II pieces (bump disc meets the curve) are summed; the bound
-    column is bound_constant * omega(f, delta) * length(curve).  The small
+    column is SWEEP_BOUND_CONSTANT * omega(f, delta) * length(curve).  The small
     residual correction from pieces straddling the index-zero side is not
     isolated: it is part of the measured |S_II| whose decay the sweep shows.
     """
@@ -706,19 +713,17 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas,
     rows = []
     l_curve = length(curve)
     for delta in deltas:
-        pad = delta * 1.6
-        box = (lo - pad * (1 + 1j), hi + pad * (1 + 1j))
-        part = build_partition(delta, box)
+        part = sweep_partition(curve, delta)
         cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
-        ps = PieceSet(part, f, cells_per_axis=cells_per_axis, order=order)
+        ps = PieceSet(part, f, cells_per_axis=SWEEP_CELLS)
         js = ps.active_pieces(cand.tolist())
-        s2 = sum(ps.contour_integrals(js, curve, order=contour_order).values(), 0j)
+        s2 = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
         mod_box = (lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j))
         omega = f.modulus(delta, box=mod_box)
         rows.append({
             "delta": float(delta),
             "s_ii_abs": float(abs(s2)),
-            "bound": float(bound_constant * omega * l_curve),
+            "bound": float(SWEEP_BOUND_CONSTANT * omega * l_curve),
             "n_pieces": len(js),
         })
     return rows

@@ -11,10 +11,10 @@ points, found by binary search in the points sorted by y: those in the
 edge's half-open y-range for the crossing count, those in its bounding box
 dilated by ``cap`` for the distance.  Each pair uses the arithmetic of the
 every-edge loop, so results are bit-identical to it (the distance wherever it
-is at most ``cap``).  Slabs averaging at most ``_PAIR_SLAB`` points per live
-edge are expanded into pair chunks and reduced with ``np.minimum.at`` /
-``np.add.at``, which ignore the order of their terms; longer slabs are
-walked edge by edge.  The crossover was measured.
+is at most ``cap``).  One walk, ``_slab_walk``, hands both kernels their
+(edge, point) pairs in bounded blocks: a long slab edge by edge, the short
+ones expanded together.  Each block is reduced with ``np.minimum.at`` /
+``np.add.at``, which ignore the order and grouping of their terms.
 
 On a grid nothing is sorted: a cell center is exactly (x[ix], y[iy]), so an
 edge's candidate centers are a range of columns times a range of rows.  Along
@@ -30,43 +30,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _BLOCK, PolyCurve, _ragged
+from .curves import PolyCurve, _chunks
 from .errors import OnCurve
 
 
-# Every numpy pass below covers at most this many points or (edge, point)
-# pairs, which bounds the size of each temporary however long a slab is.
+# Every numpy pass below covers at most this many (edge, point), (edge, cell)
+# or (edge, row) pairs, which bounds each temporary however long a slab is.
 _CHUNK = 1 << 14
-# Slabs averaging at most this many points per live edge are expanded into one
-# list of (edge, point) pairs; longer ones are evaluated edge by edge.
-_PAIR_SLAB = 512
-# (edge, cell) and (edge, row) pairs per chunk of the grid field and the square test
-_GRID_PAIRS = _BLOCK >> 3
+# An edge whose slab holds more than this many points is walked on its own,
+# in contiguous runs of the sorted points; shorter slabs are expanded together.
+_PAIR_SLAB = 768
 
 
-def _slab_pairs(order, first, stop):
-    """The live edges, and their slabs as chunks of (edge, point) pairs when the slabs are short.
+def _slab_walk(order, first, stop):
+    """Blocks of (edge, point index) pairs: edge k with each index in ``order[first[k]:stop[k]]``.
 
-    The chunks are ``None`` when the slabs average more than ``_PAIR_SLAB``
-    points per live edge; the caller then walks the slabs of the live edges
-    one edge at a time.  The path is chosen once per call.
+    An edge whose slab holds more than ``_PAIR_SLAB`` points comes alone, as
+    runs of ``order`` with the edge as a scalar; the other slabs are expanded
+    together through ``_chunks``.  No block holds more than ``_CHUNK`` pairs.
     """
-    live = np.flatnonzero(stop > first)
-    count = stop[live] - first[live]
-    total = int(count.sum())
-    if total > _PAIR_SLAB * live.size:
-        return live, None
-
-    def chunks():
-        for lo in range(0, total, _CHUNK):
-            if total == live.size:  # one point per slab, as for a single query point
-                k = live[lo:lo + _CHUNK]
-                yield k, order[first[k]]
-            else:
-                owner, off = _ragged(count, lo, lo + _CHUNK) if total > _CHUNK else _ragged(count)
-                k = live[owner]
-                yield k, order[first[k] + off]
-    return live, chunks()
+    count = stop - first
+    live = np.flatnonzero(count)
+    long = count[live] > _PAIR_SLAB
+    for k in live[long]:
+        for s in range(first[k], stop[k], _CHUNK):
+            yield k, order[s:min(s + _CHUNK, stop[k])]
+    short = live[~long]
+    for owner, off in _chunks(count[short], _CHUNK):
+        k = short[owner]
+        yield k, order[first[k] + off]
 
 
 def _segment_distance(px, py, a, d):
@@ -94,14 +86,7 @@ def _grid_pairs(curve: PolyCurve, x, y, pad: float, half: float = 0.0):
     nx = np.maximum(np.searchsorted(x - half, np.maximum(a.real, b.real) + pad, "right") - x0, 0)
     y0 = np.searchsorted(y + half, np.minimum(a.imag, b.imag) - pad, "left")
     ny = np.maximum(np.searchsorted(y - half, np.maximum(a.imag, b.imag) + pad, "right") - y0, 0)
-    count = nx * ny
-    end = np.cumsum(count)
-    for lo in range(0, int(end[-1]), _GRID_PAIRS):
-        # only the edges whose pairs meet this chunk are expanded
-        e0, e1 = np.searchsorted(end, [lo, lo + _GRID_PAIRS], "right")
-        base = lo - end[e0] + count[e0]
-        k, m = _ragged(count[e0:e1 + 1], base, base + _GRID_PAIRS)
-        k += e0
+    for k, m in _chunks(nx * ny, _CHUNK):
         yield k, x0[k] + m % nx[k], y0[k] + m // nx[k]
 
 
@@ -124,20 +109,13 @@ def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
     order = np.argsort(zy)
     first = np.searchsorted(zy, np.minimum(a.imag, b.imag) - pad, "left", sorter=order)
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag) + pad, "right", sorter=order)
-    live, chunks = _slab_pairs(order, first, stop)
-    if chunks is None:
-        for k in live:
-            for s in range(first[k], stop[k], _CHUNK):
-                idx = order[s:min(s + _CHUNK, stop[k])]
-                px = zx[idx]
-                idx = idx[(px >= xlo[k]) & (px <= xhi[k])]
-                best[idx] = np.minimum(best[idx], _segment_distance(zx[idx], zy[idx], a[k], d[k]))
-    else:
-        for k, idx in chunks:
-            px = zx[idx]
-            inside = (px >= xlo[k]) & (px <= xhi[k])
-            k, idx = k[inside], idx[inside]
-            np.minimum.at(best, idx, _segment_distance(zx[idx], zy[idx], a[k], d[k]))
+    for k, idx in _slab_walk(order, first, stop):
+        px = zx[idx]
+        inside = (px >= xlo[k]) & (px <= xhi[k])
+        if np.ndim(k):  # a long slab's edge comes as a scalar
+            k = k[inside]
+        idx = idx[inside]
+        np.minimum.at(best, idx, _segment_distance(zx[idx], zy[idx], a[k], d[k]))
     return best.reshape(z.shape)
 
 
@@ -158,22 +136,10 @@ def winding_numbers(curve: PolyCurve, zs) -> np.ndarray:
     stop = np.searchsorted(zy, np.maximum(a.imag, b.imag), "left", sorter=order)
     # upward edges count points strictly left of them, downward ones subtract
     # points strictly right
-    live, chunks = _slab_pairs(order, first, stop)
-    if chunks is None:
-        for k in live:
-            ak, bk = a[k], b[k]
-            for s in range(first[k], stop[k], _CHUNK):
-                idx = order[s:min(s + _CHUNK, stop[k])]
-                left = _left(ak, bk, zx[idx], zy[idx])
-                if ak.imag < bk.imag:
-                    wn[idx] += left > 0
-                else:
-                    wn[idx] -= left < 0
-    else:
-        for k, idx in chunks:
-            ak, bk = a[k], b[k]
-            left = _left(ak, bk, zx[idx], zy[idx])
-            np.add.at(wn, idx, np.where(ak.imag < bk.imag, left > 0, (left < 0) * -1))
+    for k, idx in _slab_walk(order, first, stop):
+        ak, bk = a[k], b[k]
+        left = _left(ak, bk, zx[idx], zy[idx])
+        np.add.at(wn, idx, np.where(ak.imag < bk.imag, left > 0, (left < 0) * -1))
     return wn.reshape(z.shape)
 
 
@@ -309,8 +275,7 @@ def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     values = np.zeros((grid.ny, grid.nx), dtype=np.int64)
     first = np.searchsorted(y, np.minimum(a.imag, b.imag), "left")
     rows = np.searchsorted(y, np.maximum(a.imag, b.imag), "left") - first
-    for p0 in range(0, int(rows.sum()), _GRID_PAIRS):
-        k, m = _ragged(rows, p0, p0 + _GRID_PAIRS)
+    for k, m in _chunks(rows, _CHUNK):
         ak, bk, row = a[k], b[k], first[k] + m
         up, py = ak.imag < bk.imag, y[row]
         lo, hi = np.zeros(k.size, dtype=np.intp), np.full(k.size, grid.nx)

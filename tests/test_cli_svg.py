@@ -126,6 +126,14 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     # the grid box must dilate the curve's by 1.5; the band is a nonnegative width
     {"grid": {"resolution": 32, "dilate": 1.0}, "checks": ["green"]},
     {"grid": {"resolution": 32, "band_diagonals": -1}, "checks": ["green"]},
+    # sizes that no memory holds: 10^10 grid cells, 4^40 sub-squares, ~10^15 bumps
+    {"grid": {"resolution": 100000}, "checks": ["green"]},
+    {"deltas": [1e-7], "checks": ["vitushkin"]},
+    {"square": {"center": [0.0, 0.0], "half": 0.25, "depth": 40}, "checks": ["square"]},
+    # the bump count is taken while parsing: deltas given as strings, and a delta
+    # whose half underflows to zero
+    {"deltas": ["0.4", "0.2"], "checks": ["vitushkin"]},
+    {"deltas": [5e-324], "checks": ["vitushkin"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})

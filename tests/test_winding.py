@@ -12,7 +12,7 @@ from greencurves import (GridSpec, PolyCurve, gallery_curves, index_field, index
 from greencurves._rng import seed_stream
 from greencurves import winding as winding_module
 from greencurves.errors import OnCurve
-from greencurves.curves import _BLOCK
+from greencurves.curves import _BLOCK, _chunks, _ragged
 from greencurves.winding import distance_to_curve
 
 from oracles import distance_by_edges, winding_by_angles, winding_by_edges
@@ -205,7 +205,8 @@ def test_index_field_keeps_exact_near_distances():
 
 
 # ---------------------------------------------------------------------------
-# both kernel paths: the pair list below the crossover, the edge loop above
+# the slab walk: slabs up to _PAIR_SLAB points are expanded together, longer
+# ones are walked edge by edge
 
 
 def _zigzag(m):
@@ -216,9 +217,14 @@ def _zigzag(m):
 @pytest.mark.parametrize("edges", [4, 40])  # 40 edges of pairs span several chunks
 @pytest.mark.parametrize("extra", [0, 1])  # at the crossover, and one point past it
 def test_kernel_paths_at_the_crossover(monkeypatch, edges, extra):
-    expansions = []
-    ragged = winding_module._ragged
-    monkeypatch.setattr(winding_module, "_ragged", lambda *a: expansions.append(a) or ragged(*a))
+    expansions = []  # pairs per expanded block
+    chunks = winding_module._chunks
+
+    def spy(count, size):
+        for owner, off in chunks(count, size):
+            expansions.append(owner.size)
+            yield owner, off
+    monkeypatch.setattr(winding_module, "_chunks", spy)
     c = _zigzag(edges)
     n = winding_module._PAIR_SLAB + extra
     rng = seed_stream(11, "winding.crossover")
@@ -233,7 +239,42 @@ def test_kernel_paths_at_the_crossover(monkeypatch, edges, extra):
         assert np.array_equal(got[near], want[near]) and np.all(got[~near] > cap)
     assert bool(expansions) == (extra == 0)
     if edges * n > winding_module._CHUNK and not extra:
-        assert all(hi - lo <= winding_module._CHUNK for _, lo, hi in expansions)
+        assert len(expansions) > 1 and max(expansions) <= winding_module._CHUNK
+
+
+def test_slab_walk_mixes_long_and_short_slabs():
+    # tall teeth span y in [0, 1] and hold every point; low teeth span [0, 0.02]
+    # and hold a few, so one call walks some edges alone and expands the rest
+    heights = [1.0, 0.02, 0.02, 1.0, 0.02, 1.0, 0.02, 0.02]
+    c = PolyCurve([complex(k, heights[k // 2] if k % 2 else 0) for k in range(2 * len(heights))])
+    n = 4 * winding_module._PAIR_SLAB
+    rng = seed_stream(12, "winding.slab_walk")
+    z = rng.uniform(-1, 2 * len(heights) + 1, n) + 1j * rng.uniform(0.001, 0.999, n)
+    z[:c.n] = (c.starts + c.ends) / 2  # edge midpoints, at distance 0
+    ylo, yhi = np.minimum(c.starts.imag, c.ends.imag), np.maximum(c.starts.imag, c.ends.imag)
+    slab = ((z.imag >= ylo[:, None]) & (z.imag < yhi[:, None])).sum(1)
+    assert slab.max() > winding_module._PAIR_SLAB >= slab[slab > 0].min()
+    assert np.array_equal(winding_numbers(c, z), winding_by_edges(c.vertices, z))
+    want = distance_by_edges(c.vertices, z)
+    for cap in (np.inf, 0.05, 0.0):
+        got = distance_to_curve(c, z, cap=cap)
+        near = want <= cap
+        assert got[near].tobytes() == want[near].tobytes() and np.all(got[~near] > cap)
+
+
+@pytest.mark.parametrize("count", [[3, 0, 5, 0, 0, 2, 4], [0, 0, 6, 0], [0, 0], []])
+def test_chunks_match_one_expansion(count):
+    count = np.array(count, dtype=np.intp)
+    owner, off = _ragged(count)
+    ends = np.cumsum(count)
+    boundaries = [int(e) for e in ends[ends > 0]] or [1]  # range ends, the last one included
+    for size in sorted({b + s for b in boundaries for s in (-1, 0, 1)} - {0}):
+        blocks = list(_chunks(count, size))
+        assert all(0 < k.size <= size for k, _ in blocks)
+        assert len(blocks) == -(-owner.size // size)
+        empty = [np.empty(0, np.intp)]
+        assert np.array_equal(np.concatenate(empty + [k for k, _ in blocks]), owner)
+        assert np.array_equal(np.concatenate(empty + [m for _, m in blocks]), off)
 
 
 def test_kernel_paths_on_empty_and_single_points():
@@ -321,5 +362,5 @@ def test_index_field_pair_totals_at_chunk_multiples(monkeypatch, shift, band):
     for total in (int(cells.sum()), int(rows.sum())):
         for chunks in (1, 2):
             if (total - shift) % chunks == 0:
-                monkeypatch.setattr(winding_module, "_GRID_PAIRS", (total - shift) // chunks)
+                monkeypatch.setattr(winding_module, "_CHUNK", (total - shift) // chunks)
                 _assert_field_matches_kernels(curve, grid, band)
