@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._rng import seed_stream
 from .curves import curve_families, gallery_curves, jordan_decompose, length, make_curve
-from .errors import GreenCurvesError, KindMismatch, OnCurve, ParseError, UnknownFamily
+from .errors import GreenCurvesError, KindMismatch, OnCurve, ParseError
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
 from .integration import (GreenConfig, Square, _check_mollifier_input, contour_integral,
                           green_on_square, mollifier_identity_check, verify_green)
@@ -379,10 +379,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(doc)
             return 0
-    except (ParseError, UnknownFamily, KindMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GreenCurvesError as exc:
+    except (GreenCurvesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -34,7 +34,7 @@ class PolyCurve:
     Orientation is implied by vertex order; ``reversed()`` flips it.
     """
 
-    __slots__ = ("vertices", "_cache")
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=complex).ravel()
@@ -46,7 +46,6 @@ class PolyCurve:
             raise ValueError("zero-length edge")
         self.vertices = v
         self.vertices.setflags(write=False)
-        self._cache = {}
 
     @property
     def n(self) -> int:

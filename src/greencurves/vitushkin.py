@@ -24,8 +24,8 @@ accurate reference for cross-checks and finite-difference tests.
 
 Only ``PieceSet``'s cells per axis and Gauss order are parameters: doubling
 the cells checks the evaluator's convergence, and ``delta_sweep`` uses 8 for
-speed.  The polar patch, the piece cache and the reference rule are fixed
-constants.
+speed.  The polar patch, the pieces per contour block and the reference
+rule are fixed constants.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ class PieceSet:
     N_MOMENTS = 96
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
     PATCH_NR = 10     # polar patch: Gauss nodes per ray
-    CACHE_CAP = 96    # pieces kept in the per-piece cache
+    BLOCK_PIECES = 96  # most pieces per contour block, which bounds its piece data
     # points per kernel matrix block: fixed, because the bits of a gemv
     # (OpenBLAS) depend on its row count, so other blocks change the values
     CHUNK = 1024
@@ -325,7 +325,6 @@ class PieceSet:
             row[:] = self.offsets ** m
         self.b_moments = self._powers @ self.b  # all ~0: dbar(phi) kills holomorphic moments
         self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
-        self._cache = {}
         self._centers = partition.centers_array()
         self._flags = np.full(partition.n_bumps, -1, dtype=np.int8)  # -1 until probed
 
@@ -341,20 +340,23 @@ class PieceSet:
             self._flags[jj] = np.any(np.abs(dbv) != 0.0, axis=1)
         return self._flags[js] == 1
 
+    def _piece_data(self, js):
+        """Centers, kernel coefficients and multipole moments of the pieces ``js``."""
+        c = self._centers[js]
+        a = np.empty((c.size, self.offsets.size), dtype=complex)
+        a_c = np.empty((c.size, self.offsets_c.size), dtype=complex)
+        step = max(_BLOCK // self.offsets.size, 1)  # pieces per f call: bounds f's temporaries
+        for s in range(0, c.size, step):
+            cs = c[s:s + step, None]
+            np.multiply(self.b, self.f.value(cs + self.offsets), out=a[s:s + step])
+            np.multiply(self.b_c, self.f.value(cs + self.offsets_c), out=a_c[s:s + step])
+        # one gemv per piece, not one gemm per block: the bits of a gemv depend on its shape
+        return c, a, a_c, np.stack([self._powers @ row for row in a], axis=1)
+
     def piece(self, j: int):
-        """Cached per-piece data: kernel coefficients and multipole moments."""
-        got = self._cache.get(j)
-        if got is not None:
-            return got
-        c = self.partition.center(j)
-        fv = self.f.value(c + self.offsets)
-        a = self.b * fv
-        a_c = self.b_c * self.f.value(c + self.offsets_c)
-        data = {"center": c, "a": a, "a_c": a_c, "a_moments": self._powers @ a}
-        if len(self._cache) >= self.CACHE_CAP:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[j] = data
-        return data
+        """Data of piece j alone: center, kernel coefficients and multipole moments."""
+        c, a, a_c, moments = self._piece_data([j])
+        return {"center": c[0], "a": a[0], "a_c": a_c[0], "a_moments": moments[:, 0]}
 
     def active_pieces(self, js=None) -> list:
         """The pieces among ``js`` (default: all) that are not identically zero."""
@@ -428,8 +430,7 @@ class PieceSet:
         if not on.size:
             return np.zeros((len(js), z.size), dtype=complex)
         fz = self.f.value(z) if fz is None else fz
-        data = [self.piece(js[i]) for i in on]
-        c = np.array([d["center"] for d in data])
+        c, a, a_c, moments = self._piece_data(np.asarray(js)[on])
         dz = z[None, :] - c[:, None]
         far = np.abs(dz) >= self.far_radius
         inside = (np.abs(dz.real) < self.half) & (np.abs(dz.imag) < self.half)
@@ -437,7 +438,7 @@ class PieceSet:
         u = np.zeros(dz.shape, dtype=complex)
         np.divide(1.0, dz, out=u, where=far)
         del dz
-        vals = self._horner(np.stack([d["a_moments"] for d in data], axis=1)[:, :, None], u)
+        vals = self._horner(moments[:, :, None], u)
         np.negative(vals, out=vals)
         vals *= u
         if self._use_b_tail:
@@ -448,19 +449,19 @@ class PieceSet:
         tiny = 1e-15 * self.partition.delta
         # each kernel block is built and inverted in place, and freed before
         # the next one
-        for row, near, d in zip(vals, ring, data):
+        for row, near, ci, ai in zip(vals, ring, c, a_c):
             sel = np.nonzero(near)[0]
-            nodes_c = d["center"] + self.offsets_c
+            nodes_c = ci + self.offsets_c
             for s in range(0, sel.size, self.CHUNK):
                 ss = sel[s:s + self.CHUNK]
                 K = nodes_c[None, :] - z[ss, None]
                 np.divide(1.0, K, out=K)
-                row[ss] = K @ d["a_c"] - fz[ss] * (K @ self.b_c)
+                row[ss] = K @ ai - fz[ss] * (K @ self.b_c)
                 del K
         sub = max(_BLOCK // self.offsets.size, 1)  # rows per |K| test
-        for row, near, d in zip(vals, inside, data):
+        for row, near, ci, ai in zip(vals, inside, c, a):
             kk = np.nonzero(near)[0]
-            nodes = d["center"] + self.offsets
+            nodes = ci + self.offsets
             for s in range(0, kk.size, self.CHUNK):
                 ss = kk[s:s + self.CHUNK]
                 K = nodes[None, :] - z[ss, None]
@@ -472,7 +473,7 @@ class PieceSet:
                 K[bad] = 1.0
                 np.divide(1.0, K, out=K)
                 K[bad] = 0.0
-                row[ss] = K @ d["a"] - fz[ss] * (K @ self.b)
+                row[ss] = K @ ai - fz[ss] * (K @ self.b)
                 del K, bad
         # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
         # PATCH_NR nodes each; the cell term takes each piece's own coefficients
@@ -487,7 +488,7 @@ class PieceSet:
             cell_a = np.empty(bi.size, dtype=complex)
             for i in np.unique(bi):
                 m = bi == i
-                cell_a[m] = (data[i]["a"][q[m]] / den[m]).sum(axis=1)
+                cell_a[m] = (a[i][q[m]] / den[m]).sum(axis=1)
             base_cell = cell_a - fz[bk] * (self.b[q] / den).sum(axis=1)
             vals[bi, bk] += patched - base_cell
         if on.size == len(js):
@@ -500,9 +501,9 @@ class PieceSet:
         """∮ f_j dz around the curve for each requested piece.
 
         The pieces run through ``eval`` in blocks of about ``_BLOCK / 2``
-        values; a block holds every piece's data (about 115 kB each at the
-        default rule) until it is done, so it takes at most ``CACHE_CAP``
-        pieces, which bounds that memory when the contour is short.
+        values.  Each block builds its pieces' data (about 115 kB per piece at
+        the default rule) and drops it when done; ``BLOCK_PIECES`` caps a
+        block's pieces, which bounds that memory when the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -510,7 +511,7 @@ class PieceSet:
         dzw = (w[None, :] * d[:, None]).ravel()
         fz = self.f.value(zc)
         js = list(js)
-        step = min(max(_BLOCK // (2 * zc.size), 1), self.CACHE_CAP)  # pieces per block
+        step = min(max(_BLOCK // (2 * zc.size), 1), self.BLOCK_PIECES)  # pieces per block
         out = {}
         for s in range(0, len(js), step):
             rows = dict.fromkeys(js[s:s + step])

@@ -13,8 +13,10 @@ for the near-band refinement, which it runs by measuring every subcell.  ``profi
 the bump profile, where the library evaluates only the live one.
 ``square_generation_sums`` and ``piece_eval_unblocked`` evaluate every
 dyadic-square generation and every piece kernel in one pass each, where the
-library runs them in blocks of bounded size, and ``contour_integrals_per_piece``
-sums one such piece at a time, where the library evaluates blocks of pieces.
+library runs them in blocks of bounded size; ``piece_eval_unblocked`` also
+builds its piece's data alone, where the library builds a block's data in one
+pass, and ``contour_integrals_per_piece`` sums one such piece at a time, where
+the library evaluates blocks of pieces.
 ``monomial_by_powers`` and ``cutoff_by_ramp`` take every power and the
 whole smoothstep ramp, where the library skips the factors and the ramp
 values that are exactly 1.  ``modulus_by_fresh_draw`` draws
@@ -364,14 +366,18 @@ def square_generation_sums(sq, f, curve, depth: int, quad_order: int = 6) -> lis
 def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     """Values of piece j of the PieceSet ``ps``, each kernel matrix built whole.
 
-    The arithmetic of ``PieceSet.eval`` with freshly allocated kernel
-    matrices and one polar-patch call over all inside points.
+    The arithmetic of ``PieceSet.eval`` with the piece's own data built from
+    its center alone (one f call per rule on fresh 1-D arrays, one gemv for
+    the moments), freshly allocated kernel matrices and one polar-patch call
+    over all inside points.
     """
     z = np.asarray(zs, dtype=complex).ravel()
     if not ps._active([j])[0]:
         return np.zeros(z.shape, dtype=complex)
-    data = ps.piece(j)
-    c, a = data["center"], data["a"]
+    c = ps.partition.center(j)
+    a = ps.b * ps.f.value(c + ps.offsets)
+    a_c = ps.b_c * ps.f.value(c + ps.offsets_c)
+    a_moments = ps._powers @ a
     fz = ps.f.value(z) if fz is None else np.asarray(fz).ravel()
     out = np.empty(z.shape, dtype=complex)
     dz = z - c
@@ -380,7 +386,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     ring = ~far & ~inside
     if np.any(far):
         u = 1.0 / dz[far]
-        s_a = ps._horner(data["a_moments"], u)
+        s_a = ps._horner(a_moments, u)
         out[far] = -s_a * u
         if ps._use_b_tail:
             out[far] += fz[far] * ps._horner(ps.b_moments, u) * u
@@ -390,7 +396,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
         for s in range(0, sel.size, ps.CHUNK):
             ss = sel[s:s + ps.CHUNK]
             K = 1.0 / (nodes_c[None, :] - z[ss, None])
-            out[ss] = K @ data["a_c"] - fz[ss] * (K @ ps.b_c)
+            out[ss] = K @ a_c - fz[ss] * (K @ ps.b_c)
     kk = np.nonzero(inside)[0]
     if kk.size:
         nodes = c + ps.offsets

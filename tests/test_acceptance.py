@@ -336,6 +336,21 @@ def test_delta_sweep_memory():
     print(f"ACCEPTANCE floor: PASS - circle-256 cut-off zbar delta sweep peaks at {peak:.1f} MB")
 
 
+def test_class_sums_memory():
+    # criterion 6's class sums: over 96 active pieces, whose data each
+    # contour block builds for itself and drops when it is done, so no piece
+    # data outlives its block into the class-I area integral
+    curve = make_curve("circle", n=256)
+    f = with_cutoff(ZBAR, 1.8, 2.2)
+    part = build_partition(0.25, (-2.5 - 2.5j, 2.5 + 2.5j))
+    grid = GridSpec.cover(curve, 128, dilate=2.4)
+    fld = index_field(curve, grid, 2 * grid.cell_diag)
+    assert len(PieceSet(part, f).active_pieces()) > PieceSet.BLOCK_PIECES
+    peak = _peak_mb(lambda: class_sums(f, part, curve, fld))
+    assert peak < 28.0
+    print(f"ACCEPTANCE floor: PASS - criterion-6 class sums peak at {peak:.1f} MB")
+
+
 def test_point_query_wall_clock():
     # a one-point query expands its edges into one pair list instead of
     # looping over every edge in Python

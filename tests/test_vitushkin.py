@@ -377,7 +377,7 @@ def _assert_blocks_match_per_piece(ps, js, curve, order=6):
 
 def _pieces_per_block(curve, order=6):
     n_points = curve.starts.size * order
-    return min(max(_BLOCK // (2 * n_points), 1), PieceSet.CACHE_CAP)
+    return min(max(_BLOCK // (2 * n_points), 1), PieceSet.BLOCK_PIECES)
 
 
 def _sweep_pieces(curve, delta, f):
@@ -405,14 +405,32 @@ def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
 @pytest.mark.parametrize("n_edges", [64, 16])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra, n_edges):
-    # 16 edges give 96 contour points, under 171: CACHE_CAP caps the block
+    # 16 edges give 96 contour points, under 171: BLOCK_PIECES caps the block
     curve = make_curve("circle", n=n_edges)
     step = _pieces_per_block(curve)
-    assert 1 < step <= PieceSet.CACHE_CAP
-    assert (step == PieceSet.CACHE_CAP) == (n_edges == 16)
+    assert 1 < step <= PieceSet.BLOCK_PIECES
+    assert (step == PieceSet.BLOCK_PIECES) == (n_edges == 16)
     _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
     for n in (step + extra, 2 * step + extra):
         _assert_blocks_match_per_piece(ps, js[:n], curve)
+
+
+def test_piece_data_calls_f_on_bounded_blocks(zbar_cut):
+    # a short contour takes BLOCK_PIECES pieces per block, more fine nodes
+    # than _BLOCK, yet f sees at most _BLOCK values per call
+    sizes = []
+
+    def value(z):
+        sizes.append(np.size(z))
+        return zbar_cut.value(z)
+
+    curve = make_curve("circle", n=16)
+    _, ps, js = _sweep_pieces(curve, 0.1, dataclasses.replace(zbar_cut, value=value))
+    assert _pieces_per_block(curve) * ps.offsets.size > _BLOCK
+    want = contour_integrals_per_piece(ps, js[:PieceSet.BLOCK_PIECES], curve, order=6)
+    sizes.clear()
+    assert _hex(ps.contour_integrals(js[:PieceSet.BLOCK_PIECES], curve, order=6)) == _hex(want)
+    assert max(sizes) <= _BLOCK
 
 
 def test_contour_integrals_match_per_piece_with_b_tail():
