@@ -35,7 +35,7 @@ from .integration import (GreenConfig, Square, _check_mollifier_input, contour_i
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
 from .vitushkin import delta_sweep, sweep_partition
-from .winding import GridSpec, distance_to_curve, index_field, winding_numbers
+from .winding import MIN_DILATE, GridSpec, distance_to_curve, index_field, winding_numbers
 
 _CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
 # Most grid cells, sub-squares in the deepest square generation, or bumps at the
@@ -110,7 +110,7 @@ def _green_cfg(doc: dict) -> GreenConfig:
         contour_order=int(q.get("contour_order", 8)),
     )
     if (not 1 <= cfg.resolution <= math.isqrt(_MAX_ITEMS) or cfg.contour_order < 1
-            or cfg.refine < 0 or not cfg.dilate >= 1.5 or not cfg.band_diagonals >= 0):
+            or cfg.refine < 0 or not cfg.dilate >= MIN_DILATE or not cfg.band_diagonals >= 0):
         raise ValueError(f"grid and quadrature settings out of range (resolution at most "
                          f"{math.isqrt(_MAX_ITEMS)}): {cfg}")
     return cfg
@@ -118,9 +118,9 @@ def _green_cfg(doc: dict) -> GreenConfig:
 
 def _deltas(doc: dict) -> list:
     deltas = list(doc.get("deltas", [0.4, 0.2, 0.1, 0.05]))
-    if not all(0 < float(d) < np.inf for d in deltas) or any(
+    if not deltas or not all(0 < float(d) < np.inf for d in deltas) or any(
             b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be positive, finite and strictly decreasing")
+        raise ValueError("deltas must be nonempty, positive, finite and strictly decreasing")
     return deltas
 
 
@@ -199,8 +199,7 @@ def _check_decompose(_, curve, f, seed):
 def _check_vitushkin(deltas, curve, f, seed):
     rows = delta_sweep(f, curve, deltas)
     decreasing = all(a["s_ii_abs"] >= b["s_ii_abs"] for a, b in zip(rows, rows[1:]))
-    return {"report": {"sweep": rows, "s_ii_decreasing": decreasing}, "hard_fail": False,
-            "sweep_table": rows}
+    return {"report": {"sweep": rows, "s_ii_decreasing": decreasing}, "hard_fail": False}
 
 
 def _check_mainlemma(discs, curve, f, seed):
@@ -306,9 +305,9 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
                 grid = GridSpec.cover(curve, min(cfg.resolution, 128), cfg.dilate)
                 fld = index_field(curve, grid, 2 * grid.cell_diag)
                 (out / "index.svg").write_text(render_svg(fld.to_json_dict(), "index-heatmap"))
-            if "vitushkin" in checks and "sweep_table" in results["vitushkin"]:
+            if "vitushkin" in checks:
                 (out / "sweep.svg").write_text(render_svg(
-                    {"table": results["vitushkin"]["sweep_table"]}, "sweep-plot"))
+                    {"table": results["vitushkin"]["report"]["sweep"]}, "sweep-plot"))
             if "mainlemma" in checks:
                 for k, dump in enumerate(results["mainlemma"].get("dumps", [])):
                     (out / f"mainlemma_{k}.svg").write_text(render_svg(dump, "mainlemma-diagram"))

@@ -21,10 +21,6 @@ class PoleOnCurve(GreenCurvesError):
     """The integrand has a pole on or too close to the integration contour."""
 
 
-class UnresolvedDisc(GreenCurvesError):
-    """A disc meets the near-curve mask but no curve edge; the index field is too coarse."""
-
-
 class RadiusJitterNeeded(GreenCurvesError):
     """A curve is tangent to the test circle or has a vertex on it; retry with a jittered radius."""
 

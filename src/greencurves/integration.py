@@ -148,7 +148,7 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     the exact distance would give, and every level sums the same subcells in
     the same order, so the value and info are bit-identical to measuring
     every subcell.  Level 0 takes the cells' distances and windings from the
-    field; a field without ``dist`` measures every child.
+    field.
 
     The clean cells run in blocks of whole grid rows and each level in blocks
     of parents, about ``_BLOCK`` values each, so no temporary grows with the
@@ -185,8 +185,8 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     hx, hy = grid.cell_w / 2, grid.cell_h / 2
     iy, ix = np.nonzero(near)
     act_z = x[ix] + 1j * y[iy]
-    # the exact distance (nan if unknown) and the winding of each active center
-    act_d = np.full(act_z.shape, np.nan) if field_.dist is None else field_.dist[near]
+    # the exact distance and the winding of each active center
+    act_d = field_.dist[near]
     act_w = field_.values[near].astype(np.int32)
     dropped_area = 0.0
     straddle_area = 0.0

@@ -16,6 +16,7 @@ _PALETTE = {
     -3: "#08306b", -2: "#2171b5", -1: "#6baed6", 0: "#f7f7f7",
     1: "#fcae91", 2: "#fb6a4a", 3: "#cb181d",
 }
+_HEATMAP_CELLS = 128  # most cells a heat map draws per axis; a finer field is subsampled
 
 
 def _fmt(x: float) -> str:
@@ -52,12 +53,12 @@ def svg_curve(vertices) -> str:
     return out
 
 
-def svg_index_heatmap(field_dict: dict, max_cells: int = 128) -> str:
+def svg_index_heatmap(field_dict: dict) -> str:
     grid = field_dict["grid"]
     values = np.asarray(field_dict["values"])
     ny, nx = values.shape
-    sx = max(1, nx // max_cells)
-    sy = max(1, ny // max_cells)
+    sx = max(1, nx // _HEATMAP_CELLS)
+    sy = max(1, ny // _HEATMAP_CELLS)
     values = values[::sy, ::sx]
     ny, nx = values.shape
     x0, y0 = grid["lo"]

@@ -22,10 +22,10 @@ reconstruction scans, and ``localize`` / ``localize_cauchy`` (12 cells of
 order 12, a 3x3 polar block split at the profile's center lines) as the
 accurate reference for cross-checks and finite-difference tests.
 
-Only ``PieceSet``'s cells per axis and Gauss order are parameters: doubling
-the cells checks the evaluator's convergence, and ``delta_sweep`` uses 8 for
-speed.  The polar patch, the pieces per contour block and the reference
-rule are fixed constants.
+Only ``PieceSet``'s cells per axis is a parameter: doubling the cells checks
+the evaluator's convergence, and ``delta_sweep`` uses 8 for speed.  The Gauss
+order, the polar patch, the pieces per contour block and the reference rule
+are fixed constants.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _BLOCK, PolyCurve, length
-from .errors import UnresolvedDisc
 from .functions import FunctionDescriptor
-from .integration import contour_integral, gauss_legendre_01
-from .winding import IndexField, distance_to_curve
+from .integration import area_integral_weighted, contour_integral, gauss_legendre_01
+from .winding import IndexField, distance_to_curve, winding_numbers
 
 CLASS_I = "I"
 CLASS_II = "II"
@@ -164,51 +163,42 @@ class Partition:
         c = self.center(j)
         return 2.0 * np.abs(_dbar_phi(z.real - c.real, z.imag - c.imag, self.delta))  # phi is real
 
-    def _window(self, zs, reach: int):
-        """Lattice index arrays (iy, ix) of bump candidates within ``reach`` cells."""
-        z = np.asarray(zs, dtype=complex)
+    def _lattice(self, z: np.ndarray, reach: int):
+        """(ok, ix, iy, center) of the bump at each lattice offset within ``reach``, rows outer.
+
+        ``ok`` flags the points where that bump exists; elsewhere ix, iy are out of range.
+        """
         d = self.spacing
         bx = np.floor(z.real / d - 0.5).astype(int) - self.i0
         by = np.floor(z.imag / d - 0.5).astype(int) - self.j0
-        offs = np.arange(-reach, reach + 1)
-        return z, bx, by, offs
-
-    def sum_phi(self, zs, subset=None) -> np.ndarray:
-        """Sum of bump values at each point, optionally over a subset flag array."""
-        z, bx, by, offs = self._window(zs, 1)
-        total = np.zeros(z.shape, dtype=float)
-        d = self.spacing
+        offs = range(-reach, reach + 1)
         for oy in offs:
             iy = by + oy
             ok_y = (iy >= 0) & (iy < self.nj)
             cy = (self.j0 + iy + 0.5) * d
-            py = profile(z.imag - cy, self.delta)
             for ox in offs:
                 ix = bx + ox
                 ok = ok_y & (ix >= 0) & (ix < self.ni)
-                if subset is not None:
-                    jj = np.clip(iy, 0, self.nj - 1) * self.ni + np.clip(ix, 0, self.ni - 1)
-                    ok = ok & subset[jj]
-                cx = (self.i0 + ix + 0.5) * d
-                px = profile(z.real - cx, self.delta)
-                total += np.where(ok, px * py, 0.0)
+                yield ok, ix, iy, (self.i0 + ix + 0.5) * d + 1j * cy
+
+    def sum_phi(self, zs, subset=None) -> np.ndarray:
+        """Sum of bump values at each point, optionally over a subset flag array."""
+        z = np.asarray(zs, dtype=complex)
+        total = np.zeros(z.shape, dtype=float)
+        for ok, ix, iy, c in self._lattice(z, 1):
+            if subset is not None:
+                ok &= subset[np.clip(iy, 0, self.nj - 1) * self.ni + np.clip(ix, 0, self.ni - 1)]
+            px = profile(z.real - c.real, self.delta)
+            py = profile(z.imag - c.imag, self.delta)
+            total += np.where(ok, px * py, 0.0)
         return total
 
     def multiplicity(self, zs) -> np.ndarray:
         """Number of nominal discs (radius delta) containing each point."""
-        z, bx, by, offs = self._window(zs, 2)
+        z = np.asarray(zs, dtype=complex)
         count = np.zeros(z.shape, dtype=int)
-        d = self.spacing
-        for oy in offs:
-            iy = by + oy
-            ok_y = (iy >= 0) & (iy < self.nj)
-            cy = (self.j0 + iy + 0.5) * d
-            for ox in offs:
-                ix = bx + ox
-                ok = ok_y & (ix >= 0) & (ix < self.ni)
-                cx = (self.i0 + ix + 0.5) * d
-                inside = np.hypot(z.real - cx, z.imag - cy) < self.delta
-                count += (ok & inside)
+        for ok, _, _, c in self._lattice(z, 2):
+            count += ok & (np.hypot(z.real - c.real, z.imag - c.imag) < self.delta)
         return count
 
 
@@ -225,37 +215,6 @@ def build_partition(delta: float, box) -> Partition:
     return Partition(delta=delta, i0=i0, j0=j0, ni=i1 - i0, nj=j1 - j0)
 
 
-def _check_resolution(partition: Partition, fld: IndexField):
-    grid = fld.grid
-    if max(grid.cell_w, grid.cell_h) > partition.delta / 4.0 * (1 + 1e-9):
-        raise ValueError("index field needs at least 4 cells per delta")
-
-
-def _classify_by_field(partition: Partition, j: int, fld: IndexField) -> str:
-    """I/III split for a bump whose disc misses the curve, via the field value."""
-    grid = fld.grid
-    c = partition.center(j)
-    ix = int((c.real - grid.lo.real) / grid.cell_w)
-    iy = int((c.imag - grid.lo.imag) / grid.cell_h)
-    ix = min(max(ix, 0), grid.nx - 1)
-    iy = min(max(iy, 0), grid.ny - 1)
-    if not fld.near_mask[iy, ix]:
-        v = int(fld.values[iy, ix])
-        return CLASS_I if v != 0 else CLASS_III
-    # scan cells covered by the disc for a clean one
-    reach_x = int(partition.delta / grid.cell_w) + 1
-    reach_y = int(partition.delta / grid.cell_h) + 1
-    x, y = grid.axes()
-    x0, x1 = max(ix - reach_x, 0), min(ix + reach_x + 1, grid.nx)
-    y0, y1 = max(iy - reach_y, 0), min(iy + reach_y + 1, grid.ny)
-    patch_c = x[None, x0:x1] + 1j * y[y0:y1, None]
-    patch_clean = ~fld.near_mask[y0:y1, x0:x1] & (np.abs(patch_c - c) < partition.delta)
-    if np.any(patch_clean):
-        v = int(fld.values[y0:y1, x0:x1][patch_clean][0])
-        return CLASS_I if v != 0 else CLASS_III
-    raise UnresolvedDisc(f"bump {j} at {c} sits in the near-curve band; refine the field")
-
-
 def _meets_curve(curve: PolyCurve, centers, delta: float) -> np.ndarray:
     """Class-II test: does the nominal disc of radius delta about each center meet the curve?
 
@@ -265,17 +224,19 @@ def _meets_curve(curve: PolyCurve, centers, delta: float) -> np.ndarray:
     return distance_to_curve(curve, centers, cap=delta) < delta
 
 
-def classify_many(partition: Partition, js, curve: PolyCurve, fld: IndexField) -> dict:
-    """Class of each bump j: II if its disc meets a curve edge, else I/III by the index value.
+def classify_many(partition: Partition, js, curve: PolyCurve) -> dict:
+    """Class of each bump j: II if its disc meets the curve, else I or III by the index.
 
-    Requires the field to resolve the disc (at least 4 cells per delta);
-    raises UnresolvedDisc when a disc only covers masked cells.
+    A center whose disc misses the curve lies at least delta off it, so its
+    exact winding number is the index on the whole disc: nonzero gives I,
+    zero gives III.
     """
-    _check_resolution(partition, fld)
     js = list(js)
-    meets = _meets_curve(curve, partition.centers_array()[js], partition.delta)
-    return {j: CLASS_II if hit else _classify_by_field(partition, j, fld)
-            for j, hit in zip(js, meets)}
+    centers = partition.centers_array()[js]
+    meets = _meets_curve(curve, centers, partition.delta)
+    wind = winding_numbers(curve, centers)
+    return {j: CLASS_II if hit else CLASS_I if w else CLASS_III
+            for j, hit, w in zip(js, meets, wind)}
 
 
 class PieceSet:
@@ -669,15 +630,16 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
     """Per-class sums of ∮ f_j dz, their direct total, and the area form for class I.
 
     The class-I sum is compared against 2i ∫ (sum of class-I bumps) dbar(f) Ind dA,
-    computed by an independent area quadrature.
+    computed by an independent area quadrature on ``fld``, which needs at least
+    4 cells per delta to resolve the bumps (ValueError otherwise).
     """
-    from .integration import area_integral_weighted
-
+    if max(fld.grid.cell_w, fld.grid.cell_h) > partition.delta / 4.0 * (1 + 1e-9):
+        raise ValueError("index field needs at least 4 cells per delta")
     ps = PieceSet(partition, f)
     js = ps.active_pieces()
     sums = {CLASS_I: 0j, CLASS_II: 0j, CLASS_III: 0j}
     counts = {CLASS_I: 0, CLASS_II: 0, CLASS_III: 0}
-    classes = classify_many(partition, js, curve, fld)
+    classes = classify_many(partition, js, curve)
     for j in js:
         counts[classes[j]] += 1
     integrals = ps.contour_integrals(js, curve, order=CLASS_CONTOUR_ORDER)

@@ -33,6 +33,7 @@ import numpy as np
 from .curves import PolyCurve, _chunks
 from .errors import OnCurve
 
+MIN_DILATE = 1.5  # least factor by which a grid box dilates the curve's bounding box
 
 # Every numpy pass below covers at most this many (edge, point), (edge, cell)
 # or (edge, row) pairs, which bounds each temporary however long a slab is.
@@ -173,8 +174,8 @@ class GridSpec:
     @classmethod
     def cover(cls, curve: PolyCurve, resolution: int, dilate: float = 1.5) -> "GridSpec":
         """Square-cell grid whose box is the curve bounding box dilated about its center."""
-        if dilate < 1.5:
-            raise ValueError("grid box must dilate the curve bounding box by at least 1.5")
+        if dilate < MIN_DILATE:
+            raise ValueError(f"grid box must dilate the curve bounding box by at least {MIN_DILATE}")
         lo, hi = curve.bbox
         cx, cy = (lo.real + hi.real) / 2, (lo.imag + hi.imag) / 2
         hx = max(hi.real - lo.real, 1e-12) / 2 * dilate
@@ -209,11 +210,12 @@ class GridSpec:
         x, y = self.axes()
         return x[None, :] + 1j * y[:, None]
 
-    def contains_dilated_bbox(self, curve: PolyCurve, dilate: float = 1.5) -> bool:
+    def contains_dilated_bbox(self, curve: PolyCurve) -> bool:
+        """Does the box contain the curve's bounding box dilated by ``MIN_DILATE``?"""
         lo, hi = curve.bbox
         cx, cy = (lo.real + hi.real) / 2, (lo.imag + hi.imag) / 2
-        hx = (hi.real - lo.real) / 2 * dilate
-        hy = (hi.imag - lo.imag) / 2 * dilate
+        hx = (hi.real - lo.real) / 2 * MIN_DILATE
+        hy = (hi.imag - lo.imag) / 2 * MIN_DILATE
         eps = 1e-12 * max(hx, hy, 1.0)
         return (
             self.lo.real <= cx - hx + eps
@@ -230,7 +232,7 @@ class IndexField:
     Values are exact integers wherever the cell center is off the curve; cells
     within ``band`` of the curve are flagged so quadrature can treat them
     separately.  ``dist`` is the center's distance to the curve, exact on the
-    flagged cells (None when unknown).
+    flagged cells.
     """
 
     grid: GridSpec
@@ -238,7 +240,7 @@ class IndexField:
     near_mask: np.ndarray
     band: float
     curve: PolyCurve
-    dist: np.ndarray = None
+    dist: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,7 +267,7 @@ def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     if band < 0:
         raise ValueError("band must be nonnegative")
     if not grid.contains_dilated_bbox(curve):
-        raise ValueError("grid box must contain the curve bounding box dilated by 1.5")
+        raise ValueError(f"grid box must contain the curve bounding box dilated by {MIN_DILATE}")
     cap = max(band, curve.tau_geom)
     x, y = grid.axes()
     a, b, d = curve.starts, curve.ends, curve.edge_vectors

@@ -134,6 +134,8 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     # whose half underflows to zero
     {"deltas": ["0.4", "0.2"], "checks": ["vitushkin"]},
     {"deltas": [5e-324], "checks": ["vitushkin"]},
+    # an empty sweep
+    {"deltas": [], "checks": ["vitushkin"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -142,6 +144,9 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # rejected before any check runs, so nothing is written
+    assert main(["run", str(p), "--out", str(tmp_path / "out"), "--svg"]) == 2
+    assert not (tmp_path / "out").exists()
     if fields["checks"] == "green":
         assert "checks must be a list" in err
     if "NaN" in text or "Infinity" in text:

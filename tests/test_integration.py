@@ -171,17 +171,6 @@ def test_refinement_child_exactly_at_band(s, refine):
         _assert_same_area(fld, f, refine)
 
 
-def test_refinement_without_field_distances():
-    # a field built by hand carries no distances: every child is measured
-    c = make_curve("trefoil")
-    fld = _field(c, 48)
-    bare = IndexField(grid=fld.grid, values=fld.values, near_mask=fld.near_mask, band=fld.band,
-                      curve=c)
-    for refine in (1, 3):
-        _assert_same_area(bare, ZBAR, refine)
-        assert area_integral_weighted(bare, ZBAR, refine) == area_integral_weighted(fld, ZBAR, refine)
-
-
 _PARENTS = _BLOCK // 4  # parents per block of a refinement level
 
 

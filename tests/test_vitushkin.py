@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from greencurves import (GridSpec, index_field, make_curve, make_function, with_cutoff)
+from greencurves import (GridSpec, gallery_curves, index_field, make_curve, make_function,
+                         with_cutoff)
 from greencurves._rng import seed_stream
-from greencurves.errors import UnresolvedDisc
 from greencurves.integration import _BLOCK, contour_integral
 from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, Partition, PieceSet,
                                    _meets_curve, build_partition, class_sums, classify_many,
                                    delta_sweep, localize, localize_cauchy, reconstruct)
-from greencurves.winding import IndexField
 
-from oracles import contour_integrals_per_piece, piece_eval_unblocked, shoelace_area
+from oracles import (contour_integrals_per_piece, distance_by_edges, piece_eval_unblocked,
+                     shoelace_area, winding_by_edges)
 
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -162,35 +162,34 @@ def test_piece_holomorphic_outside_support(partition, zbar_cut):
 # classification
 
 
-def test_classify_trivial_cases(partition, circle_field):
-    curve, fld = circle_field
+def test_classify_trivial_cases(partition):
+    curve = make_curve("circle", n=256)
     inside = _bump_near(partition, 0j)
     crossing = _bump_near(partition, 1.0 + 0j)
     far = _bump_near(partition, 2.0 + 1.0j)
-    classes = classify_many(partition, [inside, crossing, far], curve, fld)
+    classes = classify_many(partition, [inside, crossing, far], curve)
     assert classes[inside] == CLASS_I
     assert classes[crossing] == CLASS_II
     assert classes[far] == CLASS_III
 
 
-def test_classify_resolution_precondition(partition):
-    curve = make_curve("circle", n=64)
-    grid = GridSpec.cover(curve, 16)  # far coarser than 4 cells per delta
-    fld = index_field(curve, grid, 0.0)
-    with pytest.raises(ValueError):
-        classify_many(partition, [0], curve, fld)
-
-
-def test_classify_unresolved_disc(partition):
-    # defensive path: a field whose cells under the disc are all masked
-    curve = make_curve("circle", n=16, radius=0.5, center=10 + 10j)
-    grid = GridSpec(lo=-1 - 1j, hi=1 + 1j, nx=40, ny=40)
-    values = np.zeros((40, 40), dtype=np.int64)
-    mask = np.ones((40, 40), dtype=bool)
-    fld = IndexField(grid=grid, values=values, near_mask=mask, band=0.1, curve=curve)
-    j = _bump_near(partition, 0j)
-    with pytest.raises(UnresolvedDisc):
-        classify_many(partition, [j], curve, fld)
+@pytest.mark.parametrize("delta", [0.4, 0.1])
+@pytest.mark.parametrize("curve", [c for _, c in gallery_curves()],
+                         ids=[n for n, _ in gallery_curves()])
+def test_classify_many_matches_oracles(curve, delta):
+    # every bump of a partition reaching a curve diameter past the curve's box,
+    # so many lie outside the 1.5-dilated box an index field covers: II where
+    # the disc meets an edge, else I or III by the every-edge crossing count
+    lo, hi = curve.bbox
+    pad = curve.diameter * (1 + 1j)
+    part = build_partition(delta, (lo - pad, hi + pad))
+    centers = part.centers_array()
+    dist = distance_by_edges(curve.vertices, centers)
+    wind = winding_by_edges(curve.vertices, centers)
+    want = np.where(dist < delta, CLASS_II, np.where(wind != 0, CLASS_I, CLASS_III))
+    got = classify_many(part, range(part.n_bumps), curve)
+    assert [got[j] for j in range(part.n_bumps)] == want.tolist()
+    assert {CLASS_II, CLASS_III} <= set(want.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +234,15 @@ def test_class_sums_holomorphic(circle_field):
     assert abs(cs.s_iii) <= 1e-6
 
 
-def test_class_sums_zbar_cutoff(partition, zbar_cut, circle_field):
+@pytest.fixture(scope="module")
+def zbar_class_sums(partition, zbar_cut, circle_field):
     curve, fld = circle_field
-    cs = class_sums(zbar_cut, partition, curve, fld)
+    return class_sums(zbar_cut, partition, curve, fld)
+
+
+def test_class_sums_zbar_cutoff(circle_field, zbar_class_sums):
+    curve, _ = circle_field
+    cs = zbar_class_sums
     target = 2j * shoelace_area(curve.vertices)
     assert abs(cs.total - cs.direct) <= 1e-3 * abs(cs.direct)
     assert abs(cs.direct - target) <= 1e-12
@@ -247,6 +252,27 @@ def test_class_sums_zbar_cutoff(partition, zbar_cut, circle_field):
     assert abs(cs.s_iii) <= 1e-8
     assert cs.counts[CLASS_I] > 0 and cs.counts[CLASS_II] > 0 and cs.counts[CLASS_III] > 0
     # the class-I sum has the area form 2i ∫ (sum of I bumps) dbar(f) Ind dA
+    assert abs(cs.area_form_i - cs.s_i) <= 2e-3 * abs(cs.s_i)
+
+
+def test_class_sums_resolution_precondition(partition, zbar_cut):
+    curve = make_curve("circle", n=64)
+    grid = GridSpec.cover(curve, 16)  # far coarser than 4 cells per delta
+    fld = index_field(curve, grid, 0.0)
+    with pytest.raises(ValueError, match="4 cells per delta"):
+        class_sums(zbar_cut, partition, curve, fld)
+
+
+def test_class_sums_wide_band(partition, zbar_cut, circle_field, zbar_class_sums):
+    # a band of 12 cell diagonals covers every cell of the discs next to the
+    # circle; the classes do not read the field, so the counts and the
+    # contour sums are the normal band's, bit for bit
+    curve, fld = circle_field
+    wide = index_field(curve, fld.grid, 12 * fld.grid.cell_diag)
+    cs = class_sums(zbar_cut, partition, curve, wide)
+    ref = zbar_class_sums
+    assert cs.counts == ref.counts
+    assert (cs.s_i, cs.s_ii, cs.s_iii, cs.direct) == (ref.s_i, ref.s_ii, ref.s_iii, ref.direct)
     assert abs(cs.area_form_i - cs.s_i) <= 2e-3 * abs(cs.s_i)
 
 
