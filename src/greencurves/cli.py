@@ -27,14 +27,15 @@ import numpy as np
 
 from . import __version__
 from ._rng import seed_stream
-from .curves import curve_families, gallery_curves, jordan_decompose, length, make_curve
-from .errors import GreenCurvesError, KindMismatch, OnCurve, ParseError
+from .curves import curve_families, gallery_curves, is_jordan, jordan_decompose, length, make_curve
+from .errors import (BoundViolated, GreenCurvesError, KindMismatch, NestingViolation, OnCurve,
+                     ParseError)
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
 from .integration import (GreenConfig, Square, _check_mollifier_input, contour_integral,
                           green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
-from .vitushkin import delta_sweep, sweep_partition
+from .vitushkin import PieceSet, delta_sweep, sweep_partition
 from .winding import MIN_DILATE, GridSpec, distance_to_curve, index_field, winding_numbers
 
 _CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
@@ -58,7 +59,7 @@ def _load_scenario(path: str) -> dict:
         raise ParseError(f"cannot read scenario: {exc}") from None
     try:
         doc = json.loads(raw, parse_float=_finite, parse_constant=_finite)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
         raise ParseError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ParseError("scenario must be an object with schema: 1")
@@ -77,9 +78,8 @@ def _load_scenario(path: str) -> dict:
 def _build_curve(doc: dict):
     spec = doc["curve"]
     params = dict(spec.get("params", {}))
-    for key in ("center",):
-        if key in params and isinstance(params[key], list):
-            params[key] = complex(*params[key])
+    if isinstance(params.get("center"), list):
+        params["center"] = complex(*params["center"])
     return make_curve(spec["family"], **params)
 
 
@@ -102,12 +102,13 @@ def _build_function(doc: dict):
 def _green_cfg(doc: dict) -> GreenConfig:
     g = doc.get("grid", {})
     q = doc.get("quadrature", {})
+    # a dataclass's class attributes are its field defaults
     cfg = GreenConfig(
-        resolution=int(g.get("resolution", 256)),
-        dilate=float(g.get("dilate", 1.5)),
-        band_diagonals=float(g.get("band_diagonals", 2.0)),
-        refine=int(q.get("refine", 3)),
-        contour_order=int(q.get("contour_order", 8)),
+        resolution=int(g.get("resolution", GreenConfig.resolution)),
+        dilate=float(g.get("dilate", GreenConfig.dilate)),
+        band_diagonals=float(g.get("band_diagonals", GreenConfig.band_diagonals)),
+        refine=int(q.get("refine", GreenConfig.refine)),
+        contour_order=int(q.get("contour_order", GreenConfig.contour_order)),
     )
     if (not 1 <= cfg.resolution <= math.isqrt(_MAX_ITEMS) or cfg.contour_order < 1
             or cfg.refine < 0 or not cfg.dilate >= MIN_DILATE or not cfg.band_diagonals >= 0):
@@ -121,6 +122,9 @@ def _deltas(doc: dict) -> list:
     if not deltas or not all(0 < float(d) < np.inf for d in deltas) or any(
             b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be nonempty, positive, finite and strictly decreasing")
+    with np.errstate(over="ignore"):  # multipole powers peak at a support corner, delta/sqrt(2) out
+        if not np.float64(float(deltas[0]) / math.sqrt(2.0)) ** PieceSet.N_MOMENTS < np.inf:
+            raise ValueError(f"(delta/sqrt(2))^{PieceSet.N_MOMENTS} overflows at delta {deltas[0]!r}")
     return deltas
 
 
@@ -139,10 +143,7 @@ def _square(doc: dict):
 
 def _mollifier(doc: dict):
     spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
-    eps = float(spec["eps"])
-    if not 0 < eps < np.inf:
-        raise ValueError("mollifier.eps must be positive and finite")
-    return complex(*spec["z"]), eps
+    return complex(*spec["z"]), float(spec["eps"])  # eps is range-checked with f's pole
 
 
 def _green_probes(curve, seed):
@@ -176,7 +177,6 @@ def _check_green(cfg, curve, f, seed):
 
 def _check_decompose(_, curve, f, seed):
     dec = jordan_decompose(curve)
-    from .curves import is_jordan
     simple = all(is_jordan(lp) for lp in dec.loops)
     total = sum(length(lp) for lp in dec.loops)
     tau_len = 1e-9 * length(curve)
@@ -203,7 +203,6 @@ def _check_vitushkin(deltas, curve, f, seed):
 
 
 def _check_mainlemma(discs, curve, f, seed):
-    from .errors import BoundViolated, NestingViolation
     reports = []
     hard = False
     dumps = []
@@ -366,11 +365,14 @@ def main(argv=None) -> int:
                 sys.stdout.write(canonical_json(report).decode())
             return code
         if args.command == "render":
-            payload = json.loads(Path(args.input).read_text())
+            try:
+                payload = json.loads(Path(args.input).read_bytes())
+            except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
+                raise ParseError(f"render input is not valid JSON: {exc}") from None
             if isinstance(payload, dict) and "checks" in payload and args.kind == "sweep-plot":
                 try:
                     payload = {"table": payload["checks"]["vitushkin"]["sweep"]}
-                except KeyError:
+                except (KeyError, TypeError):
                     raise KindMismatch("report has no vitushkin sweep table") from None
             doc = render_svg(payload, args.kind)
             if args.out:

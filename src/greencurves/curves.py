@@ -94,7 +94,7 @@ class PolyCurve:
         """Same cycle of vertices starting at index k."""
         return PolyCurve(np.roll(self.vertices, -k))
 
-    def subdivided(self, m: int = 2) -> "PolyCurve":
+    def subdivided(self, m: int) -> "PolyCurve":
         """Insert m-1 equally spaced points on every edge (same image, same orientation)."""
         a, d = self.starts, self.edge_vectors
         t = np.arange(m) / m

@@ -34,7 +34,7 @@ class BoundViolated(GreenCurvesError):
 
 
 class ParseError(GreenCurvesError):
-    """A scenario file does not parse against the schema."""
+    """A scenario file does not parse against the schema, or a render input is not JSON."""
 
 
 class KindMismatch(GreenCurvesError):

@@ -20,6 +20,7 @@ from .errors import UnknownFamily
 @dataclass
 class FunctionDescriptor:
     MODULUS_SEED = 7  # seed of the sampled modulus (unannotated: a constant, not a field)
+    MODULUS_SAMPLES = 20000  # seeded pairs of the sampled modulus
 
     name: str
     value: Callable
@@ -28,40 +29,32 @@ class FunctionDescriptor:
     lip: Optional[float] = None           # Lipschitz bound, when known
     exact_modulus: Optional[Callable] = None
     sup_norm: Optional[float] = None
-    support_radius: Optional[float] = None
 
-    def modulus(self, delta: float, box=None, samples: int = 20000,
-                prefer_exact: bool = True) -> float:
+    def modulus(self, delta: float, box) -> float:
         """Modulus of continuity at scale delta.
 
-        Uses the closed form when the family has one and ``prefer_exact`` is
-        set; otherwise an empirical sup over seeded random pairs at distance
-        at most delta.  With a fixed seed the same base points and directions
-        are reused for every delta, so the estimate is monotone in delta for
-        the gallery functions.
+        Uses the closed form ``exact_modulus`` when the family has one;
+        otherwise an empirical sup over seeded random pairs at distance at
+        most delta, with base points uniform in ``box`` = (lo, hi).  With a
+        fixed seed the same base points and directions are reused for every
+        delta, so the estimate is monotone in delta for the gallery functions.
         """
-        return self.modulus_estimator(box, samples, prefer_exact)(delta)
+        return self.modulus_estimator(box)(delta)
 
-    def modulus_estimator(self, box=None, samples: int = 20000,
-                          prefer_exact: bool = True) -> Callable:
-        """``delta -> modulus(delta, box, samples, prefer_exact)``.
+    def modulus_estimator(self, box) -> Callable:
+        """``delta -> modulus(delta, box)``.
 
         The seeded sample and f at its base points are drawn once, so each
         further delta costs one evaluation of f.
         """
-        exact = self.exact_modulus if prefer_exact else None
+        exact = self.exact_modulus
         if exact is None:
-            if box is None:
-                r = self.support_radius if self.support_radius else 2.0
-                box = (complex(-r, -r), complex(r, r))
             lo, hi = box
-            rng = seed_stream(self.MODULUS_SEED, "modulus")
-            zx = rng.uniform(lo.real, hi.real, samples)
-            zy = rng.uniform(lo.imag, hi.imag, samples)
-            theta = rng.uniform(0.0, 2 * math.pi, samples)
-            u = rng.uniform(0.0, 1.0, samples)
-            z = zx + 1j * zy
-            fz, turn = self.value(z), np.exp(1j * theta)
+            n, rng = self.MODULUS_SAMPLES, seed_stream(self.MODULUS_SEED, "modulus")
+            z = rng.uniform(lo.real, hi.real, n) + 1j * rng.uniform(lo.imag, hi.imag, n)
+            turn = np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+            u = rng.uniform(0.0, 1.0, n)
+            fz = self.value(z)
 
         def omega(delta: float) -> float:
             if delta <= 0:
@@ -154,10 +147,7 @@ def _bump(center=0j, radius=1.0, height=1.0):
 
     # max of |grad| = 2|dbar| at |w| = R/sqrt(7)
     grad_bound = 8 * abs(h) / (R * math.sqrt(7)) * (6 / 7) ** 3
-    return FunctionDescriptor(
-        name=f"bump(R={R})", value=value, dbar=dbar, lip=grad_bound,
-        exact_modulus=None, support_radius=abs(z0) + R,
-    )
+    return FunctionDescriptor(name=f"bump(R={R})", value=value, dbar=dbar, lip=grad_bound)
 
 
 def _reciprocal(pole=2.0 + 0j, coeff=1.0):
@@ -224,11 +214,8 @@ def with_cutoff(f: FunctionDescriptor, r_inner: float, r_outer: float,
     def dbar(z):
         return f.dbar(z) * chi(z) + f.value(z) * dbar_chi(z)
 
-    return FunctionDescriptor(
-        name=f"{f.name}*cutoff({r_inner},{r_outer})",
-        value=value, dbar=dbar, pole=f.pole,
-        support_radius=abs(z0) + r_outer,
-    )
+    return FunctionDescriptor(name=f"{f.name}*cutoff({r_inner},{r_outer})",
+                              value=value, dbar=dbar, pole=f.pole)
 
 
 def truncated_cauchy(center: complex, radius: float) -> FunctionDescriptor:

@@ -34,7 +34,7 @@ def gauss_legendre_01(order: int):
     return nodes, weights
 
 
-def polyline_integral(points, fn, order: int = 8, closed: bool = False) -> complex:
+def polyline_integral(points, fn, order: int, closed: bool) -> complex:
     """∫ fn(z) dz along a polyline given by ``points`` (closed appends the return edge)."""
     p = np.asarray(points, dtype=complex)
     a = p if closed else p[:-1]
@@ -311,8 +311,8 @@ def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
     return meets
 
 
-def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: int,
-                    fld: IndexField = None) -> VerificationReport:
+def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
+                    depth: int) -> VerificationReport:
     """Dyadic-square Green identity: classify sub-squares against the curve.
 
     At generation n the square splits into 4^n dyadic sub-squares of side
@@ -323,14 +323,6 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve, depth: 
     sub-square diagonal.  The report carries the per-generation table; rhs is
     the final-depth value.
     """
-    if fld is not None:
-        # a center's real and imaginary parts are its x and y axis values
-        x, y = fld.grid.axes()
-        inside = ((np.abs(sq.center.real - x) <= sq.half)[None, :]
-                  & (np.abs(sq.center.imag - y) <= sq.half)[:, None])
-        vals = fld.values[inside & ~fld.near_mask]
-        if vals.size and np.any(vals == 0):
-            raise ValueError("square is not inside a disc with all off-curve index nonzero")
     lhs = polyline_integral(sq.corners, f.value, order=SQUARE_CONTOUR_ORDER, closed=True)
 
     gx, gw = gauss_legendre_01(SQUARE_QUAD_ORDER)
@@ -416,9 +408,14 @@ def _polar_disc_rule(eps: float, n_r: int, n_t: int):
 
 
 def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
-    """Raise ValueError unless eps > 0 and the square of side 2*eps about z avoids the pole of f."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Raise ValueError unless eps is in range and the square of side 2*eps about z avoids f's pole.
+
+    In range: eps > 0, and eps^4 and the factor 4/eps^4 of ``mollifier_dbar`` are finite floats.
+    """
+    with np.errstate(all="ignore"):  # inf or 0 where Python's float power would raise
+        e4 = np.float64(eps) ** 4
+        if not (eps > 0 and e4 < np.inf and 4.0 * MOLLIFIER_NORM / e4 < np.inf):
+            raise ValueError(f"eps must be positive with eps^4 and 4/eps^4 finite floats: {eps!r}")
     if f.pole is not None and abs(f.pole - z) <= eps * math.sqrt(2.0) + 1e-12:
         raise ValueError("square of side 2*eps about z must avoid the pole of f")
 

@@ -364,7 +364,7 @@ def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor) -> Verifica
                                     kind="exterior_bound")
 
 
-def with_jitter(curve: PolyCurve, disc: Disc, seed: int = 0):
+def with_jitter(curve: PolyCurve, disc: Disc, seed: int):
     """Return a disc (possibly with slightly inflated radius) that crosses transversally."""
     rng = seed_stream(seed, "mainlemma.jitter")
     trial = disc

@@ -102,6 +102,8 @@ def svg_mainlemma(dump: dict) -> str:
         depth = itv["depth"]
         rr = r * (1 + 0.07 * (depth + 1))
         col = colors[itv["component"] % len(colors)]
+        if not 0 <= itv["span"] <= 2 * math.pi:
+            raise ValueError(f"interval span {itv['span']!r} is not an angle in [0, 2 pi]")
         n_seg = max(8, int(itv["span"] / 0.1))
         ang = itv["theta0"] + np.linspace(0, itv["span"], n_seg + 1)
         arc = [(cx + rr * math.cos(a), cy + rr * math.sin(a)) for a in ang]
@@ -154,19 +156,19 @@ def svg_sweep(table: list) -> str:
 
 
 def render_svg(payload, kind: str) -> str:
-    """Dispatch on the declared kind; raises KindMismatch for wrong input shapes."""
+    """Dispatch on the declared kind; raises KindMismatch for wrong input shapes or values."""
     try:
         if kind == "curve":
             return svg_curve(payload["vertices"] if isinstance(payload, dict) else payload)
         if kind == "index-heatmap":
             return svg_index_heatmap(payload)
         if kind == "mainlemma-diagram":
-            if payload.get("kind") != "mainlemma-diagram":
+            if not isinstance(payload, dict) or payload.get("kind") != "mainlemma-diagram":
                 raise KeyError("kind")
             return svg_mainlemma(payload)
         if kind == "sweep-plot":
             table = payload["table"] if isinstance(payload, dict) else payload
             return svg_sweep(table)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, ArithmeticError) as exc:
         raise KindMismatch(f"payload does not match kind {kind!r}: {exc}") from None
     raise KindMismatch(f"unknown render kind {kind!r}")

@@ -375,8 +375,8 @@ class PieceSet:
             rows.pop(j, None)
         return vals[0]
 
-    def _eval_block(self, js, z: np.ndarray, fz=None) -> np.ndarray:
-        """Values of the pieces ``js`` at the points ``z``, one row per piece.
+    def _eval_block(self, js, z: np.ndarray, fz) -> np.ndarray:
+        """Values of the pieces ``js`` at the points ``z``, one row per piece; ``fz`` is f(z) or None.
 
         Points at distance >= delta from a bump center use the multipole
         re-summation, one Horner pass over the whole block; points outside
@@ -446,10 +446,7 @@ class PieceSet:
             q = self.nodes_by_cell[ix * self.cells + iy]  # (n, order^2)
             den = (c[bi, None] + self.offsets[q]) - z[bk, None]
             den = np.where(np.abs(den) < tiny, np.inf, den)
-            cell_a = np.empty(bi.size, dtype=complex)
-            for i in np.unique(bi):
-                m = bi == i
-                cell_a[m] = (a[i][q[m]] / den[m]).sum(axis=1)
+            cell_a = (a[bi[:, None], q] / den).sum(axis=1)
             base_cell = cell_a - fz[bk] * (self.b[q] / den).sum(axis=1)
             vals[bi, bk] += patched - base_cell
         if on.size == len(js):
@@ -458,8 +455,8 @@ class PieceSet:
         out[on] = vals
         return out
 
-    def contour_integrals(self, js, curve: PolyCurve, order: int = 8) -> dict:
-        """∮ f_j dz around the curve for each requested piece.
+    def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:
+        """∮ f_j dz around the curve for each requested piece, ``order`` Gauss nodes per edge.
 
         The pieces run through ``eval`` in blocks of about ``_BLOCK / 2``
         values.  Each block builds its pieces' data (about 115 kB per piece at

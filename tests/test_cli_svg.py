@@ -1,6 +1,8 @@
 """Scenario runner, report reproducibility, SVG rendering."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -84,6 +86,10 @@ def test_malformed_scenario_exit_2(tmp_path):
     bad3.write_text(json.dumps({"schema": 1, "curve": {"family": "circle"},
                                 "checks": ["nonsense"]}))
     assert main(["run", str(bad3)]) == 2
+    # bytes that are not UTF-8, -16 or -32 text
+    bad4 = tmp_path / "bad4.json"
+    bad4.write_bytes(b"\x80\x81")
+    assert main(["run", str(bad4)]) == 2
 
 
 def test_unknown_family_exit_2(tmp_path):
@@ -136,6 +142,12 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"deltas": [5e-324], "checks": ["vitushkin"]},
     # an empty sweep
     {"deltas": [], "checks": ["vitushkin"]},
+    # a piece's multipole powers (delta/sqrt(2))^96 overflow from delta ~2,299 up
+    {"deltas": [3000.0], "checks": ["vitushkin"]},
+    {"deltas": [1e300], "checks": ["vitushkin"]},
+    # the mollifier's eps^4 overflows, and its eps^2 underflows to zero
+    {"mollifier": {"z": [0.3, 0.1], "eps": 1e300}, "checks": ["mollifier"]},
+    {"mollifier": {"z": [0.3, 0.1], "eps": 1e-320}, "checks": ["mollifier"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -406,6 +418,88 @@ def test_render_cli_roundtrip(tmp_path):
     out = tmp_path / "curve.svg"
     assert main(["render", str(src), "--kind", "curve", "--out", str(out)]) == 0
     assert out.read_text().startswith("<?xml")
+
+
+_RENDER_KINDS = ("curve", "index-heatmap", "mainlemma-diagram", "sweep-plot")
+
+
+@pytest.mark.parametrize("kind, text", [
+    *(pytest.param(k, "{not json", id=f"{k}-not-json") for k in _RENDER_KINDS),
+    pytest.param("curve", json.dumps({"vertices": [[0, 0], [1, "x"], [0, 1]]}),
+                 id="curve-non-numeric-vertex"),
+    pytest.param("sweep-plot", json.dumps({"table": [{"delta": 0, "s_ii_abs": 1.0, "bound": 2.0}]}),
+                 id="sweep-plot-zero-delta"),
+    pytest.param("index-heatmap", json.dumps({"grid": {"lo": [0, 0], "hi": [1, 1]},
+                                              "values": [[0, 1], [1]]}),
+                 id="index-heatmap-ragged-values"),
+])
+def test_render_bad_input_exit_2(tmp_path, capsys, kind, text):
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert main(["render", str(src), "--kind", kind, "--out", str(tmp_path / "o.svg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "o.svg").exists()
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+    max_leaves=12)
+
+
+def _render_payload(kind):
+    """A small valid input of each render kind."""
+    if kind == "curve":
+        return {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+    if kind == "index-heatmap":
+        return {"grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "values": [[0, 1], [2, -1]]}
+    if kind == "sweep-plot":
+        return {"table": [{"delta": 0.4, "s_ii_abs": 0.5, "bound": 2.0},
+                          {"delta": 0.2, "s_ii_abs": 0.2, "bound": 1.0}]}
+    from test_mainlemma import NESTED, UNIT
+    return json.loads(json.dumps(geometry_dump(NESTED, UNIT)))
+
+
+def _json_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_render_fuzz(data):
+    # a valid input with up to three values deleted or replaced, an arbitrary
+    # JSON document, or bytes: render ends with exit 0, or 2 and one error
+    # line, never a traceback
+    kind = data.draw(st.sampled_from(_RENDER_KINDS))
+    doc = _render_payload(kind)
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc)) or [None]))
+        if path is None:
+            break
+        parent = reduce(getitem, path[:-1], doc)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    raw = json.dumps(doc).encode()
+    other = data.draw(st.integers(0, 4))  # mostly the edited valid input
+    if other == 1:
+        raw = json.dumps(data.draw(_JSON)).encode()
+    elif other == 2:
+        raw = data.draw(st.binary(max_size=12))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        src = Path(tmp) / "in.json"
+        src.write_bytes(raw)
+        code = main(["render", str(src), "--kind", kind, "--out", str(Path(tmp) / "o.svg")])
+    assert code in (0, 2), (raw, err.getvalue())
+    assert err.getvalue().count("\n") == (code == 2), (raw, err.getvalue())
 
 
 def test_canonical_json_stable():
