@@ -15,7 +15,5 @@ from .integration import (GreenConfig, Square, VerificationReport, area_integral
 from .mainlemma import (ArcComponent, BoundaryInterval, Disc, GenerationTree, bound_check,
                         build_generations, classify_crossings, exterior_components,
                         exterior_integral_identity, select_interval, with_jitter)
-from .vitushkin import (Partition, PieceSet, build_partition, class_sums, delta_sweep,
-                        localize, localize_cauchy, reconstruct)
-from .winding import (GridSpec, IndexField, index_field, index_l2, region_masks,
-                      winding_number, winding_numbers)
+from .vitushkin import Partition, PieceSet, build_partition, class_sums, delta_sweep
+from .winding import GridSpec, IndexField, index_field, winding_number, winding_numbers

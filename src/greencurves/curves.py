@@ -90,17 +90,6 @@ class PolyCurve:
     def reversed(self) -> "PolyCurve":
         return PolyCurve(self.vertices[::-1].copy())
 
-    def rotated(self, k: int) -> "PolyCurve":
-        """Same cycle of vertices starting at index k."""
-        return PolyCurve(np.roll(self.vertices, -k))
-
-    def subdivided(self, m: int) -> "PolyCurve":
-        """Insert m-1 equally spaced points on every edge (same image, same orientation)."""
-        a, d = self.starts, self.edge_vectors
-        t = np.arange(m) / m
-        pts = (a[:, None] + t[None, :] * d[:, None]).ravel()
-        return PolyCurve(pts)
-
     def __repr__(self):
         return f"PolyCurve(n={self.n}, length={length(self):.6g})"
 

@@ -410,12 +410,17 @@ def _polar_disc_rule(eps: float, n_r: int, n_t: int):
 def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
     """Raise ValueError unless eps is in range and the square of side 2*eps about z avoids f's pole.
 
-    In range: eps > 0, and eps^4 and the factor 4/eps^4 of ``mollifier_dbar`` are finite floats.
+    In range: eps > 0, eps^4 and the factor 4/eps^4 of ``mollifier_dbar`` are
+    finite floats, and no node z - u of the disc rule rounds onto z (the lhs
+    would be roundoff scaled by 1/eps^4).
     """
     with np.errstate(all="ignore"):  # inf or 0 where Python's float power would raise
         e4 = np.float64(eps) ** 4
         if not (eps > 0 and e4 < np.inf and 4.0 * MOLLIFIER_NORM / e4 < np.inf):
             raise ValueError(f"eps must be positive with eps^4 and 4/eps^4 finite floats: {eps!r}")
+    u, _ = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
+    if np.any(z - u == z):
+        raise ValueError(f"eps is too small for z: a node of the disc rule rounds onto z: {eps!r}")
     if f.pole is not None and abs(f.pole - z) <= eps * math.sqrt(2.0) + 1e-12:
         raise ValueError("square of side 2*eps about z must avoid the pole of f")
 

@@ -11,21 +11,16 @@ A localized piece of a compactly supported f is
     f_j(z) = (1/pi) ∫ (f(w) - f(z)) / (w - z) * dbar(phi_j)(w) dA(w),
 
 whose d-bar derivative is phi_j * dbar(f); the piece is holomorphic wherever
-f is and outside the bump's support.  Every evaluation is built from one
-tensor Gauss rule on the support square (``_tensor_rule``) and one polar
-frame about z (``_polar_frame``: z clipped into a rect, angular panels
-between its corners, the exit distance of each ray), which replaces the
-cells next to z, where the difference quotient has its directional
-discontinuity.  Two configurations use them: ``PieceSet`` (order 5, one
-polar cell, multipole and coarse-ring shortcuts) for contour sums and
-reconstruction scans, and ``localize`` / ``localize_cauchy`` (12 cells of
-order 12, a 3x3 polar block split at the profile's center lines) as the
-accurate reference for cross-checks and finite-difference tests.
+f is and outside the bump's support.  ``PieceSet`` evaluates the pieces for
+contour sums: one tensor Gauss rule on the support square (``_tensor_rule``),
+multipole and coarse-ring shortcuts away from it, and one polar frame about z
+(``_polar_frame``: z clipped into a rect, angular panels between its
+corners, the exit distance of each ray) in place of the cell that contains
+z, where the difference quotient has its directional discontinuity.
 
 Only ``PieceSet``'s cells per axis is a parameter: doubling the cells checks
 the evaluator's convergence, and ``delta_sweep`` uses 8 for speed.  The Gauss
-order, the polar patch, the pieces per contour block and the reference rule
-are fixed constants.
+order, the polar patch and the pieces per contour block are fixed constants.
 """
 
 from __future__ import annotations
@@ -119,6 +114,34 @@ def _tensor_rule(delta: float, n_cells: int, order: int):
     return edges, offsets, weights, (cell[:, None] * n_cells + cell[None, :]).ravel()
 
 
+def _polar_frame(zs, x0, x1, y0, y1, delta: float):
+    """Angular half of the polar rule about each z over its axis-aligned rect.
+
+    z is clipped just inside its rect [x0, x1] x [y0, y1]; the angular panels
+    run between the directions of the four corners, ``PieceSet.PATCH_NT``
+    Gauss nodes each, so every ray leaves the rect through one side.  Returns
+    the clipped z, and per (z, panel, node) the direction e^{i theta}, the
+    angular weight, and the distance at which the ray leaves the rect.
+    """
+    m = 1e-12 * delta
+    zr = np.clip(zs.real, x0 + m, x1 - m)
+    zi = np.clip(zs.imag, y0 + m, y1 - m)
+    ze = zr + 1j * zi
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
+    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
+    th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
+    widths = np.diff(th_edges, axis=1)
+    gt, wt = gauss_legendre_01(PieceSet.PATCH_NT)
+    TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
+    WT = widths[:, :, None] * wt[None, None, :]
+    ct, st = np.cos(TH), np.sin(TH)
+    x0, x1, y0, y1, zr, zi = (v[:, None, None] for v in (x0, x1, y0, y1, zr, zi))
+    with np.errstate(divide="ignore"):
+        tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
+        ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
+    return ze, np.exp(1j * TH), WT, np.minimum(tx, ty)
+
+
 @dataclass
 class Partition:
     """Family of tensor bumps on the half-spacing lattice covering a box.
@@ -153,53 +176,28 @@ class Partition:
         y = (self.j0 + np.arange(self.nj) + 0.5) * d
         return (x[None, :] + 1j * y[:, None]).ravel()
 
-    def phi(self, j: int, zs) -> np.ndarray:
-        z = np.asarray(zs, dtype=complex)
-        c = self.center(j)
-        return profile(z.real - c.real, self.delta) * profile(z.imag - c.imag, self.delta)
+    def sum_phi(self, zs, subset=None) -> np.ndarray:
+        """Sum of bump values at each point, optionally over a subset flag array.
 
-    def grad_phi_norm(self, j: int, zs) -> np.ndarray:
-        z = np.asarray(zs, dtype=complex)
-        c = self.center(j)
-        return 2.0 * np.abs(_dbar_phi(z.real - c.real, z.imag - c.imag, self.delta))  # phi is real
-
-    def _lattice(self, z: np.ndarray, reach: int):
-        """(ok, ix, iy, center) of the bump at each lattice offset within ``reach``, rows outer.
-
-        ``ok`` flags the points where that bump exists; elsewhere ix, iy are out of range.
+        Only the 3x3 lattice bumps about a point can contain it; ``ok`` drops
+        those off the lattice or outside the subset.
         """
+        z = np.asarray(zs, dtype=complex)
+        total = np.zeros(z.shape, dtype=float)
         d = self.spacing
         bx = np.floor(z.real / d - 0.5).astype(int) - self.i0
         by = np.floor(z.imag / d - 0.5).astype(int) - self.j0
-        offs = range(-reach, reach + 1)
-        for oy in offs:
-            iy = by + oy
+        for iy in (by - 1, by, by + 1):
             ok_y = (iy >= 0) & (iy < self.nj)
             cy = (self.j0 + iy + 0.5) * d
-            for ox in offs:
-                ix = bx + ox
+            for ix in (bx - 1, bx, bx + 1):
                 ok = ok_y & (ix >= 0) & (ix < self.ni)
-                yield ok, ix, iy, (self.i0 + ix + 0.5) * d + 1j * cy
-
-    def sum_phi(self, zs, subset=None) -> np.ndarray:
-        """Sum of bump values at each point, optionally over a subset flag array."""
-        z = np.asarray(zs, dtype=complex)
-        total = np.zeros(z.shape, dtype=float)
-        for ok, ix, iy, c in self._lattice(z, 1):
-            if subset is not None:
-                ok &= subset[np.clip(iy, 0, self.nj - 1) * self.ni + np.clip(ix, 0, self.ni - 1)]
-            px = profile(z.real - c.real, self.delta)
-            py = profile(z.imag - c.imag, self.delta)
-            total += np.where(ok, px * py, 0.0)
+                if subset is not None:
+                    ok &= subset[np.clip(iy, 0, self.nj - 1) * self.ni + np.clip(ix, 0, self.ni - 1)]
+                px = profile(z.real - (self.i0 + ix + 0.5) * d, self.delta)
+                py = profile(z.imag - cy, self.delta)
+                total += np.where(ok, px * py, 0.0)
         return total
-
-    def multiplicity(self, zs) -> np.ndarray:
-        """Number of nominal discs (radius delta) containing each point."""
-        z = np.asarray(zs, dtype=complex)
-        count = np.zeros(z.shape, dtype=int)
-        for ok, _, _, c in self._lattice(z, 2):
-            count += ok & (np.hypot(z.real - c.real, z.imag - c.imag) < self.delta)
-        return count
 
 
 def build_partition(delta: float, box) -> Partition:
@@ -338,9 +336,9 @@ class PieceSet:
         dy = zs.imag - c.imag
         ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.cells - 1)
         iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.cells - 1)
-        ze, E, WT, _, _, rmax = _polar_frame(
+        ze, E, WT, rmax = _polar_frame(
             zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
-            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta, self.PATCH_NT)
+            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta)
         # one radial panel per ray: even cells_per_axis puts the profile's
         # center lines on cell edges, so no cell straddles them.  Products are
         # taken in place and each node-sized array is built where it is used,
@@ -476,136 +474,6 @@ class PieceSet:
             for j in list(rows):
                 out[j] = complex((self.eval(j, zc, fz, rows) * dzw).sum())
         return out
-
-
-# ---------------------------------------------------------------------------
-# accurate per-point evaluation (cross-checks, finite differences)
-
-# the reference rule: tensor cells and Gauss order on the support, and the
-# angular and radial Gauss orders of the polar block about z
-_REF_CELLS = 12
-_REF_ORDER = 12
-_REF_NT = 24
-_REF_NR = 16
-
-
-def _polar_frame(zs, x0, x1, y0, y1, delta: float, nt: int):
-    """Angular half of the polar rule about each z over its axis-aligned rect.
-
-    z is clipped just inside its rect [x0, x1] x [y0, y1]; the angular panels
-    run between the directions of the four corners, nt Gauss nodes each, so
-    every ray leaves the rect through one side.  Returns the clipped z, and
-    per (z, panel, node) the direction e^{i theta}, the angular weight, cos
-    and sin of theta, and the distance at which the ray leaves the rect.
-    """
-    zs, x0, x1, y0, y1 = np.broadcast_arrays(*(np.atleast_1d(v) for v in (zs, x0, x1, y0, y1)))
-    m = 1e-12 * delta
-    zr = np.clip(zs.real, x0 + m, x1 - m)
-    zi = np.clip(zs.imag, y0 + m, y1 - m)
-    ze = zr + 1j * zi
-    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
-    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
-    th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
-    widths = np.diff(th_edges, axis=1)
-    gt, wt = gauss_legendre_01(nt)
-    TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
-    WT = widths[:, :, None] * wt[None, None, :]
-    ct, st = np.cos(TH), np.sin(TH)
-    x0, x1, y0, y1, zr, zi = (v[:, None, None] for v in (x0, x1, y0, y1, zr, zi))
-    with np.errstate(divide="ignore"):
-        tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
-        ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
-    return ze, np.exp(1j * TH), WT, ct, st, np.minimum(tx, ty)
-
-
-def _polar_block(c, z, rect, g, delta):
-    """Polar rule for ∫ g(w) / (w - z) dA over an axis-aligned rect containing z.
-
-    About z, 1/(w - z) times the polar Jacobian r is e^{-i theta}: the
-    integrand is bounded.  Angular panels are aligned to the rect corners;
-    radial panels are split where a ray crosses the profile's center lines
-    x = c.re or y = c.im, so the integrand is analytic on every panel.
-    """
-    ze, E, WT, ct, st, rmax = (v[0] for v in _polar_frame(z, *rect, delta, _REF_NT))
-    with np.errstate(divide="ignore"):
-        kx = (c.real - ze.real) / np.where(ct == 0, np.inf, ct)
-        ky = (c.imag - ze.imag) / np.where(st == 0, np.inf, st)
-    cuts = [np.where((kk > 0) & (kk < rmax), kk, rmax) for kk in (kx, ky)]
-    bounds = np.stack([np.zeros_like(rmax), np.minimum(*cuts), np.maximum(*cuts), rmax],
-                      axis=-1)  # (4, nt, 4)
-    gr, wr = gauss_legendre_01(_REF_NR)
-    span = np.diff(bounds, axis=-1)
-    S = bounds[..., :-1, None] + span[..., None] * gr  # (4, nt, 3, nr)
-    W = (WT[..., None] * span)[..., None] * wr
-    E = E[..., None, None]
-    return complex((g(ze + S * E) * np.conj(E) * W).sum())
-
-
-def _accurate_piece_integral(partition, j, z, g):
-    """∫ g(w) / (w - z) dA over the support of bump j, for g smooth on each cell.
-
-    Tensor rule on the support, with the 3x3 cell block around z replaced by
-    the polar rule.  No tensor node meets z: the block keeps them a cell away
-    from an inside z, and Gauss nodes lie strictly inside the support.
-    """
-    delta = partition.delta
-    c = partition.center(j)
-    edges, offsets, weights, cell = _tensor_rule(delta, _REF_CELLS, _REF_ORDER)
-    keep = np.ones(cell.shape, dtype=bool)
-    half = delta / 2.0
-    block = None
-    if abs(z.real - c.real) < half and abs(z.imag - c.imag) < half:
-        ix, iy = np.clip(np.searchsorted(edges, [z.real - c.real, z.imag - c.imag]) - 1, 0, _REF_CELLS - 1)
-        bx0, bx1 = max(ix - 1, 0), min(ix + 2, _REF_CELLS)
-        by0, by1 = max(iy - 1, 0), min(iy + 2, _REF_CELLS)
-        block = (c.real + edges[bx0], c.real + edges[bx1], c.imag + edges[by0], c.imag + edges[by1])
-        cx, cy = np.divmod(cell, _REF_CELLS)
-        keep = ~((bx0 <= cx) & (cx < bx1) & (by0 <= cy) & (cy < by1))
-    w = c + offsets[keep]
-    total = complex((g(w) / (w - z) * weights[keep]).sum())
-    if block:
-        total += _polar_block(c, z, block, g, delta)
-    return total
-
-
-def localize(f: FunctionDescriptor, partition: Partition, j: int, z: complex) -> complex:
-    """Accurate value of the localized piece f_j at one point.
-
-    Uses the bounded difference-quotient integrand everywhere; there is no
-    principal value to take.  Slower than PieceSet.eval but accurate to
-    roughly 1e-8, which the cross-check and derivative tests need.
-    """
-    z = complex(z)
-    c = partition.center(j)
-    fz = complex(f.value(np.array([z]))[0])
-
-    def g(w):
-        return (f.value(w) - fz) * _dbar_phi(w.real - c.real, w.imag - c.imag, partition.delta) / math.pi
-
-    return _accurate_piece_integral(partition, j, z, g)
-
-
-def localize_cauchy(f: FunctionDescriptor, partition: Partition, j: int, z: complex) -> complex:
-    """Cross-check form of the piece: Cauchy transform of phi_j * dbar(f) at z."""
-    return _accurate_piece_integral(partition, j, complex(z),
-                                    lambda w: -partition.phi(j, w) * f.dbar(w) / math.pi)
-
-
-def reconstruct(f: FunctionDescriptor, partition: Partition, zs, cells_per_axis: int = 16):
-    """Sup over ``zs`` of |f - sum of pieces|, with inert pieces skipped.
-
-    Returns (discrepancy, number of active pieces).  Doubling
-    ``cells_per_axis`` refines every per-piece rule, which is how the
-    convergence of the evaluator itself is checked.
-    """
-    z = np.asarray(zs, dtype=complex).ravel()
-    ps = PieceSet(partition, f, cells_per_axis=cells_per_axis)
-    js = ps.active_pieces()
-    total = np.zeros(z.shape, dtype=complex)
-    for j in js:
-        total += ps.eval(j, z)
-    disc = float(np.max(np.abs(total - f.value(z)))) if z.size else 0.0
-    return disc, len(js)
 
 
 @dataclass

@@ -294,17 +294,3 @@ def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     return IndexField(grid=grid, values=values, near_mask=dist <= cap, band=band, curve=curve,
                       dist=dist)
 
-
-def region_masks(field: IndexField):
-    """Partition of the clean (non-near) cells into D (index != 0) and D0 (index == 0)."""
-    clean = ~field.near_mask
-    d_mask = clean & (field.values != 0)
-    d0_mask = clean & (field.values == 0)
-    return d_mask, d0_mask
-
-
-def index_l2(field: IndexField) -> float:
-    """L2 norm of the sampled index over the clean cells: (sum v^2 * cell area)^(1/2)."""
-    clean = ~field.near_mask
-    s = float((field.values[clean].astype(float) ** 2).sum()) * field.grid.cell_area
-    return math.sqrt(s)

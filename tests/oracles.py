@@ -24,6 +24,15 @@ the modulus sample and evaluates f at its base points for every delta, where
 the library draws them once per estimator.  ``cluster_points_greedy``
 compares each point with every earlier cluster, where the library looks only
 in nearby cells of a hash grid.
+
+``localize`` and ``localize_cauchy`` are the accurate reference for the
+localized pieces, written from the formulas and sharing no code with
+``PieceSet``: a tensor rule built from ``leggauss``, the two-sided bump
+derivative, and a polar rule about z whose panels take the rect's corners in
+their known counterclockwise order, each with its known exit side, where the
+library sorts the corner angles and takes the nearer exit.  ``multiplicity``
+tries every bump center, and ``phi_two_sided`` and ``grad_phi_norm`` evaluate
+the bump through the two-sided profiles.
 """
 
 import math
@@ -32,6 +41,7 @@ import numpy as np
 
 from greencurves._rng import seed_stream
 from greencurves.errors import DegenerateOverlap
+from greencurves.vitushkin import Partition
 
 
 def shoelace_area(vertices) -> float:
@@ -148,18 +158,22 @@ def clip_polygon_by_halfplane(vertices, p: complex, q: complex, keep_left: bool)
     return out
 
 
-def finite_diff_dbar(fn, z: complex, h: float = 2e-4) -> complex:
-    """Central-difference Wirtinger d-bar derivative of a callable."""
-    fx = (fn(z + h) - fn(z - h)) / (2 * h)
-    fy = (fn(z + 1j * h) - fn(z - 1j * h)) / (2 * h)
-    return 0.5 * (fx + 1j * fy)
+def finite_diff_dbar(fn, zs, h: float = 2e-4) -> np.ndarray:
+    """Central-difference Wirtinger d-bar derivative at each of ``zs``, all stencils in one ``fn`` call."""
+    z = np.asarray(zs, dtype=complex)
+    F = fn(z[..., None] + h * np.array([1, -1, 1j, -1j]))
+    return ((F[..., 0] - F[..., 1]) + 1j * (F[..., 2] - F[..., 3])) / (4 * h)
+
+
+def _gauss01(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def gl_contour(vertices, fn, order: int = 12, closed: bool = True) -> complex:
     """Independent Gauss-Legendre contour integral (separate from the library path)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    t = (x + 1) / 2
-    w = w / 2
+    t, w = _gauss01(order)
     v = np.asarray(vertices, dtype=complex)
     a = v if closed else v[:-1]
     b = np.roll(v, -1) if closed else v[1:]
@@ -200,6 +214,113 @@ def profile_d_two_sided(t, delta):
 def dbar_phi_two_sided(dx, dy, delta):
     return 0.5 * (profile_d_two_sided(dx, delta) * profile_two_sided(dy, delta)
                   + 1j * profile_two_sided(dx, delta) * profile_d_two_sided(dy, delta))
+
+
+def phi_two_sided(partition: Partition, j: int, zs) -> np.ndarray:
+    """Bump j at each of ``zs``: the product of the two-sided profiles of the offsets."""
+    d = np.asarray(zs, dtype=complex) - partition.center(j)
+    return profile_two_sided(d.real, partition.delta) * profile_two_sided(d.imag, partition.delta)
+
+
+def grad_phi_norm(partition: Partition, j: int, zs) -> np.ndarray:
+    """|grad phi_j| at each of ``zs``: twice |dbar phi_j|, because phi_j is real."""
+    d = np.asarray(zs, dtype=complex) - partition.center(j)
+    return 2.0 * np.abs(dbar_phi_two_sided(d.real, d.imag, partition.delta))
+
+
+def multiplicity(partition: Partition, zs) -> np.ndarray:
+    """Number of bump centers within delta of each point, every center tried."""
+    z = np.asarray(zs, dtype=complex)
+    count = np.zeros(z.shape, dtype=int)
+    for c in partition.centers_array():
+        count += np.abs(z - c) < partition.delta
+    return count
+
+
+# the reference rule for the pieces: tensor cells per axis and Gauss order on
+# the support square, and the angular and radial Gauss orders about z
+REF_CELLS, REF_ORDER, REF_NT, REF_NR = 12, 12, 24, 16
+
+
+def _polar_rule(z, x0, x1, y0, y1, c: complex):
+    """Nodes and weights, one row per z, of a rule for ∫ g(w) / (w - z) dA over z's rect.
+
+    Seen from z, strictly inside its rect, the corners bound four angular
+    panels whose rays leave through the right, top, left and bottom side in
+    turn; each ray is split where it crosses the lines x = c.re and y = c.im.
+    The polar Jacobian r cancels |w - z|, so a weight is e^{-i theta} dtheta dr.
+    """
+    zx, zy, x0, x1, y0, y1 = (v[:, None] for v in (z.real, z.imag, x0, x1, y0, y1))
+    a1 = np.arctan2(y0 - zy, x1 - zx)
+    corners = np.concatenate([a1, np.arctan2(y1 - zy, x1 - zx), np.arctan2(y1 - zy, x0 - zx),
+                              np.arctan2(y0 - zy, x0 - zx) + 2 * math.pi, a1 + 2 * math.pi], axis=1)
+    gt, wt = _gauss01(REF_NT)
+    span = np.diff(corners, axis=1)[..., None]
+    th = corners[:, :4, None] + span * gt  # (n, panel, node)
+    cos, sin = np.cos(th), np.sin(th)
+    side = np.concatenate([x1 - zx, y1 - zy, x0 - zx, y0 - zy], axis=1)[..., None]
+    rmax = side / np.where(np.array([True, False, True, False])[:, None], cos, sin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = [np.where((k > 0) & (k < rmax), k, rmax)
+                for k in ((c.real - zx[..., None]) / cos, (c.imag - zy[..., None]) / sin)]
+    radii = np.stack([np.zeros_like(rmax), np.minimum(*cuts), np.maximum(*cuts), rmax], axis=-1)
+    gr, wr = _gauss01(REF_NR)
+    dr = np.diff(radii, axis=-1)[..., None]
+    r = radii[..., :-1, None] + dr * gr  # (n, panel, node, radial panel, radial node)
+    e = np.exp(1j * th)[..., None, None]
+    w = (z[:, None, None, None, None] + r * e).reshape(z.size, -1)
+    return w, (np.conj(e) * (span * wt)[..., None, None] * dr * wr).reshape(z.size, -1)
+
+
+def _piece_integral(partition: Partition, j: int, zs, g) -> np.ndarray:
+    """∫ g(w, z) / (w - z) dA(w) over the support of bump j, at each of ``zs`` (any shape).
+
+    ``g`` takes nodes w with one row per point and the points z as a column.
+    A tensor Gauss rule covers the support square; for a z inside the support,
+    the polar rule about z replaces it on the 3x3 cells about z's cell, so no
+    tensor node comes within a cell of z.
+    """
+    delta, c = partition.delta, partition.center(j)
+    z = np.asarray(zs, dtype=complex).ravel()
+    h, corner = delta / REF_CELLS, c - delta / 2 * (1 + 1j)
+    gx, gw = _gauss01(REF_ORDER)
+    x, wx = (h * (np.arange(REF_CELLS)[:, None] + gx)).ravel(), np.tile(h * gw, REF_CELLS)
+    w, weight = corner + (x[:, None] + 1j * x).ravel(), np.outer(wx, wx).ravel()
+    cx, cy = np.indices((x.size, x.size)).reshape(2, -1) // REF_ORDER  # the cell of each node
+    d = z - c
+    inside = (np.abs(d.real) < delta / 2) & (np.abs(d.imag) < delta / 2)
+    ix = np.clip(np.floor((d.real + delta / 2) / h).astype(int), 0, REF_CELLS - 1)
+    iy = np.clip(np.floor((d.imag + delta / 2) / h).astype(int), 0, REF_CELLS - 1)
+    block = inside[:, None] & (np.abs(cx - ix[:, None]) <= 1) & (np.abs(cy - iy[:, None]) <= 1)
+    out = (g(w[None, :], z[:, None]) * np.where(block, 0.0, weight / (w - z[:, None]))).sum(axis=1)
+    if np.any(inside):
+        ix, iy, zi = ix[inside], iy[inside], z[inside]
+        wp, weight_p = _polar_rule(zi, corner.real + h * np.maximum(ix - 1, 0),
+                                   corner.real + h * np.minimum(ix + 2, REF_CELLS),
+                                   corner.imag + h * np.maximum(iy - 1, 0),
+                                   corner.imag + h * np.minimum(iy + 2, REF_CELLS), c)
+        out[inside] += (g(wp, zi[:, None]) * weight_p).sum(axis=1)
+    return out.reshape(np.shape(zs))
+
+
+def localize(f, partition: Partition, j: int, zs) -> np.ndarray:
+    """Accurate values of the piece f_j = (1/pi) ∫ (f(w) - f(z)) / (w - z) dbar(phi_j)(w) dA(w)."""
+    c = partition.center(j)
+    return _piece_integral(partition, j, zs, lambda w, z: (f.value(w) - f.value(z)) * dbar_phi_two_sided(
+        w.real - c.real, w.imag - c.imag, partition.delta) / math.pi)
+
+
+def localize_cauchy(f, partition: Partition, j: int, zs) -> np.ndarray:
+    """The piece as a Cauchy transform: -(1/pi) ∫ phi_j dbar(f) / (w - z) dA(w)."""
+    return _piece_integral(partition, j, zs,
+                           lambda w, z: -phi_two_sided(partition, j, w) * f.dbar(w) / math.pi)
+
+
+def reconstruct(ps, zs):
+    """Sup over ``zs`` of |f - the sum of the pieces of the PieceSet ``ps``|, and its active pieces."""
+    z = np.asarray(zs, dtype=complex).ravel()
+    js = ps.active_pieces()
+    return float(np.max(np.abs(sum(ps.eval(j, z) for j in js) - ps.f.value(z)))), len(js)
 
 
 def _cross(o, a):
@@ -342,8 +463,7 @@ def square_generation_sums(sq, f, curve, depth: int, quad_order: int = 6) -> lis
     The class-I sub-squares come from ``squares_by_edges``; dbar(f) is
     evaluated on all their tensor Gauss nodes at once and summed.
     """
-    x, w = np.polynomial.legendre.leggauss(quad_order)
-    gx, gw = (x + 1.0) / 2.0, w / 2.0
+    gx, gw = _gauss01(quad_order)
     gx2 = (gx[:, None] + 1j * gx[None, :]).ravel()
     gw2 = (gw[:, None] * gw[None, :]).ravel()
     out = []
@@ -422,8 +542,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
 
 def contour_integrals_per_piece(ps, js, curve, order: int = 8) -> dict:
     """∮ f_j dz around the curve for each piece of ``ps``, one ``piece_eval_unblocked`` per piece."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    t, w = (x + 1.0) / 2.0, w / 2.0
+    t, w = _gauss01(order)
     a, d = curve.starts, curve.edge_vectors
     zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
     dzw = (w[None, :] * d[:, None]).ravel()
@@ -472,3 +591,22 @@ def cluster_points_greedy(points, tau):
             labels[k] = len(canon)
             canon.append(p)
     return labels, canon
+
+
+def subdivided(vertices, m: int) -> np.ndarray:
+    """Vertices of the closed polyline with m - 1 equally spaced points inserted on every edge."""
+    a = np.asarray(vertices, dtype=complex)
+    t = np.arange(m) / m
+    return (a[:, None] + t * (np.roll(a, -1) - a)[:, None]).ravel()
+
+
+def region_masks(field_):
+    """The clean (non-near) cells of an index field split into D (index != 0) and D0 (index 0)."""
+    clean = ~field_.near_mask
+    return clean & (field_.values != 0), clean & (field_.values == 0)
+
+
+def index_l2(field_) -> float:
+    """L2 norm of the sampled index over the clean cells: (sum v^2 * cell area)^(1/2)."""
+    v = field_.values[~field_.near_mask].astype(float)
+    return math.sqrt(float((v * v).sum()) * field_.grid.cell_area)

@@ -148,6 +148,9 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     # the mollifier's eps^4 overflows, and its eps^2 underflows to zero
     {"mollifier": {"z": [0.3, 0.1], "eps": 1e300}, "checks": ["mollifier"]},
     {"mollifier": {"z": [0.3, 0.1], "eps": 1e-320}, "checks": ["mollifier"]},
+    # a node z - u of the disc rule rounds onto z
+    {"mollifier": {"z": [0.3, 0.1], "eps": 1e-15}, "checks": ["mollifier"]},
+    {"mollifier": {"z": [0.3, 0.1], "eps": 1e-50}, "checks": ["mollifier"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})

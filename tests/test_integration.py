@@ -258,7 +258,7 @@ def test_verify_green_invariance_under_rotation_and_reversal():
     c = make_curve("star", n=24, seed=9)
     f = make_function("monomial", a=1, b=1)
     base = contour_integral(c, f)
-    rot = contour_integral(c.rotated(5), f)
+    rot = contour_integral(PolyCurve(np.roll(c.vertices, -5)), f)
     rev = contour_integral(c.reversed(), f)
     assert rot == pytest.approx(base, rel=1e-13)
     assert rev == pytest.approx(-base, rel=1e-13)
@@ -413,6 +413,16 @@ def test_mollifier_identity_pole_guard():
     f = make_function("reciprocal", pole=0.31 + 0.1j)
     with pytest.raises(ValueError):
         mollifier_identity_check(f, 0.3 + 0.1j, 0.05)
+
+
+def test_mollifier_nodes_rounding_onto_z_refused():
+    # a node z - u rounds onto z once the smallest node radius (about eps/100)
+    # is under half an ulp of z, and the lhs is then roundoff over eps^4
+    for z, eps in ((0.3 + 0.1j, 1e-15), (0.3 + 0.1j, 1e-50), (1000 + 0j, 1e-13)):
+        with pytest.raises(ValueError, match="rounds onto z"):
+            mollifier_identity_check(ZBAR, z, eps)
+    assert mollifier_identity_check(ZBAR, 0.3 + 0.1j, 1e-14).rel_residual <= 0.01
+    assert mollifier_identity_check(ZBAR, 0j, 1e-70).rel_residual <= 1e-15
 
 
 # ---------------------------------------------------------------------------

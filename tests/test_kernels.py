@@ -2,10 +2,13 @@
 
 Winding and distance, self-intersections and the dyadic-square test touch
 only candidate pairs; the bump profile evaluates only its live branch.  Each
-must reproduce its oracle bit for bit.
+must reproduce its oracle bit for bit.  The oracles themselves import only an
+allowlist of library names.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +348,23 @@ def test_property_squares_match_every_edge(pts, cx, cy, half):
     v = np.array([complex(x, y) for x, y in pts])
     assume(np.all(np.abs(np.roll(v, -1) - v) > 1e-9))
     _assert_squares_match(PolyCurve(v), complex(cx, cy), half, 4)
+
+
+# ---------------------------------------------------------------------------
+# oracle independence
+
+# the only library names the oracles may import: the seeded stream, the overlap
+# error the intersection oracle raises, and the partition whose bumps it integrates
+_ORACLE_IMPORTS = {("greencurves._rng", "seed_stream"), ("greencurves.errors", "DegenerateOverlap"),
+                   ("greencurves.vitushkin", "Partition")}
+
+
+def test_oracles_import_only_the_allowlist():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    got = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            got |= {(a.name, None) for a in node.names if a.name.startswith("greencurves")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("greencurves")):
+            got |= {(node.module, a.name) for a in node.names}
+    assert got <= _ORACLE_IMPORTS, got - _ORACLE_IMPORTS
