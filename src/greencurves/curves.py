@@ -31,7 +31,7 @@ class PolyCurve:
     """Closed oriented polyline approximating a rectifiable curve.
 
     Vertices must be finite, at least three, with no zero-length edge.
-    Orientation is implied by vertex order; ``reversed()`` flips it.
+    Orientation is implied by vertex order; reversing the vertices flips it.
     """
 
     __slots__ = ("vertices",)
@@ -86,9 +86,6 @@ class PolyCurve:
     def tau_geom(self) -> float:
         """Geometric tolerance: intersection events closer than this are merged."""
         return 1e-12 * self.diameter
-
-    def reversed(self) -> "PolyCurve":
-        return PolyCurve(self.vertices[::-1].copy())
 
     def __repr__(self):
         return f"PolyCurve(n={self.n}, length={length(self):.6g})"

@@ -1,8 +1,14 @@
-"""Test functions with closed-form Wirtinger d-bar derivatives.
+"""Test functions with closed-form Wirtinger d-bar derivatives and closed-form bounds.
 
 Each descriptor carries the function value and its d-bar derivative as
 vectorized callables, so quadrature error is never confused with
 differentiation error.  Holomorphic families have d-bar identically zero.
+
+Each family also states ``bounds(c, r)``: upper bounds on sup|f| and on
+sup(|df| + |dbar f|) over the closed disc of center c and radius r.  The
+second is a Lipschitz constant of f on the disc (the mean-value bound along
+any segment in it), so every remainder bound that reads the modulus of
+continuity is a bound, not an estimate.
 """
 
 from __future__ import annotations
@@ -13,56 +19,29 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import seed_stream
 from .errors import UnknownFamily
 
 
 @dataclass
 class FunctionDescriptor:
-    MODULUS_SEED = 7  # seed of the sampled modulus (unannotated: a constant, not a field)
-    MODULUS_SAMPLES = 20000  # seeded pairs of the sampled modulus
-
     name: str
     value: Callable
     dbar: Callable
+    bounds: Callable  # (c, r) -> (sup|f|, sup(|df| + |dbar f|)) over the closed disc |z - c| <= r
     pole: Optional[complex] = None
-    lip: Optional[float] = None           # Lipschitz bound, when known
-    exact_modulus: Optional[Callable] = None
-    sup_norm: Optional[float] = None
 
     def modulus(self, delta: float, box) -> float:
-        """Modulus of continuity at scale delta.
+        """Upper bound on the modulus of continuity at scale delta over ``box`` = (lo, hi).
 
-        Uses the closed form ``exact_modulus`` when the family has one;
-        otherwise an empirical sup over seeded random pairs at distance at
-        most delta, with base points uniform in ``box`` = (lo, hi).  With a
-        fixed seed the same base points and directions are reused for every
-        delta, so the estimate is monotone in delta for the gallery functions.
+        Every pair z, w with z in the box and |w - z| <= delta lies, with the
+        segment joining them, in the closed disc about the box's center that
+        reaches delta past its corners; the Lipschitz bound over that disc
+        times delta bounds |f(w) - f(z)|.
         """
-        return self.modulus_estimator(box)(delta)
-
-    def modulus_estimator(self, box) -> Callable:
-        """``delta -> modulus(delta, box)``.
-
-        The seeded sample and f at its base points are drawn once, so each
-        further delta costs one evaluation of f.
-        """
-        exact = self.exact_modulus
-        if exact is None:
-            lo, hi = box
-            n, rng = self.MODULUS_SAMPLES, seed_stream(self.MODULUS_SEED, "modulus")
-            z = rng.uniform(lo.real, hi.real, n) + 1j * rng.uniform(lo.imag, hi.imag, n)
-            turn = np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
-            u = rng.uniform(0.0, 1.0, n)
-            fz = self.value(z)
-
-        def omega(delta: float) -> float:
-            if delta <= 0:
-                raise ValueError("delta must be positive")
-            if exact is not None:
-                return float(exact(delta))
-            return float(np.max(np.abs(self.value(z + u * delta * turn) - fz)))
-        return omega
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        lo, hi = box
+        return float(self.bounds((lo + hi) / 2, abs(hi - lo) / 2 + delta)[1] * delta)
 
 
 def _power_product(k: complex, z, p: int, q: int):
@@ -88,6 +67,8 @@ def _power_product(k: complex, z, p: int, q: int):
 def _monomial(a=0, b=1, coeff=1.0):
     a, b = int(a), int(b)
     c = complex(coeff)
+    if a < 0 or b < 0:
+        raise ValueError(f"monomial exponents must be non-negative: a={a}, b={b}")
 
     def value(z):
         return _power_product(c, z, a, b)
@@ -97,11 +78,13 @@ def _monomial(a=0, b=1, coeff=1.0):
             return np.zeros_like(np.asarray(z, dtype=complex))
         return _power_product(c * b, z, a, b - 1)
 
-    name = f"monomial(z^{a} zbar^{b})"
-    exact = None
-    if a == 0 and b == 1:
-        exact = lambda delta: abs(c) * delta  # conj is an isometry
-    return FunctionDescriptor(name=name, value=value, dbar=dbar, exact_modulus=exact)
+    def bounds(center, radius):
+        # |df| + |dbar f| = |c| (a + b) |z|^(a+b-1); conj z keeps the bits of |c| * delta
+        m, d = np.float64(abs(center) + radius), a + b
+        return abs(c) * m ** d, (abs(c) * d * m ** (d - 1) if d else 0.0)
+
+    return FunctionDescriptor(name=f"monomial(z^{a} zbar^{b})", value=value, dbar=dbar,
+                              bounds=bounds)
 
 
 def _poly(terms=((1.0, 1, 0),)):
@@ -113,8 +96,12 @@ def _poly(terms=((1.0, 1, 0),)):
     def dbar(z):
         return sum(p.dbar(z) for p in parts)
 
+    def bounds(center, radius):
+        each = [p.bounds(center, radius) for p in parts]
+        return sum(s for s, _ in each), sum(lip for _, lip in each)
+
     name = "poly(" + "+".join(p.name for p in parts) + ")"
-    return FunctionDescriptor(name=name, value=value, dbar=dbar)
+    return FunctionDescriptor(name=name, value=value, dbar=dbar, bounds=bounds)
 
 
 def _zbar_absz():
@@ -126,7 +113,11 @@ def _zbar_absz():
         z = np.asarray(z, dtype=complex)
         return 1.5 * np.abs(z) + 0j
 
-    return FunctionDescriptor(name="zbar_absz", value=value, dbar=dbar)
+    def bounds(center, radius):
+        m = abs(center) + radius  # |df| = |z|/2, |dbar f| = 3|z|/2
+        return m * m, 2 * m
+
+    return FunctionDescriptor(name="zbar_absz", value=value, dbar=dbar, bounds=bounds)
 
 
 def _bump(center=0j, radius=1.0, height=1.0):
@@ -145,9 +136,10 @@ def _bump(center=0j, radius=1.0, height=1.0):
         core = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 3, 0.0)
         return -4.0 * h * w * core / (R * R)
 
-    # max of |grad| = 2|dbar| at |w| = R/sqrt(7)
+    # f is real, so |df| + |dbar f| = |grad f| = 2|dbar f|, largest at |w| = R/sqrt(7)
     grad_bound = 8 * abs(h) / (R * math.sqrt(7)) * (6 / 7) ** 3
-    return FunctionDescriptor(name=f"bump(R={R})", value=value, dbar=dbar, lip=grad_bound)
+    return FunctionDescriptor(name=f"bump(R={R})", value=value, dbar=dbar,
+                              bounds=lambda center, radius: (abs(h), grad_bound))
 
 
 def _reciprocal(pole=2.0 + 0j, coeff=1.0):
@@ -164,7 +156,12 @@ def _reciprocal(pole=2.0 + 0j, coeff=1.0):
         z = np.asarray(z, dtype=complex)
         return np.zeros_like(z)
 
-    return FunctionDescriptor(name=f"reciprocal(pole={p})", value=value, dbar=dbar, pole=p)
+    def bounds(center, radius):
+        d = abs(p - center) - radius  # the pole's distance from the disc
+        return (abs(c) / d, abs(c) / (d * d)) if d > 0 else (math.inf, math.inf)
+
+    return FunctionDescriptor(name=f"reciprocal(pole={p})", value=value, dbar=dbar,
+                              bounds=bounds, pole=p)
 
 
 def smoothstep(t):
@@ -182,7 +179,7 @@ def with_cutoff(f: FunctionDescriptor, r_inner: float, r_outer: float,
                 center: complex = 0j) -> FunctionDescriptor:
     """Multiply by a radial compact-support cutoff: 1 inside r_inner, 0 outside r_outer.
 
-    The product's d-bar is assembled in closed form from the factors.
+    The product's d-bar and its bounds are assembled in closed form from the factors.
     """
     if not (0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
@@ -214,8 +211,21 @@ def with_cutoff(f: FunctionDescriptor, r_inner: float, r_outer: float,
     def dbar(z):
         return f.dbar(z) * chi(z) + f.value(z) * dbar_chi(z)
 
+    def bounds(center, radius):
+        dist = abs(center - z0)
+        if dist - radius >= r_outer:  # the disc misses the support, where f and its slope are 0
+            return 0.0, 0.0
+        # |df| + |dbar f| <= chi (|dg| + |dbar g|) + |g| smoothstep'(t) / width; both
+        # terms vanish off the support disc, so g is bounded over the smaller disc
+        sup_g, lip = f.bounds(*min((center, radius), (z0, r_outer), key=lambda d: d[1]))
+        lo, hi = max(dist - radius, r_inner), min(dist + radius, r_outer)
+        if lo < hi:  # the disc meets the ramp; smoothstep' peaks at t = 1/2, where it is 15/8
+            t = np.clip(0.5, (r_outer - hi) / width, (r_outer - lo) / width)
+            lip = lip + sup_g * float(smoothstep_d(t)) / width
+        return sup_g, lip
+
     return FunctionDescriptor(name=f"{f.name}*cutoff({r_inner},{r_outer})",
-                              value=value, dbar=dbar, pole=f.pole)
+                              value=value, dbar=dbar, bounds=bounds, pole=f.pole)
 
 
 def truncated_cauchy(center: complex, radius: float) -> FunctionDescriptor:
@@ -241,8 +251,9 @@ def truncated_cauchy(center: complex, radius: float) -> FunctionDescriptor:
         aw = np.abs(z - c)
         return np.where(aw < r, 1.0 + 0j, 0.0 + 0j)
 
-    return FunctionDescriptor(name=f"truncated_cauchy({c},{r})", value=value,
-                              dbar=dbar, sup_norm=r)
+    # 1-Lipschitz: |dbar f| = 1 inside, |df| = r^2/|z - c|^2 <= 1 outside
+    return FunctionDescriptor(name=f"truncated_cauchy({c},{r})", value=value, dbar=dbar,
+                              bounds=lambda center, radius: (r, 1.0))
 
 
 _FN_FAMILIES = {

@@ -320,8 +320,10 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
     classical Green term 2i ∫ dbar(f) dA; sub-squares meeting the curve
     (class J) are controlled by the modulus of continuity:
     |lhs - rhs_n| <= omega(f, eps_n) * sum of their perimeters, with eps_n the
-    sub-square diagonal.  The report carries the per-generation table; rhs is
-    the final-depth value.
+    sub-square diagonal and omega f's closed-form modulus bound over the box
+    of twice the square's side about its center, so the remainder bound is a
+    bound, not an estimate.  The report carries the per-generation table; rhs
+    is the final-depth value.
     """
     lhs = polyline_integral(sq.corners, f.value, order=SQUARE_CONTOUR_ORDER, closed=True)
 
@@ -330,8 +332,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
     gw2 = (gw[:, None] * gw[None, :]).ravel()
     step = max(_BLOCK // gx2.size, 1)  # sub-squares per block
 
-    omega_of = f.modulus_estimator(box=(sq.center - 2 * sq.half * (1 + 1j),
-                                        sq.center + 2 * sq.half * (1 + 1j)))
+    box = (sq.center - 2 * sq.half * (1 + 1j), sq.center + 2 * sq.half * (1 + 1j))
     L = 2 * sq.half
     rows = []
     rhs_final = 0j
@@ -356,7 +357,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
             rhs_n = 2j * complex(vals.sum() * s * s)
             del vals
         eps_n = math.sqrt(2.0) * s
-        bound = omega_of(eps_n) * n_j * 4 * s
+        bound = f.modulus(eps_n, box) * n_j * 4 * s
         rows.append({
             "generation": n,
             "side": s,

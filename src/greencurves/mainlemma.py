@@ -31,7 +31,6 @@ LEAVE = "leave"
 TWO_PI = 2.0 * math.pi
 CONTOUR_ORDER = 8  # Gauss nodes per curve edge
 ARC_ORDER = 16  # Gauss nodes per signed circle piece
-ARC_SAMPLES_MIN = 16  # fewest points of a candidate closing arc
 JITTER_ATTEMPTS = 8  # radius inflations tried before a tangency is an error
 
 
@@ -184,32 +183,23 @@ def exterior_components(curve: PolyCurve, disc: Disc):
 def select_interval(component: ArcComponent, disc: Disc) -> BoundaryInterval:
     """The circle interval closing the component into a curve with center index zero.
 
-    Both candidate closed curves are built with the circle interval sampled
-    finely enough that the polygonal arc stays within a thin annulus shell;
-    the center's integer index is then exact, and exactly one candidate has
-    index zero (asserted).
+    The component's angle about the center, summed edge by edge, is exact:
+    every edge lies outside the disc, so it turns by less than pi.  Closing
+    counterclockwise from the enter to the leave angle adds span_ccw, so that
+    curve's center index is rint((swept + span_ccw) / 2 pi); closing
+    clockwise has index one less.  Exactly one of the two must be zero.
     """
     if component.closed:
         raise ValueError("whole-curve component has no boundary interval")
-    c, r = disc.center, disc.radius
     th_l = component.start.angle
     th_e = component.end.angle
     span_ccw = (th_l - th_e) % TWO_PI  # return path E -> L counterclockwise
     span_cw = TWO_PI - span_ccw
-
-    def candidate(ccw: bool):
-        span = span_ccw if ccw else span_cw
-        m = max(ARC_SAMPLES_MIN, int(math.ceil(span / (TWO_PI / 64))) + 1)
-        s = np.linspace(0.0, span, m + 2)[1:-1]
-        ang = th_e + s if ccw else th_e - s
-        arc = c + r * np.exp(1j * ang)
-        poly = np.concatenate([component.points, arc])
-        wn = winding_numbers(PolyCurve(poly), np.array([c]))[0]
-        return int(wn)
-
-    w_ccw = candidate(True)
-    w_cw = candidate(False)
-    if (w_ccw == 0) == (w_cw == 0):
+    w = component.points - disc.center
+    swept = float(np.angle(w[1:] / w[:-1]).sum())
+    w_ccw = int(np.rint((swept + span_ccw) / TWO_PI))
+    w_cw = w_ccw - 1
+    if w_ccw not in (0, 1):
         raise NestingViolation(
             f"expected exactly one index-zero candidate, got {w_ccw} and {w_cw}")
     if w_ccw == 0:
@@ -228,43 +218,36 @@ def _contains(outer: BoundaryInterval, inner: BoundaryInterval, tol: float) -> b
 
 def _disjoint(a: BoundaryInterval, b: BoundaryInterval, tol: float) -> bool:
     s = (b.theta0 - a.theta0) % TWO_PI
-    if s + tol >= a.span and s + b.span <= TWO_PI + tol:
-        return True
-    return False
+    return s + tol >= a.span and s + b.span <= TWO_PI + tol
 
 
 def build_generations(intervals: list) -> GenerationTree:
     """Depth classification of intervals under strict inclusion.
 
-    Any two intervals must be nested or have disjoint interiors; a violation
-    is a geometry bug, not a tolerance issue.
+    Each interval's parent is the smallest interval that contains it with a
+    larger span.  Any two intervals must be nested or have disjoint
+    interiors; a violation is a geometry bug, not a tolerance issue.
     """
     tol = 1e-9
-    n = len(intervals)
-    parent = [None] * n
-    for i in range(n):
+    parent = []
+    for i, b in enumerate(intervals):
         best = None
-        for j in range(n):
-            if i == j:
+        for j, a in enumerate(intervals):
+            if j == i:
                 continue
-            a, b = intervals[j], intervals[i]
-            if _contains(a, b, tol) and a.span > b.span:
-                if best is None or intervals[best].span > a.span:
+            if _contains(a, b, tol):
+                if a.span > b.span and (best is None or intervals[best].span > a.span):
                     best = j
-            elif _contains(b, a, tol) and b.span > a.span:
-                continue
-            elif not _disjoint(a, b, tol) and not _disjoint(b, a, tol):
-                if not (_contains(a, b, tol) or _contains(b, a, tol)):
-                    raise NestingViolation(
-                        f"intervals {i} and {j} are neither nested nor disjoint")
-        parent[i] = best
-    depth = [0] * n
-    for i in range(n):
-        d, p = 0, parent[i]
+            elif not (_contains(b, a, tol) or _disjoint(a, b, tol) or _disjoint(b, a, tol)):
+                raise NestingViolation(f"intervals {i} and {j} are neither nested nor disjoint")
+        parent.append(best)
+    depth = []
+    for p in parent:
+        d = 0
         while p is not None:
             d += 1
             p = parent[p]
-        depth[i] = d
+        depth.append(d)
     return GenerationTree(intervals=list(intervals), depth=depth, parent=parent)
 
 
@@ -346,18 +329,16 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc,
 
 
 def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor) -> VerificationReport:
-    """Assert |∮ over the exterior part| <= 2 pi sup|h| radius.
+    """Assert |∮ over the exterior part| <= 2 pi sup|h| radius, sup|h| over the closed disc.
 
     A violation signals a geometry bug (wrong interval or sign), never a
     quadrature tolerance issue, so it raises instead of reporting.
     """
-    if h.sup_norm is None:
-        raise ValueError("bound_check needs a descriptor with a closed-form sup norm")
     comps, _ = exterior_components(curve, disc)
     lhs = 0j
     for comp in comps:
         lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
-    bound = TWO_PI * h.sup_norm * disc.radius
+    bound = TWO_PI * h.bounds(disc.center, disc.radius)[0] * disc.radius
     if abs(lhs) > bound * (1 + 1e-9):
         raise BoundViolated(f"|{abs(lhs)}| exceeds 2*pi*sup|h|*radius = {bound}")
     return VerificationReport.build(lhs, bound, {"contour_order": CONTOUR_ORDER},

@@ -85,11 +85,6 @@ def profile(t, delta: float):
     return _value(_fold(t, delta)[2])
 
 
-def profile_d(t, delta: float):
-    """Derivative of the 1D profile; bounded by 315/(64*delta)."""
-    return _slope(*_fold(t, delta))
-
-
 def _dbar_phi(dx, dy, delta: float):
     """dbar of the tensor bump at offsets (dx, dy) from its center."""
     fx, fy = _fold(dx, delta), _fold(dy, delta)
@@ -531,7 +526,9 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
     """|S_II| against the modulus bound over a decreasing list of delta.
 
     Only class-II pieces (bump disc meets the curve) are summed; the bound
-    column is SWEEP_BOUND_CONSTANT * omega(f, delta) * length(curve).  The small
+    column is SWEEP_BOUND_CONSTANT * omega(f, delta) * length(curve), with
+    omega f's closed-form modulus bound over the curve's box dilated by
+    2 delta, so the column is a bound, not an estimate.  The small
     residual correction from pieces straddling the index-zero side is not
     isolated: it is part of the measured |S_II| whose decay the sweep shows.
     """

@@ -19,9 +19,10 @@ pass, and ``contour_integrals_per_piece`` sums one such piece at a time, where
 the library evaluates blocks of pieces.
 ``monomial_by_powers`` and ``cutoff_by_ramp`` take every power and the
 whole smoothstep ramp, where the library skips the factors and the ramp
-values that are exactly 1.  ``modulus_by_fresh_draw`` draws
-the modulus sample and evaluates f at its base points for every delta, where
-the library draws them once per estimator.  ``cluster_points_greedy``
+values that are exactly 1.  ``modulus_by_fresh_draw`` is the
+sampled modulus of continuity: a sup over seeded random pairs, which sits
+below the true modulus, where the library takes a closed-form bound above it.
+``cluster_points_greedy``
 compares each point with every earlier cluster, where the library looks only
 in nearby cells of a hash grid.
 

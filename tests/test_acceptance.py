@@ -204,7 +204,8 @@ def test_criterion_08_main_lemma_gallery():
         assert rep.abs_residual <= 1e-6
         assert rep.extras["piece_total_span"] <= 2 * math.pi + 1e-12
         bound_check(curve, disc, h)  # raises on violation
-        assert abs(rep.lhs) <= 2 * math.pi * h.sup_norm * disc.radius * (1 + 1e-9)
+        sup_h = h.bounds(disc.center, disc.radius)[0]
+        assert abs(rep.lhs) <= 2 * math.pi * sup_h * disc.radius * (1 + 1e-9)
         trials += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

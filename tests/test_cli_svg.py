@@ -47,7 +47,7 @@ def test_bundled_bowtie_scenario(tmp_path):
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
-    "cutoff_localize": "b00ba29144a92deb5635f04ecb7e8eaf3063801f7f655b757d49fd8df0edcc8c",
+    "cutoff_localize": "4964aac70bcd601263521511682dbda88aa06ab1322e2ea89293f6fb0e501881",
 }
 _CUTOFF_LOCALIZE = {
     "schema": 1, "seed": 7,

@@ -1,6 +1,5 @@
 """Contour/area integrals, the Green verdict, the dyadic-square and mollifier identities."""
 
-import dataclasses
 import math
 from functools import lru_cache
 
@@ -13,6 +12,7 @@ from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curve
                          index_field, make_curve, make_function, verify_green, with_cutoff)
 from greencurves._rng import seed_stream
 from greencurves.errors import PoleOnCurve
+from greencurves.functions import truncated_cauchy
 from greencurves.integration import (_BLOCK, area_integral_weighted, contour_integral,
                                      gauss_legendre_01, green_on_square,
                                      mollifier_identity_check)
@@ -259,7 +259,7 @@ def test_verify_green_invariance_under_rotation_and_reversal():
     f = make_function("monomial", a=1, b=1)
     base = contour_integral(c, f)
     rot = contour_integral(PolyCurve(np.roll(c.vertices, -5)), f)
-    rev = contour_integral(c.reversed(), f)
+    rev = contour_integral(PolyCurve(c.vertices[::-1]), f)
     assert rot == pytest.approx(base, rel=1e-13)
     assert rev == pytest.approx(-base, rel=1e-13)
 
@@ -430,42 +430,43 @@ def test_mollifier_nodes_rounding_onto_z_refused():
 
 
 def test_modulus_constant_zero():
-    one = make_function("monomial", a=0, b=0)
     box = (-1 - 1j, 1 + 1j)
-    assert one.modulus(0.3, box=box) == 0.0
+    for coeff in (1.0, -2.5 + 1j):
+        one = make_function("monomial", a=0, b=0, coeff=coeff)
+        assert one.bounds(0.3j, 2.0) == (abs(coeff), 0.0)
+        assert one.modulus(0.3, box=box) == 0.0
 
 
 def test_modulus_zbar_matches_delta():
-    # conj is an isometry: the sampled sup over its 20,000 pairs approaches delta
+    # conj is an isometry: its Lipschitz bound is exactly 1 on every disc, so
+    # omega is delta, and the sampled sup over 20,000 pairs approaches it from below
+    for center, radius in ((0j, 1.0), (0.3 - 2j, 0.01), (1e6 + 0j, 1e3)):
+        assert ZBAR.bounds(center, radius) == (abs(center) + radius, 1.0)
     box = (-1 - 1j, 1 + 1j)
-    sampled = dataclasses.replace(ZBAR, exact_modulus=None)
-    for delta in (0.5, 0.1):
-        est = sampled.modulus(delta, box=box)
-        assert est == pytest.approx(delta, rel=0.05)
-        assert est <= delta * (1 + 1e-12)
-    assert ZBAR.modulus(0.25, box=box) == 0.25  # closed form
+    for delta in (0.5, 0.25, 0.1):
+        assert ZBAR.modulus(delta, box=box) == delta
+        assert delta * 0.95 <= modulus_by_fresh_draw(ZBAR, delta, box) <= delta
+
+
+@pytest.mark.parametrize("coeff", [1.0, 2.5, 0.3j, -3 + 4j, 1e-300])
+def test_modulus_conj_keeps_the_bits_of_abs_k_delta(coeff):
+    f = make_function("monomial", a=0, b=1, coeff=coeff)
+    for box in ((-1 - 1j, 1 + 1j), (1e8 + 3j, 1e8 + 5 + 4j), (0.1 + 0.1j, 0.1 + 0.1j)):
+        for delta in (0.4, 0.1, 1e-3, 7.0):
+            assert f.modulus(delta, box).hex() == (abs(coeff) * delta).hex()
 
 
 def test_modulus_bump_gradient_bound():
-    f = make_function("bump", radius=1.0, height=1.0)
+    # a real f has |df| + |dbar f| = |grad f| = 2|dbar f|; its closed-form max
+    # sits at |w| = R/sqrt(7), which a fine radial scan reaches
+    f = make_function("bump", center=0.2 + 0.1j, radius=0.8, height=-1.5)
+    sup, lip = f.bounds(0j, 5.0)
+    assert sup == 1.5
+    scan = 2 * np.abs(f.dbar(0.2 + 0.1j + np.linspace(0.0, 0.8, 100001)))
+    assert lip * (1 - 1e-9) <= scan.max() <= lip
     box = (-1.2 - 1.2j, 1.2 + 1.2j)
     for delta in (0.2, 0.05):
-        est = f.modulus(delta, box=box)
-        assert est <= f.lip * delta * (1 + 1e-12)
-
-
-def test_modulus_estimator_keeps_modulus_bits():
-    # one seeded sample serves every delta, with the bits of a fresh draw
-    box = (-0.4 - 0.3j, 0.6 + 0.7j)
-    for f in (_CUT_ZBAR, make_function("zbar_absz")):
-        omega = f.modulus_estimator(box=box)
-        for delta in (0.5, 0.1, 0.1, 0.013):
-            want = modulus_by_fresh_draw(f, delta, box).hex()
-            assert omega(delta).hex() == want
-            assert f.modulus(delta, box=box).hex() == want
-        with pytest.raises(ValueError):
-            omega(0.0)
-    assert ZBAR.modulus_estimator(box=box)(0.3) == 0.3  # closed form
+        assert f.modulus(delta, box=box) == lip * delta
 
 
 def test_modulus_monotone_under_fixed_seed():
@@ -473,6 +474,121 @@ def test_modulus_monotone_under_fixed_seed():
     box = (-1 - 1j, 1 + 1j)
     vals = [f.modulus(d, box=box) for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_modulus_rejects_nonpositive_delta():
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            ZBAR.modulus(delta, (-1 - 1j, 1 + 1j))
+
+
+def test_monomial_rejects_negative_exponents():
+    for a, b in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_function("monomial", a=a, b=b)
+
+
+# one of each family, cut-off and plain, with a pole outside and inside the boxes
+_BOUND_GALLERY = {
+    "conj": ZBAR,
+    "z2zbar": make_function("monomial", a=2, b=1, coeff=0.5 - 1j),
+    "z3": make_function("monomial", a=3, b=0),
+    "poly": make_function("poly", terms=((1.0, 1, 1), (-2j, 0, 2), (0.5, 3, 0))),
+    "zbar_absz": make_function("zbar_absz"),
+    "bump": make_function("bump", center=0.2 + 0.1j, radius=0.8, height=-1.5),
+    "reciprocal_far": make_function("reciprocal", pole=3.0 + 0.5j, coeff=1 - 1j),
+    "reciprocal_near": make_function("reciprocal", pole=0.3 + 0.2j),
+    "truncated_cauchy": truncated_cauchy(0.1 - 0.2j, 0.5),
+    "conj_cut": _CUT_ZBAR,
+    "zbar_absz_cut": with_cutoff(make_function("zbar_absz"), 0.5, 1.5, center=0.3j),
+    "reciprocal_cut": with_cutoff(make_function("reciprocal", pole=2.0 + 0j), 1.0, 1.6),
+}
+_BOUND_BOXES = [(0j, 0.6), (0.3 - 0.2j, 1.2), (-1 + 0.5j, 2.4), (1.5 + 1.5j, 0.6),
+                (0.9 - 1.1j, 1.7)]
+
+
+def _holds(box, z):
+    lo, hi = box
+    return lo.real <= z.real <= hi.real and lo.imag <= z.imag <= hi.imag
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_GALLERY))
+@pytest.mark.parametrize("center,half", _BOUND_BOXES)
+def test_modulus_bound_at_least_the_sampled_oracle(name, center, half):
+    f = _BOUND_GALLERY[name]
+    box = (center - half * (1 + 1j), center + half * (1 + 1j))
+    for delta in (0.4, 0.1, 0.03, 0.01):
+        bound = f.modulus(delta, box)
+        if f.pole is not None and _holds(box, f.pole) and "cut" not in name:
+            assert bound == math.inf
+            continue
+        assert bound >= modulus_by_fresh_draw(f, delta, box), delta
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_GALLERY))
+def test_bounds_cover_the_sampled_sup(name):
+    f = _BOUND_GALLERY[name]
+    rng = seed_stream(31, "functions.bounds")
+    for center, radius in ((0j, 0.5), (0.4 - 0.3j, 1.3), (-1.5 + 2j, 0.7), (0.1j, 3.0)):
+        sup, lip = f.bounds(center, radius)
+        assert 0 <= sup and 0 <= lip
+        if sup == math.inf:  # only a pole within reach makes the bounds infinite
+            assert f.pole is not None and abs(f.pole - center) <= radius
+            continue
+        rho, turn = np.sqrt(rng.uniform(0, 1, 4000)), np.exp(2j * math.pi * rng.uniform(0, 1, 4000))
+        z = np.concatenate([center + radius * rho * turn,
+                            center + radius * np.exp(2j * math.pi * np.arange(256) / 256)])
+        assert np.max(np.abs(f.value(z))) <= sup * (1 + 1e-12)
+
+
+def test_cutoff_bounds_vanish_off_the_support():
+    # the disc misses the support disc: f and its derivatives are 0 there
+    assert _CUT_ZBAR.bounds(3.0 + 0j, 0.79) == (0.0, 0.0)
+    assert _CUT_ZBAR.bounds(3.2 + 0j, 1.0) == (0.0, 0.0)  # touches |z| = 2.2, where f is 0
+    # inside r_inner the ramp is out of reach: the bounds are conj z's
+    assert _CUT_ZBAR.bounds(0.2j, 1.5) == ZBAR.bounds(0.2j, 1.5)
+    # reaching the ramp's middle adds sup|g| * (15/8) / width with g over the smaller disc
+    assert _CUT_ZBAR.bounds(0j, 5.0) == (2.2, 1.0 + 2.2 * 1.875 / (2.2 - 1.8))
+
+
+def _sweep_box(curve, delta):
+    lo, hi = curve.bbox  # delta_sweep's modulus box
+    return lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j)
+
+
+# the localize_sweep workload's three sweep curves and square centers at seeds 1 and 90210
+_WORKLOAD_SWEEPS = [
+    ({"n": 248, "radius": 0.564529}, -0.096543 + 0.518288j),
+    ({"n": 240, "radius": 0.565788}, -0.559182 - 0.055427j),
+    ({"n": 112, "radius": 0.564161, "center": 0.131601 - 0.216759j}, -0.385756 - 0.303417j),
+    ({"n": 120, "radius": 0.572406, "center": 0.002053 - 0.021633j}, -0.206745 + 0.506685j),
+    ({"family": "star", "n": 56, "r_min": 0.4, "r_max": 0.6, "seed": 721050}, 0.028006 + 0.526985j),
+    ({"family": "star", "n": 64, "r_min": 0.4, "r_max": 0.6, "seed": 44152}, 0.191099 + 0.59209j),
+]
+
+
+def _cutoff_conj_settings():
+    """(delta, box) of every modulus call at the acceptance, golden-row and workload settings."""
+    out = [(0.25, (-2.4 - 2.4j, 2.4 + 2.4j))]  # criterion 6
+    out += [(d, _sweep_box(make_curve("circle", n=256), d)) for d in (0.4, 0.2, 0.1, 0.05)]
+    out += [(d, _sweep_box(make_curve("circle", n=128), d)) for d in (0.4, 0.2, 0.1)]  # golden
+    for params, c in _WORKLOAD_SWEEPS:
+        params = dict(params)
+        curve = make_curve(params.pop("family", "circle"), **params)
+        out += [(d, _sweep_box(curve, d)) for d in (0.4, 0.2, 0.1, 0.05)]
+        # the depth-7 dyadic square of half-side 0.125: its box has twice its side
+        out += [(math.sqrt(2.0) * 0.25 / 2 ** n, (c - 0.25 * (1 + 1j), c + 0.25 * (1 + 1j)))
+                for n in range(8)]
+    return out
+
+
+def test_modulus_cutoff_conj_within_three_times_the_oracle():
+    worst = 0.0
+    for delta, box in _cutoff_conj_settings():
+        bound, sampled = _CUT_ZBAR.modulus(delta, box), modulus_by_fresh_draw(_CUT_ZBAR, delta, box)
+        assert sampled <= bound <= 3 * sampled, (delta, box)
+        worst = max(worst, bound / sampled)
+    assert worst > 2  # the ramp is in reach at some of these settings
 
 
 def test_gauss_rule_is_read_only():

@@ -197,11 +197,13 @@ def test_bound_check_and_scaling():
     disc = Disc(1.0 + 0j, 0.4)
     h = truncated_cauchy(disc.center + 0.05, 0.1)
     rep = bound_check(c, disc, h)
-    assert abs(rep.lhs) <= 2 * math.pi * h.sup_norm * disc.radius * (1 + 1e-9)
+    assert rep.rhs == 2 * math.pi * 0.1 * disc.radius  # sup|h| is the kernel's radius
+    sup_h = h.bounds(disc.center, disc.radius)[0]
+    assert abs(rep.lhs) <= 2 * math.pi * sup_h * disc.radius * (1 + 1e-9)
     h10 = truncated_cauchy(disc.center + 0.05, 0.1)
-    big_val = h10.value
+    big_val, big_bounds = h10.value, h10.bounds
     h10.value = lambda z: 10 * big_val(z)
-    h10.sup_norm = 10 * h10.sup_norm
+    h10.bounds = lambda center, radius: tuple(10 * b for b in big_bounds(center, radius))
     rep10 = bound_check(c, disc, h10)
     assert rep10.lhs == pytest.approx(10 * rep.lhs, rel=1e-12)
 
@@ -213,7 +215,7 @@ def test_bound_shrinks_with_radius():
         disc = with_jitter(c, Disc(1.0 + 0j, radius), seed=3)
         h = truncated_cauchy(disc.center + 0.01, 0.2 * radius)
         rep = bound_check(c, disc, h)
-        bound = 2 * math.pi * h.sup_norm * disc.radius
+        bound = 2 * math.pi * h.bounds(disc.center, disc.radius)[0] * disc.radius
         assert abs(rep.lhs) <= bound * (1 + 1e-9)
         if prev is not None:
             assert bound == pytest.approx(prev / 4, rel=1e-9)  # sup|h| and radius both halve

@@ -312,10 +312,22 @@ def test_delta_sweep_golden_rows(zbar_cut):
     got = [(r["delta"].hex(), r["s_ii_abs"].hex(), r["bound"].hex(), r["n_pieces"])
            for r in rows]
     assert got == [
-        ("0x1.999999999999ap-2", "0x1.dc3ea9f5e5c62p+1", "0x1.6ea0f6f226655p+6", 124),
-        ("0x1.999999999999ap-3", "0x1.0f71dcba6ae80p+1", "0x1.1cedc5ce987f7p+6", 240),
-        ("0x1.999999999999ap-4", "0x1.2e3fe2a5d15c0p+0", "0x1.419ce4c0ebec6p+2", 508),
+        ("0x1.999999999999ap-2", "0x1.dc3ea9f5e5c62p+1", "0x1.c6db60cf0d8bcp+7", 124),
+        ("0x1.999999999999ap-3", "0x1.0f71dcba6ae80p+1", "0x1.c31181012f1b3p+6", 240),
+        ("0x1.999999999999ap-4", "0x1.2e3fe2a5d15c0p+0", "0x1.41aab2c82b865p+2", 508),
     ]
+
+
+def test_delta_sweep_bound_holds_when_the_box_dwarfs_the_support(zbar_cut):
+    # at delta >= 300 the modulus box is thousands of times the cutoff's
+    # support: a bound over it must still see the ramp, stay positive, fall
+    # with delta and stay above |S_II|
+    rows = delta_sweep(zbar_cut, make_curve("circle", n=48), [1000, 300, 100, 10, 1])
+    bounds = [r["bound"] for r in rows]
+    assert all(b > 0 for b in bounds)
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    assert all(r["s_ii_abs"] <= r["bound"] for r in rows)
+    assert bounds[-1] > 500 and rows[-1]["s_ii_abs"] == pytest.approx(6.265, abs=1e-3)
 
 
 def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
