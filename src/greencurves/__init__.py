@@ -13,7 +13,7 @@ from .integration import (GreenConfig, Square, VerificationReport, area_integral
                           contour_integral, green_on_square, mollifier_identity_check,
                           verify_green)
 from .mainlemma import (ArcComponent, BoundaryInterval, Disc, GenerationTree, bound_check,
-                        build_generations, classify_crossings, exterior_components,
-                        exterior_integral_identity, select_interval, with_jitter)
+                        build_generations, exterior_components, exterior_integral_identity,
+                        select_interval, with_jitter)
 from .vitushkin import Partition, PieceSet, build_partition, class_sums, delta_sweep
-from .winding import GridSpec, IndexField, index_field, winding_number, winding_numbers
+from .winding import GridSpec, IndexField, index_field, winding_numbers

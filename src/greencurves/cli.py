@@ -38,7 +38,6 @@ from .svg import render_svg
 from .vitushkin import PieceSet, delta_sweep, sweep_partition
 from .winding import MIN_DILATE, GridSpec, distance_to_curve, index_field, winding_numbers
 
-_CHECK_NAMES = ("green", "decompose", "vitushkin", "mainlemma", "square", "mollifier")
 # Most grid cells, sub-squares in the deepest square generation, or bumps at the
 # smallest delta that a scenario may ask for; more would not fit in memory.
 _MAX_ITEMS = 1 << 21
@@ -69,8 +68,8 @@ def _load_scenario(path: str) -> dict:
     if not isinstance(doc["checks"], list):
         raise ParseError("checks must be a list")
     for name in doc["checks"]:
-        if name not in _CHECK_NAMES:
-            raise ParseError(f"unknown check {name!r}; valid: {_CHECK_NAMES}")
+        if name not in _CHECKS:
+            raise ParseError(f"unknown check {name!r}; valid: {tuple(_CHECKS)}")
     doc["_hash"] = hashlib.sha256(raw).hexdigest()
     return doc
 
@@ -235,22 +234,15 @@ def _check_mollifier(spec, curve, f, seed):
     return {"report": rep.to_json_dict(), "hard_fail": False}
 
 
+# each check's reader of the scenario section it needs, and the check itself;
+# every section is parsed and validated before any check runs
 _CHECKS = {
-    "green": _check_green,
-    "decompose": _check_decompose,
-    "vitushkin": _check_vitushkin,
-    "mainlemma": _check_mainlemma,
-    "square": _check_square,
-    "mollifier": _check_mollifier,
-}
-
-# the scenario section each check reads, parsed and validated before any check runs
-_SECTIONS = {
-    "green": _green_cfg,
-    "vitushkin": _deltas,
-    "mainlemma": _discs,
-    "square": _square,
-    "mollifier": _mollifier,
+    "green": (_green_cfg, _check_green),
+    "decompose": (lambda doc: None, _check_decompose),
+    "vitushkin": (_deltas, _check_vitushkin),
+    "mainlemma": (_discs, _check_mainlemma),
+    "square": (_square, _check_square),
+    "mollifier": (_mollifier, _check_mollifier),
 }
 
 
@@ -262,7 +254,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         seed = int(doc.get("seed", 0))
         curve = _build_curve(doc)
         f = _build_function(doc)
-        specs = {name: _SECTIONS[name](doc) if name in _SECTIONS else None for name in checks}
+        specs = {name: _CHECKS[name][0](doc) for name in checks}
         deltas = specs.get("vitushkin")
         if deltas and sweep_partition(curve, deltas[-1]).n_bumps > _MAX_ITEMS:
             raise ValueError(f"deltas: more than {_MAX_ITEMS} bumps at the smallest delta")
@@ -275,7 +267,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
     timings = {}
     for name in checks:
         t0 = time.perf_counter()
-        results[name] = _CHECKS[name](specs[name], curve, f, seed)
+        results[name] = _CHECKS[name][1](specs[name], curve, f, seed)
         timings[name] = time.perf_counter() - t0
 
     hard_fail = any(results[name].get("hard_fail") for name in checks)

@@ -10,7 +10,7 @@ numpy's pairwise accumulation, so results are reproducible for a fixed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -122,7 +122,7 @@ def _known_windings(curve: PolyCurve, z, wind):
     return wind
 
 
-def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: int = 3,
+def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: int,
                            weight=None):
     """∫ dbar(f) * Ind (* weight) over the plane, without the 2i prefactor.
 
@@ -274,14 +274,7 @@ def verify_green(curve: PolyCurve, f: FunctionDescriptor,
     lhs = contour_integral(curve, f, order=cfg.contour_order)
     area, info = area_integral_weighted(fld, f, refine=cfg.refine)
     rhs = 2j * area
-    settings = {
-        "resolution": cfg.resolution,
-        "dilate": cfg.dilate,
-        "band_diagonals": cfg.band_diagonals,
-        "refine": cfg.refine,
-        "contour_order": cfg.contour_order,
-    }
-    return VerificationReport.build(lhs, rhs, settings, **info)
+    return VerificationReport.build(lhs, rhs, asdict(cfg), **info)
 
 
 def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:

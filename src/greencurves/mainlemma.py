@@ -8,6 +8,10 @@ avoids the disc; integrating a function holomorphic off a compact subset of
 the disc over the component then equals integrating it over that interval.
 The intervals nest like dyadic intervals, and the identity assembles from the
 even-depth generations with alternating orientation signs.
+
+One record per (curve, disc) pair, built by ``_geometry``, holds the crossings,
+components, intervals, their tree and the signed pieces; the identity and the
+geometry dump only read it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class ArcComponent:
     closed: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryInterval:
     """Circle interval (counterclockwise from theta0, angular width span).
 
@@ -96,9 +100,9 @@ class GenerationTree:
 def circle_crossings(curve: PolyCurve, disc: Disc) -> list:
     """Transversal curve-circle crossings in traversal order.
 
-    Raises RadiusJitterNeeded when a vertex lies on the circle or an edge is
-    tangent to it; polygons admit only finitely many bad radii, so the caller
-    can retry with a slightly inflated disc.
+    Raises RadiusJitterNeeded when a vertex lies on the circle, an edge is
+    tangent to it, or the crossing count is odd; polygons admit only finitely
+    many bad radii, so the caller can retry with a slightly inflated disc.
     """
     c, r = disc.center, disc.radius
     v = curve.vertices
@@ -129,27 +133,19 @@ def circle_crossings(curve: PolyCurve, disc: Disc) -> list:
             p = a[k] + t * d[k]
             out.append(Crossing(edge=k, t=float(t), point=complex(p),
                                 angle=float(np.angle(p - c)), kind=kind))
+    if len(out) % 2:
+        # a transversal crossing count is even; an odd count means a partner
+        # crossing was lost to rounding near a tangency
+        raise RadiusJitterNeeded("odd crossing count")
     out.sort(key=lambda cr: (cr.edge, cr.t))
     return out
 
 
-def classify_crossings(curve: PolyCurve, disc: Disc) -> list:
-    """Enter/leave events in traversal order; they must strictly alternate."""
-    crossings = circle_crossings(curve, disc)
-    if len(crossings) % 2:
-        # a transversal crossing count is even; an odd count means a partner
-        # crossing was lost to rounding near a tangency
-        raise RadiusJitterNeeded("odd crossing count")
-    kinds = [cr.kind for cr in crossings]
-    for k in range(len(kinds)):
-        if kinds[k] == kinds[(k + 1) % len(kinds)] and len(kinds) > 1:
-            raise NestingViolation("enter/leave events do not alternate along the traversal")
-    return crossings
-
-
 def exterior_components(curve: PolyCurve, disc: Disc):
-    """(components, crossings) for the part of the curve outside the closed disc."""
-    crossings = classify_crossings(curve, disc)
+    """(components, crossings) outside the closed disc; enter and leave must alternate."""
+    crossings = circle_crossings(curve, disc)
+    if any(a.kind == b.kind for a, b in zip(crossings, crossings[1:] + crossings[:1])):
+        raise NestingViolation("enter/leave events do not alternate along the traversal")
     c, r = disc.center, disc.radius
     if not crossings:
         dmin = float(np.min(np.abs(curve.vertices - c)))
@@ -180,8 +176,8 @@ def exterior_components(curve: PolyCurve, disc: Disc):
     return comps, crossings
 
 
-def select_interval(component: ArcComponent, disc: Disc) -> BoundaryInterval:
-    """The circle interval closing the component into a curve with center index zero.
+def select_interval(component: ArcComponent, disc: Disc, index: int) -> BoundaryInterval:
+    """The circle interval closing component number ``index`` into a curve with center index zero.
 
     The component's angle about the center, summed edge by edge, is exact:
     every edge lies outside the disc, so it turns by less than pi.  Closing
@@ -206,9 +202,9 @@ def select_interval(component: ArcComponent, disc: Disc) -> BoundaryInterval:
         # interval runs ccw from the enter angle to the leave angle;
         # the component traverses it from leave to enter, i.e. clockwise
         return BoundaryInterval(theta0=th_e % TWO_PI, span=span_ccw, sigma=-1,
-                                component_index=-1)
+                                component_index=index)
     return BoundaryInterval(theta0=th_l % TWO_PI, span=span_cw, sigma=+1,
-                            component_index=-1)
+                            component_index=index)
 
 
 def _contains(outer: BoundaryInterval, inner: BoundaryInterval, tol: float) -> bool:
@@ -285,45 +281,62 @@ def exterior_pieces(tree: GenerationTree) -> list:
     return pieces
 
 
-def _generations(comps: list, disc: Disc):
-    """The boundary interval of each exterior component, in order, and their nesting tree."""
-    intervals = []
-    for ci, comp in enumerate(comps):
-        itv = select_interval(comp, disc)
-        itv.component_index = ci
-        intervals.append(itv)
-    return intervals, build_generations(intervals)
+@dataclass
+class _Geometry:
+    """The disc geometry of one (curve, disc) pair, as the identity and the dump read it.
+
+    ``pieces`` are the signed circle pieces (theta0, span, eps).  When the
+    whole curve lies outside the disc it is the one piece: the whole circle
+    weighted by the center's index, kept even when that index is zero.
+    """
+
+    crossings: list
+    components: list
+    intervals: list
+    tree: GenerationTree
+    pieces: list
+
+    @property
+    def closed(self) -> bool:
+        return bool(self.components) and self.components[0].closed
+
+
+def _geometry(curve: PolyCurve, disc: Disc) -> _Geometry:
+    comps, crossings = exterior_components(curve, disc)
+    if comps and comps[0].closed:
+        ind = int(winding_numbers(curve, np.array([disc.center]))[0])
+        return _Geometry(crossings, comps, [], GenerationTree([], [], []), [(0.0, TWO_PI, ind)])
+    intervals = [select_interval(comp, disc, ci) for ci, comp in enumerate(comps)]
+    tree = build_generations(intervals)
+    return _Geometry(crossings, comps, intervals, tree, exterior_pieces(tree))
 
 
 def exterior_integral_identity(curve: PolyCurve, disc: Disc,
                                h: FunctionDescriptor) -> VerificationReport:
     """Check ∮ over the exterior components against the signed interval integrals."""
-    comps, crossings = exterior_components(curve, disc)
-    settings = {"contour_order": CONTOUR_ORDER, "arc_order": ARC_ORDER,
-                "radius": disc.radius,
+    geo = _geometry(curve, disc)
+    settings = {"contour_order": CONTOUR_ORDER, "arc_order": ARC_ORDER, "radius": disc.radius,
                 "center": [disc.center.real, disc.center.imag]}
-    if comps and comps[0].closed:
-        lhs = polyline_integral(comps[0].points, h.value, order=CONTOUR_ORDER, closed=True)
-        ind = int(winding_numbers(curve, np.array([disc.center]))[0])
-        rhs = ind * _arc_integral(disc, 0.0, TWO_PI, h.value, order=64)
-        pieces = [(0.0, TWO_PI, ind)] if ind else []
+    lhs = 0j
+    for comp in geo.components:
+        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
+    pieces = [[t0, sp, eps] for t0, sp, eps in geo.pieces if eps]
+    if geo.closed:
+        [(theta0, span, ind)] = geo.pieces
+        # index times the whole-circle integral, so a zero index keeps its signed zeros
+        rhs = ind * _arc_integral(disc, theta0, span, h.value, order=64)
         return VerificationReport.build(lhs, rhs, settings, pieces=pieces,
                                         n_components=1, closed=True)
-    lhs = 0j
-    for comp in comps:
-        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=False)
-    intervals, tree = _generations(comps, disc)
-    pieces = exterior_pieces(tree)
     rhs = 0j
-    for theta0, span, eps in pieces:
+    for theta0, span, eps in geo.pieces:
         rhs += eps * _arc_integral(disc, theta0, span, h.value, order=ARC_ORDER)
     extras = {
-        "n_components": len(comps),
-        "n_crossings": len(crossings),
-        "generations": tree.depth,
-        "signs": [itv.sigma for itv in intervals],
-        "pieces": [[t0, sp, eps] for (t0, sp, eps) in pieces],
-        "piece_total_span": float(sum(sp for _, sp, _ in pieces)),
+        "n_components": len(geo.components),
+        "n_crossings": len(geo.crossings),
+        "generations": geo.tree.depth,
+        "signs": [itv.sigma for itv in geo.intervals],
+        "pieces": pieces,
+        "piece_total_span": float(sum(sp for _, sp, _ in geo.pieces)),
     }
     return VerificationReport.build(lhs, rhs, settings, **extras)
 
@@ -362,21 +375,15 @@ def with_jitter(curve: PolyCurve, disc: Disc, seed: int):
 
 def geometry_dump(curve: PolyCurve, disc: Disc) -> dict:
     """JSON-ready dump of the disc geometry for rendering."""
-    comps, crossings = exterior_components(curve, disc)
-    intervals = []
-    depths = []
-    if comps and not comps[0].closed:
-        ivs, tree = _generations(comps, disc)
-        depths = tree.depth
-        intervals = [{"theta0": iv.theta0, "span": iv.span, "sigma": iv.sigma,
-                      "component": iv.component_index, "depth": tree.depth[k]}
-                     for k, iv in enumerate(ivs)]
+    geo = _geometry(curve, disc)
     return {
         "kind": "mainlemma-diagram",
         "disc": {"center": [disc.center.real, disc.center.imag], "radius": disc.radius},
         "curve": [[z.real, z.imag] for z in curve.vertices],
-        "components": [[[p.real, p.imag] for p in comp.points] for comp in comps],
-        "crossings": [{"angle": cr.angle, "kind": cr.kind} for cr in crossings],
-        "intervals": intervals,
-        "max_depth": max(depths) if depths else -1,
+        "components": [[[p.real, p.imag] for p in comp.points] for comp in geo.components],
+        "crossings": [{"angle": cr.angle, "kind": cr.kind} for cr in geo.crossings],
+        "intervals": [{"theta0": iv.theta0, "span": iv.span, "sigma": iv.sigma,
+                       "component": iv.component_index, "depth": depth}
+                      for iv, depth in zip(geo.intervals, geo.tree.depth)],
+        "max_depth": geo.tree.max_depth,
     }

@@ -141,7 +141,7 @@ def _polar_frame(zs, x0, x1, y0, y1, delta: float):
 class Partition:
     """Family of tensor bumps on the half-spacing lattice covering a box.
 
-    Bump j has center ``centers[j]``; its support is the open square of side
+    Bump j has center ``centers_array()[j]``; its support is the open square of side
     ``delta`` about the center (inside the nominal disc of radius delta), and
     the nominal discs are what the I/II/III classification uses.
     """
@@ -159,11 +159,6 @@ class Partition:
     @property
     def n_bumps(self) -> int:
         return self.ni * self.nj
-
-    def center(self, j: int) -> complex:
-        iy, ix = divmod(j, self.ni)
-        d = self.spacing
-        return complex((self.i0 + ix + 0.5) * d, (self.j0 + iy + 0.5) * d)
 
     def centers_array(self) -> np.ndarray:
         d = self.spacing

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolyCurve, _chunks
-from .errors import OnCurve
 
 MIN_DILATE = 1.5  # least factor by which a grid box dilates the curve's bounding box
 
@@ -91,12 +90,12 @@ def _grid_pairs(curve: PolyCurve, x, y, pad: float, half: float = 0.0):
         yield k, x0[k] + m % nx[k], y0[k] + m // nx[k]
 
 
-def distance_to_curve(curve: PolyCurve, zs, cap: float = np.inf) -> np.ndarray:
+def distance_to_curve(curve: PolyCurve, zs, cap: float) -> np.ndarray:
     """Euclidean distance from each query point to the polyline, exact up to ``cap``.
 
     Where the distance is at most ``cap`` the result is the exact minimum over
     the edges; elsewhere it is some value above ``cap`` (possibly ``inf``).
-    With the default ``cap=inf`` every point is a candidate of every edge.
+    With ``cap=inf`` every point is a candidate of every edge.
     """
     if not cap >= 0:
         raise ValueError("cap must be nonnegative")
@@ -142,18 +141,6 @@ def winding_numbers(curve: PolyCurve, zs) -> np.ndarray:
         left = _left(ak, bk, zx[idx], zy[idx])
         np.add.at(wn, idx, np.where(ak.imag < bk.imag, left > 0, (left < 0) * -1))
     return wn.reshape(z.shape)
-
-
-def winding_number(curve: PolyCurve, z: complex) -> int:
-    """Winding number of the curve about a single point.
-
-    Raises OnCurve when the point is within the geometric tolerance of the
-    curve, where the index is undefined.
-    """
-    d = distance_to_curve(curve, np.array([z]), cap=curve.tau_geom)[0]
-    if d <= curve.tau_geom:
-        raise OnCurve(f"point {z} is within {d:.3g} of the curve")
-    return int(winding_numbers(curve, np.array([z]))[0])
 
 
 @dataclass(frozen=True)
@@ -205,11 +192,6 @@ class GridSpec:
         y = self.lo.imag + (np.arange(self.ny) + 0.5) * self.cell_h
         return x, y
 
-    def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape (ny, nx), row-major from the lower-left."""
-        x, y = self.axes()
-        return x[None, :] + 1j * y[:, None]
-
     def contains_dilated_bbox(self, curve: PolyCurve) -> bool:
         """Does the box contain the curve's bounding box dilated by ``MIN_DILATE``?"""
         lo, hi = curve.bbox
@@ -259,8 +241,9 @@ class IndexField:
 def index_field(curve: PolyCurve, grid: GridSpec, band: float) -> IndexField:
     """Sample the winding number on the grid and flag cells within ``band`` of the curve.
 
-    Bit for bit what one call of each kernel on ``grid.centers()`` gives, the
-    distance capped at ``max(band, tau_geom)``.  A row's counted prefix is
+    Bit for bit what one call of each kernel gives on the cell centers
+    ``x[None, :] + 1j * y[:, None]`` (``x, y = grid.axes()``), the distance
+    capped at ``max(band, tau_geom)``.  A row's counted prefix is
     exact because ``_left`` is a chain of correctly rounded, monotone numpy
     operations in px and x ascends; bisection on that predicate finds it.
     """

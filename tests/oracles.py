@@ -217,15 +217,28 @@ def dbar_phi_two_sided(dx, dy, delta):
                   + 1j * profile_two_sided(dx, delta) * profile_d_two_sided(dy, delta))
 
 
+def bump_center(partition: Partition, j: int) -> complex:
+    """Center of bump j, from the lattice origin (i0, j0) and the spacing."""
+    iy, ix = divmod(j, partition.ni)
+    d = partition.spacing
+    return complex((partition.i0 + ix + 0.5) * d, (partition.j0 + iy + 0.5) * d)
+
+
+def cell_centers(grid) -> np.ndarray:
+    """Cell centers of a grid, shape (ny, nx), row-major from the lower-left corner."""
+    x, y = grid.axes()
+    return x[None, :] + 1j * y[:, None]
+
+
 def phi_two_sided(partition: Partition, j: int, zs) -> np.ndarray:
     """Bump j at each of ``zs``: the product of the two-sided profiles of the offsets."""
-    d = np.asarray(zs, dtype=complex) - partition.center(j)
+    d = np.asarray(zs, dtype=complex) - bump_center(partition, j)
     return profile_two_sided(d.real, partition.delta) * profile_two_sided(d.imag, partition.delta)
 
 
 def grad_phi_norm(partition: Partition, j: int, zs) -> np.ndarray:
     """|grad phi_j| at each of ``zs``: twice |dbar phi_j|, because phi_j is real."""
-    d = np.asarray(zs, dtype=complex) - partition.center(j)
+    d = np.asarray(zs, dtype=complex) - bump_center(partition, j)
     return 2.0 * np.abs(dbar_phi_two_sided(d.real, d.imag, partition.delta))
 
 
@@ -281,7 +294,7 @@ def _piece_integral(partition: Partition, j: int, zs, g) -> np.ndarray:
     the polar rule about z replaces it on the 3x3 cells about z's cell, so no
     tensor node comes within a cell of z.
     """
-    delta, c = partition.delta, partition.center(j)
+    delta, c = partition.delta, bump_center(partition, j)
     z = np.asarray(zs, dtype=complex).ravel()
     h, corner = delta / REF_CELLS, c - delta / 2 * (1 + 1j)
     gx, gw = _gauss01(REF_ORDER)
@@ -306,7 +319,7 @@ def _piece_integral(partition: Partition, j: int, zs, g) -> np.ndarray:
 
 def localize(f, partition: Partition, j: int, zs) -> np.ndarray:
     """Accurate values of the piece f_j = (1/pi) ∫ (f(w) - f(z)) / (w - z) dbar(phi_j)(w) dA(w)."""
-    c = partition.center(j)
+    c = bump_center(partition, j)
     return _piece_integral(partition, j, zs, lambda w, z: (f.value(w) - f.value(z)) * dbar_phi_two_sided(
         w.real - c.real, w.imag - c.imag, partition.delta) / math.pi)
 
@@ -419,7 +432,7 @@ def area_by_levels(field_, f, refine: int = 3, weight=None):
     def w_of(z):
         return 1.0 if weight is None else weight(z)
 
-    centers = grid.centers()
+    centers = cell_centers(grid)
     clean = ~field_.near_mask
     total = complex((f.dbar(centers[clean]) * field_.values[clean] * w_of(centers[clean])).sum()
                     * grid.cell_area)
@@ -495,7 +508,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     z = np.asarray(zs, dtype=complex).ravel()
     if not ps._active([j])[0]:
         return np.zeros(z.shape, dtype=complex)
-    c = ps.partition.center(j)
+    c = bump_center(ps.partition, j)
     a = ps.b * ps.f.value(c + ps.offsets)
     a_c = ps.b_c * ps.f.value(c + ps.offsets_c)
     a_moments = ps._powers @ a

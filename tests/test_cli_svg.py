@@ -357,7 +357,8 @@ def test_report_hard_fail_exit_code(tmp_path, monkeypatch):
     # force a hard invariant failure through the runner to check exit wiring
     import greencurves.cli as climod
     monkeypatch.setitem(climod._CHECKS, "decompose",
-                        lambda doc, curve, f, seed: {"report": {}, "hard_fail": True})
+                        (lambda doc: None,
+                         lambda spec, curve, f, seed: {"report": {}, "hard_fail": True}))
     doc = {"schema": 1, "seed": 1, "curve": {"family": "bowtie"}, "checks": ["decompose"]}
     p = tmp_path / "s.json"
     p.write_text(json.dumps(doc))

@@ -19,7 +19,7 @@ from greencurves.integration import (_BLOCK, area_integral_weighted, contour_int
 from greencurves.vitushkin import build_partition
 from greencurves.winding import IndexField, distance_to_curve
 
-from oracles import (area_by_levels, clip_polygon_by_halfplane, cutoff_by_ramp,
+from oracles import (area_by_levels, cell_centers, clip_polygon_by_halfplane, cutoff_by_ramp,
                      modulus_by_fresh_draw, monomial_by_powers, polygon_z_integral,
                      shoelace_area, square_generation_sums)
 
@@ -158,14 +158,14 @@ def test_refinement_child_exactly_at_band(s, refine):
     # would release that child as clear.
     grid = GridSpec(-6 - 6j, 6 + 6j, 64, 64)
     h = grid.cell_w / 4
-    c = grid.centers()[32, 32]
+    c = cell_centers(grid)[32, 32]
     v = c - s * h * (1 + 1j)
     curve = PolyCurve(v + np.array([0, -2 - 0.5j, -2 + 2j, 2 + 2j, 2 - 2j, -0.5 - 2j]))
     fld = index_field(curve, grid, 2 * grid.cell_diag)
     band = 2.0 * math.hypot(2 * h, 2 * h)
     child = c + (4 - s) * h * (1 + 1j)
     assert fld.near_mask[32, 32] and fld.values[32, 32] != 0
-    assert distance_to_curve(curve, np.array([child]))[0] == band
+    assert distance_to_curve(curve, np.array([child]), cap=np.inf)[0] == band
     p, r = fld.dist[32, 32], math.hypot(h, h)
     assert p - r > band if s == 5 else p + r <= band
     for f in _FUNCTIONS:

@@ -1,20 +1,24 @@
 """Disc geometry: exterior components, intervals, generations, the interval identity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from greencurves import PolyCurve, is_jordan, make_curve
+from greencurves import PolyCurve, gallery_curves, is_jordan, jordan_decompose, make_curve
+from greencurves import mainlemma
 from greencurves.errors import BoundViolated, NestingViolation, RadiusJitterNeeded
 from greencurves.functions import make_function, truncated_cauchy
-from greencurves.mainlemma import (Disc, bound_check, build_generations, circle_crossings,
-                                   classify_crossings, exterior_components,
-                                   exterior_integral_identity, geometry_dump,
-                                   select_interval, with_jitter)
+from greencurves.mainlemma import (JITTER_ATTEMPTS, Disc, bound_check, build_generations,
+                                   circle_crossings, exterior_components,
+                                   exterior_integral_identity, geometry_dump, select_interval,
+                                   with_jitter)
 from greencurves._rng import seed_stream
 
-from oracles import gl_contour
+from oracles import gl_contour, winding_by_angles
 
 
 def _polar_poly(pairs):
@@ -79,6 +83,36 @@ def test_vertex_on_circle_needs_jitter():
     assert circle_crossings(c, d)
 
 
+def _edges(starts, ends):
+    """A bare edge list with the fields ``circle_crossings`` reads; not a closed curve."""
+    a, b = np.array(starts, dtype=complex), np.array(ends, dtype=complex)
+    return SimpleNamespace(vertices=np.concatenate([a, b]), starts=a, edge_vectors=b - a, n=a.size)
+
+
+def test_odd_crossing_count_is_retried_then_raised(monkeypatch):
+    # one edge leaving the unit disc: a lone crossing, as when rounding loses a partner
+    edge = _edges([0j], [2 + 0j])
+    with pytest.raises(RadiusJitterNeeded, match="odd crossing count"):
+        circle_crossings(edge, UNIT)
+    calls = []
+
+    def counted(curve, disc):
+        calls.append(disc)
+        return circle_crossings(curve, disc)
+
+    monkeypatch.setattr(mainlemma, "circle_crossings", counted)
+    with pytest.raises(RadiusJitterNeeded, match="odd crossing count"):
+        with_jitter(edge, UNIT, seed=4)
+    assert len(calls) == JITTER_ATTEMPTS + 1
+    assert all(b.radius > a.radius for a, b in zip(calls, calls[1:]))
+
+
+def test_non_alternating_crossings_raise():
+    # two edges that both leave the unit disc: an even count of one kind
+    with pytest.raises(NestingViolation, match="alternate"):
+        exterior_components(_edges([0j, 0.1j], [2 + 0j, 2 + 0.1j]), UNIT)
+
+
 def test_crossings_alternate_along_traversal_and_circle():
     rng = seed_stream(99, "mainlemma.test")
     checked = 0
@@ -87,7 +121,7 @@ def test_crossings_alternate_along_traversal_and_circle():
         disc = Disc(center=complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
                     radius=rng.uniform(0.3, 0.8))
         disc = with_jitter(c, disc, seed=trial)
-        events = classify_crossings(c, disc)
+        _, events = exterior_components(c, disc)
         if not events:
             continue
         checked += 1
@@ -103,7 +137,7 @@ def test_crossings_alternate_along_traversal_and_circle():
 def test_select_interval_unique_zero_candidate():
     c = make_curve("circle", n=128)
     comps, _ = exterior_components(c, Disc(1.0 + 0j, 0.4))
-    itv = select_interval(comps[0], Disc(1.0 + 0j, 0.4))
+    itv = select_interval(comps[0], Disc(1.0 + 0j, 0.4), 0)
     # shallow clip: the near (short) interval qualifies
     assert itv.span < math.pi
     assert itv.sigma == 1
@@ -111,8 +145,8 @@ def test_select_interval_unique_zero_candidate():
 
 def test_select_interval_long_side_for_encircling_component():
     comps, _ = exterior_components(NESTED, UNIT)
-    big = max(comps, key=lambda cmp: len(cmp.points))
-    itv = select_interval(big, UNIT)
+    k, big = max(enumerate(comps), key=lambda kc: len(kc[1].points))
+    itv = select_interval(big, UNIT, k)
     assert itv.span > math.pi / 2  # component spans a wide angular range
 
     # a component sweeping almost all the way around: the long interval qualifies
@@ -123,7 +157,7 @@ def test_select_interval_long_side_for_encircling_component():
     assert is_jordan(ring)
     comps2, crossings = exterior_components(ring, UNIT)
     assert len(comps2) == 1 and len(crossings) == 2
-    itv2 = select_interval(comps2[0], UNIT)
+    itv2 = select_interval(comps2[0], UNIT, 0)
     assert itv2.span > math.pi
     h = truncated_cauchy(0.03j, 0.2)
     rep = exterior_integral_identity(ring, UNIT, h)
@@ -133,11 +167,8 @@ def test_select_interval_long_side_for_encircling_component():
 def test_build_generations_nesting():
     comps, _ = exterior_components(NESTED, UNIT)
     assert len(comps) == 3
-    ivs = []
-    for k, comp in enumerate(comps):
-        itv = select_interval(comp, UNIT)
-        itv.component_index = k
-        ivs.append(itv)
+    ivs = [select_interval(comp, UNIT, k) for k, comp in enumerate(comps)]
+    assert [itv.component_index for itv in ivs] == [0, 1, 2]
     tree = build_generations(ivs)
     assert sorted(tree.depth) == [0, 1, 2]
     # signs alternate down the chain
@@ -269,3 +300,111 @@ def test_geometry_dump_shape():
     assert len(dump["components"]) == 3
     assert dump["max_depth"] == 2
     assert len(dump["crossings"]) == 6
+
+
+_LOOPS = [lp for _, c in gallery_curves() for lp in jordan_decompose(c).loops]
+
+
+@st.composite
+def _curve_and_disc(draw):
+    """A random star, or a Jordan loop of a gallery curve, with a disc about its box."""
+    if draw(st.booleans()):
+        curve = make_curve("star", n=draw(st.integers(8, 48)), seed=draw(st.integers(0, 10 ** 6)))
+    else:
+        curve = draw(st.sampled_from(_LOOPS))
+    lo, hi = curve.bbox
+    u, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    center = complex(lo.real + u * (hi - lo).real, lo.imag + v * (hi - lo).imag)
+    return curve, Disc(center, draw(st.floats(0.05, 0.8)) * abs(hi - lo))
+
+
+def _split(points, m: int) -> np.ndarray:
+    """The polyline through ``points`` with each edge cut into ``m`` equal edges."""
+    a, b = points[:-1], points[1:]
+    return np.append((a[:, None] + (b - a)[:, None] * (np.arange(m) / m)).ravel(), points[-1])
+
+
+def _closing_index(comp, disc, ccw: bool) -> int:
+    """Center index, by summed angles, of the component closed along the circle."""
+    th_e, th_l = comp.end.angle, comp.start.angle
+    span = (th_l - th_e) % (2 * math.pi)
+    sweep = span if ccw else span - 2 * math.pi
+    arc = disc.center + disc.radius * np.exp(1j * (th_e + sweep * np.arange(1, 256) / 256))
+    return winding_by_angles(np.concatenate([comp.points, arc]), disc.center)
+
+
+def _strictly(itv, theta, inside: bool, tol=1e-9) -> bool:
+    s = (theta - itv["theta0"]) % (2 * math.pi)
+    return tol < s < itv["span"] - tol if inside else itv["span"] + tol < s < 2 * math.pi - tol
+
+
+# the lower lobe of the bowtie, with edges of length 2 and 5/3, and a small disc about a corner
+BOWTIE_LOBE = PolyCurve([-1 - 1j, 1 - 1j, 1j / 3])
+LOBE_CORNER_DISC = Disc(-1 - 1j, 0.13145239025129127)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_curve_and_disc(), seed=st.integers(0, 2 ** 16))
+@example(pair=(BOWTIE_LOBE, LOBE_CORNER_DISC), seed=0)
+def test_main_lemma_properties(pair, seed):
+    curve, disc = pair
+    try:
+        disc = with_jitter(curve, disc, seed=seed)
+    except RadiusJitterNeeded:
+        assume(False)
+    comps, crossings = exterior_components(curve, disc)
+    kinds = [cr.kind for cr in crossings]
+    assert all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
+
+    h = truncated_cauchy(disc.center + 0.1 * disc.radius, 0.3 * disc.radius)
+    rep = exterior_integral_identity(curve, disc, h)
+    # the identity against a contour rule that resolves h on every edge (see the test below)
+    lhs = sum(gl_contour(_split(comp.points, 16), h.value, closed=comp.closed) for comp in comps)
+    assert abs(lhs - rep.rhs) <= 1e-6
+    bound = bound_check(curve, disc, h)
+    sup_h = h.bounds(disc.center, disc.radius)[0]
+    assert abs(bound.lhs) <= 2 * math.pi * sup_h * disc.radius * (1 + 1e-9)
+    assert bound.lhs == rep.lhs
+
+    dump = geometry_dump(curve, disc)
+    if comps and comps[0].closed:
+        ind = winding_by_angles(curve.vertices, disc.center)
+        assert rep.extras["pieces"] == ([[0.0, 2 * math.pi, ind]] if ind else [])
+        assert dump["intervals"] == [] and dump["max_depth"] == -1
+        return
+
+    # each component has exactly one index-zero closing, and it is the chosen interval
+    for k, comp in enumerate(comps):
+        w_ccw, w_cw = _closing_index(comp, disc, True), _closing_index(comp, disc, False)
+        assert (w_ccw == 0) != (w_cw == 0)
+        assert (w_ccw == 0) == (select_interval(comp, disc, k).sigma == -1)
+
+    ivs = dump["intervals"]
+    for a in ivs:  # nested or disjoint: the ends of b never straddle a's ends
+        for b in ivs:
+            ends = (b["theta0"], b["theta0"] + b["span"])
+            assert not (any(_strictly(a, t, True) for t in ends)
+                        and any(_strictly(a, t, False) for t in ends))
+            if all(_strictly(a, t, True) for t in ends):
+                assert b["span"] < a["span"]
+
+    assert [iv["component"] for iv in ivs] == list(range(len(comps)))
+    assert [iv["sigma"] for iv in ivs] == rep.extras["signs"]
+    assert [iv["depth"] for iv in ivs] == rep.extras["generations"]
+    assert dump["max_depth"] == max(rep.extras["generations"], default=-1)
+    # each piece is an even-depth interval minus its children, which carry the opposite sign
+    pieces = rep.extras["pieces"]
+    assert sum(sp for _, sp, _ in pieces) == pytest.approx(
+        sum((-1) ** iv["depth"] * iv["span"] for iv in ivs), abs=1e-9)
+    assert sum(eps * sp for _, sp, eps in pieces) == pytest.approx(
+        sum(iv["sigma"] * iv["span"] for iv in ivs), abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="8 Gauss nodes per edge do not resolve h on an edge "
+                                       "many radii long that passes near the disc")
+def test_identity_residual_on_long_edges():
+    # the property test's resolved contour rule meets the rhs on this pair to 1e-16;
+    # the reported residual is 1.3e-6
+    disc = with_jitter(BOWTIE_LOBE, LOBE_CORNER_DISC, seed=0)
+    h = truncated_cauchy(disc.center + 0.1 * disc.radius, 0.3 * disc.radius)
+    assert exterior_integral_identity(BOWTIE_LOBE, disc, h).abs_residual <= 1e-6

@@ -40,7 +40,7 @@ def circle_field():
 
 
 def _bump_near(partition, z):
-    return min(range(partition.n_bumps), key=lambda j: abs(partition.center(j) - z))
+    return int(np.argmin(np.abs(partition.centers_array() - z)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_partition_multiplicity_at_most_21(partition):
 
 def test_partition_bumps_supported_in_discs(partition):
     j = _bump_near(partition, 0.4 + 0.3j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     rng = seed_stream(13, "vitushkin.test")
     th = rng.uniform(0, 2 * math.pi, 500)
     on_disc = c + DELTA * np.exp(1j * th)          # nominal disc boundary
@@ -80,7 +80,7 @@ def test_partition_gradient_constant_stable():
     for delta in (0.4, 0.1):
         part = build_partition(delta, (-1 - 1j, 1 + 1j))
         j = _bump_near(part, 0j)
-        c = part.center(j)
+        c = part.centers_array()[j]
         ts = np.linspace(-delta / 2, delta / 2, 801)
         zs = c + ts[:, None] + 1j * ts[None, :]
         consts.append(float(grad_phi_norm(part, j, zs).max()) * delta)
@@ -97,14 +97,14 @@ def test_partition_gradient_constant_stable():
 def test_localize_holomorphic_piece_vanishes(partition):
     f = make_function("monomial", a=2, b=0)
     j = _bump_near(partition, 0.3 + 0.2j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     zs = np.array([c, c + 0.08 + 0.03j, c + 0.7, c - 2.0j])
     assert np.all(np.abs(localize(f, partition, j, zs)) <= 1e-8)
 
 
 def test_localize_cross_check_cauchy_transform(partition, zbar_cut):
     j = _bump_near(partition, 0.3 + 0.2j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     zs = np.array([c + 0.03 + 0.02j, c + 0.09j, c + 0.4 - 0.1j, c + 1.0])
     dq = localize(zbar_cut, partition, j, zs)
     ct = localize_cauchy(zbar_cut, partition, j, zs)
@@ -118,7 +118,7 @@ def test_localize_sup_bounded_by_modulus(partition, zbar_cut):
     worst = 0.0
     js = ps.active_pieces()
     for j in js[:: max(1, len(js) // 40)]:
-        c = partition.center(j)
+        c = partition.centers_array()[j]
         zs = c + (rng.uniform(-1, 1, 25) + 1j * rng.uniform(-1, 1, 25)) * DELTA
         worst = max(worst, float(np.max(np.abs(ps.eval(j, zs)))))
     c_loc = worst / omega
@@ -128,7 +128,7 @@ def test_localize_sup_bounded_by_modulus(partition, zbar_cut):
 def test_batch_eval_matches_accurate_path(partition, zbar_cut):
     ps = PieceSet(partition, zbar_cut)
     j = _bump_near(partition, 0.3 + 0.2j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     zs = np.array([c + 0.03 + 0.02j, c + 0.11j, c + 0.18, c + 0.5j, c + 1.3])
     batch = ps.eval(j, zs)
     acc = localize(zbar_cut, partition, j, zs)
@@ -138,7 +138,7 @@ def test_batch_eval_matches_accurate_path(partition, zbar_cut):
 def test_dbar_of_piece_is_bump_times_dbar(partition, zbar_cut):
     # finite-difference Wirtinger derivative of the piece against phi_j * dbar f
     j = _bump_near(partition, 0.35 + 0.1j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     rng = seed_stream(15, "vitushkin.test")
     h = 2e-4
     pts = c + (rng.uniform(-0.9, 0.9, 8) + 1j * rng.uniform(-0.9, 0.9, 8)) * DELTA / 2
@@ -148,7 +148,7 @@ def test_dbar_of_piece_is_bump_times_dbar(partition, zbar_cut):
 
 def test_piece_holomorphic_outside_support(partition, zbar_cut):
     j = _bump_near(partition, 0.35 + 0.1j)
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     h = 2e-4
     F = lambda w: localize(zbar_cut, partition, j, w)
     assert np.all(np.abs(finite_diff_dbar(F, np.array([c + 0.9 + 0.4j, c - 1.1j]), h)) <= 1e-6)
@@ -372,7 +372,7 @@ def _assert_eval_matches_unblocked(ps, j, z):
 def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_inside, cells):
     ps = PieceSet(partition, zbar_cut, cells_per_axis=cells)
     j = _bump_near(partition, 1.0 + 0.5j)  # dbar of the cut-off conj z is 1 there
-    c = partition.center(j)
+    c = partition.centers_array()[j]
     rng = seed_stream(n_inside, "vitushkin.blocks")
     h = ps.half
     inside = c + rng.uniform(-h, h, n_inside) + 1j * rng.uniform(-h, h, n_inside)
@@ -391,7 +391,7 @@ def test_eval_matches_unblocked_on_a_dense_contour(zbar_cut):
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     for w in (1.0, np.exp(0.7j), np.exp(2.3j)):
         j = _bump_near(part, w)
-        dz = z - part.center(j)
+        dz = z - part.centers_array()[j]
         assert np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)) > 200
         _assert_eval_matches_unblocked(ps, j, z)
 
@@ -491,7 +491,7 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
     far = [_bump_near(part, w) for w in (0.6, 0.3 + 0.1j, 0.5 - 0.3j, 0.7 + 0.2j)]
     on = set(ps.active_pieces(near + far))
     assert set(far) <= on and 0 < len(on & set(near)) < len(near)
-    assert all(np.min(np.abs(curve.vertices - part.center(j))) > 0.2 for j in far)
+    assert all(np.min(np.abs(curve.vertices - part.centers_array()[j])) > 0.2 for j in far)
     js = near[:len(near) // 2] + far + near[len(near) // 2:]
     _assert_blocks_match_per_piece(ps, js, curve)
     got = ps.contour_integrals(js, curve, order=6)
@@ -506,7 +506,7 @@ def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cu
     js = js[:_pieces_per_block(curve) + 3]
     counts = []
     for j in js:
-        dz = zc - part.center(j)
+        dz = zc - part.centers_array()[j]
         counts.append(np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)))
     step = max(_BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR), 1)
     # in the first block of pieces, some patch block holds the inside points
