@@ -6,9 +6,10 @@ Usage:
     greencurves render report.json --kind K [--out FILE]
 
 A scenario is a JSON document (schema 1) naming a curve, a function, grid and
-quadrature settings, and a list of checks to run.  Reports are canonical
-JSON: rerunning the same scenario with the same seed produces byte-identical
-bytes.  Timings go to stderr with --verbose, never into the report.
+quadrature settings, and a list of checks to run.  Reports are canonical,
+strict JSON (no NaN or Infinity): rerunning the same scenario with the same
+seed produces byte-identical bytes.  Timings go to stderr with --verbose,
+never into the report.
 
 Exit codes: 0 success, 1 hard invariant failure, 2 input error.
 """
@@ -35,11 +36,11 @@ from .integration import (GreenConfig, Square, _check_mollifier_input, contour_i
                           green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
-from .vitushkin import PieceSet, delta_sweep, sweep_partition
+from .vitushkin import _check_deltas, delta_sweep, sweep_partition
 from .winding import MIN_DILATE, GridSpec, distance_to_curve, index_field, winding_numbers
 
-# Most grid cells, sub-squares in the deepest square generation, or bumps at the
-# smallest delta that a scenario may ask for; more would not fit in memory.
+# Most curve vertices, grid cells, sub-squares in the deepest square generation, or
+# bumps at the smallest delta that a scenario may ask for; more would not fit in memory.
 _MAX_ITEMS = 1 << 21
 
 
@@ -47,19 +48,24 @@ def _finite(text: str) -> float:
     # json reads NaN, Infinity and overflowing literals such as 1e999 as floats
     x = float(text)
     if not math.isfinite(x):
-        raise ParseError(f"scenario contains {text}; every number must be finite")
+        raise ParseError(f"input contains {text}; every number must be finite")
     return x
 
 
-def _load_scenario(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The file's bytes and its JSON document, every number finite; ``what`` names the file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read scenario: {exc}") from None
+        raise ParseError(f"cannot read {what}: {exc}") from None
     try:
-        doc = json.loads(raw, parse_float=_finite, parse_constant=_finite)
+        return raw, json.loads(raw, parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
-        raise ParseError(f"scenario is not valid JSON: {exc}") from None
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _load_scenario(path: str) -> dict:
+    raw, doc = _read_json(path, "scenario")
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ParseError("scenario must be an object with schema: 1")
     for key in ("curve", "checks"):
@@ -77,6 +83,9 @@ def _load_scenario(path: str) -> dict:
 def _build_curve(doc: dict):
     spec = doc["curve"]
     params = dict(spec.get("params", {}))
+    n = params.get("n", 3)
+    if type(n) is not int or not 3 <= n <= _MAX_ITEMS:  # before any array is built
+        raise ValueError(f"curve n must be an integer from 3 to {_MAX_ITEMS}: {n!r}")
     if isinstance(params.get("center"), list):
         params["center"] = complex(*params["center"])
     return make_curve(spec["family"], **params)
@@ -98,7 +107,7 @@ def _build_function(doc: dict):
     return f
 
 
-def _green_cfg(doc: dict) -> GreenConfig:
+def _green_cfg(doc: dict, curve, f) -> GreenConfig:
     g = doc.get("grid", {})
     q = doc.get("quadrature", {})
     # a dataclass's class attributes are its field defaults
@@ -116,23 +125,20 @@ def _green_cfg(doc: dict) -> GreenConfig:
     return cfg
 
 
-def _deltas(doc: dict) -> list:
+def _deltas(doc: dict, curve, f) -> list:
     deltas = list(doc.get("deltas", [0.4, 0.2, 0.1, 0.05]))
-    if not deltas or not all(0 < float(d) < np.inf for d in deltas) or any(
-            b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be nonempty, positive, finite and strictly decreasing")
-    with np.errstate(over="ignore"):  # multipole powers peak at a support corner, delta/sqrt(2) out
-        if not np.float64(float(deltas[0]) / math.sqrt(2.0)) ** PieceSet.N_MOMENTS < np.inf:
-            raise ValueError(f"(delta/sqrt(2))^{PieceSet.N_MOMENTS} overflows at delta {deltas[0]!r}")
+    _check_deltas(deltas)
+    if sweep_partition(curve, deltas[-1]).n_bumps > _MAX_ITEMS:
+        raise ValueError(f"deltas: more than {_MAX_ITEMS} bumps at the smallest delta")
     return deltas
 
 
-def _discs(doc: dict) -> list:
+def _discs(doc: dict, curve, f) -> list:
     return [Disc(center=complex(*spec["center"]), radius=float(spec["radius"]))
             for spec in doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}])]
 
 
-def _square(doc: dict):
+def _square(doc: dict, curve, f):
     spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
     depth = int(spec.get("depth", 5))
     if not 0 <= depth <= math.log(_MAX_ITEMS, 4):  # 4**depth sub-squares, never computed
@@ -140,9 +146,11 @@ def _square(doc: dict):
     return Square(center=complex(*spec["center"]), half=float(spec["half"])), depth
 
 
-def _mollifier(doc: dict):
+def _mollifier(doc: dict, curve, f):
     spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
-    return complex(*spec["z"]), float(spec["eps"])  # eps is range-checked with f's pole
+    z, eps = complex(*spec["z"]), float(spec["eps"])
+    _check_mollifier_input(f, z, eps)
+    return z, eps
 
 
 def _green_probes(curve, seed):
@@ -234,11 +242,11 @@ def _check_mollifier(spec, curve, f, seed):
     return {"report": rep.to_json_dict(), "hard_fail": False}
 
 
-# each check's reader of the scenario section it needs, and the check itself;
-# every section is parsed and validated before any check runs
+# each check's reader, which builds the section it needs from (doc, curve, f) and runs
+# every check of that section, and the check; every section is read before any check runs
 _CHECKS = {
     "green": (_green_cfg, _check_green),
-    "decompose": (lambda doc: None, _check_decompose),
+    "decompose": (lambda doc, curve, f: None, _check_decompose),
     "vitushkin": (_deltas, _check_vitushkin),
     "mainlemma": (_discs, _check_mainlemma),
     "square": (_square, _check_square),
@@ -254,21 +262,22 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         seed = int(doc.get("seed", 0))
         curve = _build_curve(doc)
         f = _build_function(doc)
-        specs = {name: _CHECKS[name][0](doc) for name in checks}
-        deltas = specs.get("vitushkin")
-        if deltas and sweep_partition(curve, deltas[-1]).n_bumps > _MAX_ITEMS:
-            raise ValueError(f"deltas: more than {_MAX_ITEMS} bumps at the smallest delta")
-        if "mollifier" in specs:
-            _check_mollifier_input(f, *specs["mollifier"])
+        specs = {name: _CHECKS[name][0](doc, curve, f) for name in checks}
     except (AttributeError, TypeError, ValueError, KeyError, ArithmeticError) as exc:
         raise ParseError(f"invalid scenario ({type(exc).__name__}): {exc}") from None
 
     results = {}
-    timings = {}
+    dumps = []  # each main-lemma geometry dump and its bytes
     for name in checks:
         t0 = time.perf_counter()
         results[name] = _CHECKS[name][1](specs[name], curve, f, seed)
-        timings[name] = time.perf_counter() - t0
+        if verbose:
+            print(f"[timing] {name}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+        try:  # reports are strict JSON, so a NaN or an infinity is an input out of range
+            canonical_json(results[name]["report"])
+            dumps += [(d, canonical_json(d)) for d in results[name].get("dumps", [])]
+        except ValueError:
+            raise ParseError(f"check {name!r} gives a number that is not finite") from None
 
     hard_fail = any(results[name].get("hard_fail") for name in checks)
     report = {
@@ -285,9 +294,10 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_bytes(canonical_json(report))
-        if "mainlemma" in checks:
-            for k, dump in enumerate(results["mainlemma"].get("dumps", [])):
-                (out / f"mainlemma_{k}.json").write_bytes(canonical_json(dump))
+        for k, (dump, data) in enumerate(dumps):
+            (out / f"mainlemma_{k}.json").write_bytes(data)
+            if svg:
+                (out / f"mainlemma_{k}.svg").write_text(render_svg(dump, "mainlemma-diagram"))
         if svg:
             (out / "curve.svg").write_text(render_svg(
                 [[z.real, z.imag] for z in curve.vertices], "curve"))
@@ -299,17 +309,12 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
             if "vitushkin" in checks:
                 (out / "sweep.svg").write_text(render_svg(
                     {"table": results["vitushkin"]["report"]["sweep"]}, "sweep-plot"))
-            if "mainlemma" in checks:
-                for k, dump in enumerate(results["mainlemma"].get("dumps", [])):
-                    (out / f"mainlemma_{k}.svg").write_text(render_svg(dump, "mainlemma-diagram"))
-    if verbose:
-        for name in checks:
-            print(f"[timing] {name}: {timings[name]:.3f}s", file=sys.stderr)
     return report, (1 if hard_fail else 0)
 
 
 def canonical_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n").encode()
+    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
+            + "\n").encode()
 
 
 def cmd_gallery() -> str:
@@ -357,10 +362,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(canonical_json(report).decode())
             return code
         if args.command == "render":
-            try:
-                payload = json.loads(Path(args.input).read_bytes())
-            except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
-                raise ParseError(f"render input is not valid JSON: {exc}") from None
+            _, payload = _read_json(args.input, "render input")
             if isinstance(payload, dict) and "checks" in payload and args.kind == "sweep-plot":
                 try:
                     payload = {"table": payload["checks"]["vitushkin"]["sweep"]}

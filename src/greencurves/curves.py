@@ -332,8 +332,7 @@ def jordan_decompose(curve: PolyCurve) -> JordanDecomposition:
 
 
 def _circle(n=64, radius=1.0, center=0j):
-    th = 2 * np.pi * np.arange(n) / n
-    return PolyCurve(complex(center) + radius * np.exp(1j * th))
+    return _kfold(1, n, radius, center)
 
 
 def _bowtie(scale=1.0):

@@ -34,7 +34,7 @@ class BoundViolated(GreenCurvesError):
 
 
 class ParseError(GreenCurvesError):
-    """A scenario file does not parse against the schema, or a render input is not JSON."""
+    """A scenario or render input does not parse, or a check gives a number JSON cannot hold."""
 
 
 class KindMismatch(GreenCurvesError):

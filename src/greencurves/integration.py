@@ -77,6 +77,14 @@ class Square:
         return np.array([c + h * (-1 - 1j), c + h * (1 - 1j), c + h * (1 + 1j), c + h * (-1 + 1j)])
 
 
+def _modulus(z: complex) -> float:
+    """|z| with the bits of complex abs, or inf where complex abs raises on overflow."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class VerificationReport:
     """Two sides of an identity, their residuals, and the settings that produced them."""
@@ -91,8 +99,8 @@ class VerificationReport:
     @classmethod
     def build(cls, lhs: complex, rhs: complex, settings: dict, **extras) -> "VerificationReport":
         lhs, rhs = complex(lhs), complex(rhs)
-        absr = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs))
+        absr = _modulus(lhs - rhs)
+        scale = max(_modulus(lhs), _modulus(rhs))
         rel = 0.0 if scale == 0.0 else absr / scale
         return cls(lhs=lhs, rhs=rhs, abs_residual=absr, rel_residual=rel,
                    settings=dict(settings), extras=dict(extras))
@@ -247,7 +255,6 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
                     total += complex(np.concatenate(kept_vals).sum() * area)
                 straddle_area += float(n_kept * area)
                 dropped_area += float((n_rest - n_kept) * area)
-            act_z = np.empty(0, dtype=complex)
         else:
             act_z, act_d, act_w = (np.concatenate(parts) for parts in zip(*rest_parts))
 
@@ -358,7 +365,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
             "n_meeting": n_j,
             "rhs": [rhs_n.real, rhs_n.imag],
             "remainder_bound": bound,
-            "remainder": abs(lhs - rhs_n),
+            "remainder": _modulus(lhs - rhs_n),
         })
         rhs_final = rhs_n
     settings = {"depth": depth, "quad_order": SQUARE_QUAD_ORDER,

@@ -311,15 +311,19 @@ def _geometry(curve: PolyCurve, disc: Disc) -> _Geometry:
     return _Geometry(crossings, comps, intervals, tree, exterior_pieces(tree))
 
 
+def _exterior_integral(comps: list, h: FunctionDescriptor) -> complex:
+    """∮ h dz over the exterior components, summed in order from 0j."""
+    return sum((polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
+                for comp in comps), 0j)
+
+
 def exterior_integral_identity(curve: PolyCurve, disc: Disc,
                                h: FunctionDescriptor) -> VerificationReport:
     """Check ∮ over the exterior components against the signed interval integrals."""
     geo = _geometry(curve, disc)
     settings = {"contour_order": CONTOUR_ORDER, "arc_order": ARC_ORDER, "radius": disc.radius,
                 "center": [disc.center.real, disc.center.imag]}
-    lhs = 0j
-    for comp in geo.components:
-        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
+    lhs = _exterior_integral(geo.components, h)
     pieces = [[t0, sp, eps] for t0, sp, eps in geo.pieces if eps]
     if geo.closed:
         [(theta0, span, ind)] = geo.pieces
@@ -347,10 +351,7 @@ def bound_check(curve: PolyCurve, disc: Disc, h: FunctionDescriptor) -> Verifica
     A violation signals a geometry bug (wrong interval or sign), never a
     quadrature tolerance issue, so it raises instead of reporting.
     """
-    comps, _ = exterior_components(curve, disc)
-    lhs = 0j
-    for comp in comps:
-        lhs += polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
+    lhs = _exterior_integral(exterior_components(curve, disc)[0], h)
     bound = TWO_PI * h.bounds(disc.center, disc.radius)[0] * disc.radius
     if abs(lhs) > bound * (1 + 1e-9):
         raise BoundViolated(f"|{abs(lhs)}| exceeds 2*pi*sup|h|*radius = {bound}")

@@ -275,19 +275,6 @@ class PieceSet:
         self.b_moments = self._powers @ self.b  # all ~0: dbar(phi) kills holomorphic moments
         self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
         self._centers = partition.centers_array()
-        self._flags = np.full(partition.n_bumps, -1, dtype=np.int8)  # -1 until probed
-
-    def _active(self, js) -> np.ndarray:
-        """Does dbar(f) show on the coarse rule of each bump j?  Probes each bump once."""
-        js = np.asarray(js, dtype=np.intp)
-        todo = np.unique(js[self._flags[js] < 0])
-        probe = self.offsets_c  # coarse probe suffices for the smooth gallery dbars
-        step = max(_BLOCK // probe.size, 1)  # bumps per block
-        for s in range(0, todo.size, step):
-            jj = todo[s:s + step]
-            dbv = self.f.dbar(self._centers[jj, None] + probe[None, :])
-            self._flags[jj] = np.any(np.abs(dbv) != 0.0, axis=1)
-        return self._flags[js] == 1
 
     def _piece_data(self, js):
         """Centers, kernel coefficients and multipole moments of the pieces ``js``."""
@@ -308,9 +295,19 @@ class PieceSet:
         return {"center": c[0], "a": a[0], "a_c": a_c[0], "a_moments": moments[:, 0]}
 
     def active_pieces(self, js=None) -> list:
-        """The pieces among ``js`` (default: all) that are not identically zero."""
+        """The pieces among ``js`` (default: all), in the order asked, that are not identically zero.
+
+        Piece j's dbar is phi_j * dbar(f); dbar(f) is probed on the coarse rule
+        of each bump (enough for the smooth gallery dbars), uncached.
+        """
         js = list(range(self.partition.n_bumps) if js is None else js)
-        return [j for j, on in zip(js, self._active(js)) if on]
+        step = max(_BLOCK // self.offsets_c.size, 1)  # bumps per probe block
+        out = []
+        for s in range(0, len(js), step):
+            jj = js[s:s + step]
+            dbv = self.f.dbar(self._centers[jj][:, None] + self.offsets_c[None, :])
+            out += [j for j, on in zip(jj, np.any(np.abs(dbv) != 0.0, axis=1)) if on]
+        return out
 
     @staticmethod
     def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,10 +345,12 @@ class PieceSet:
     def eval(self, j: int, zs, fz=None, rows=None) -> np.ndarray:
         """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
 
-        A caller that wants several pieces at the same points passes ``rows``,
-        a dict whose keys are those pieces and whose values start as None: the
-        first call evaluates them all in one block and keeps their rows there,
-        and each later call takes its own row out.
+        An inactive piece is evaluated like any other and comes out at
+        round-off, not at exact 0.  A caller that wants several pieces at the
+        same points passes ``rows``, a dict whose keys are those pieces and
+        whose values start as None: the first call evaluates them all in one
+        block and keeps their rows there, and each later call takes its own
+        row out.
         """
         if rows is not None and rows.get(j) is not None:
             return rows.pop(j)
@@ -375,11 +374,8 @@ class PieceSet:
         block's (piece, inside point) pairs.  Every value is bit for bit the
         one a block of that piece alone gives.
         """
-        on = np.flatnonzero(self._active(js))
-        if not on.size:
-            return np.zeros((len(js), z.size), dtype=complex)
         fz = self.f.value(z) if fz is None else fz
-        c, a, a_c, moments = self._piece_data(np.asarray(js)[on])
+        c, a, a_c, moments = self._piece_data(js)
         dz = z[None, :] - c[:, None]
         far = np.abs(dz) >= self.far_radius
         inside = (np.abs(dz.real) < self.half) & (np.abs(dz.imag) < self.half)
@@ -437,19 +433,16 @@ class PieceSet:
             cell_a = (a[bi[:, None], q] / den).sum(axis=1)
             base_cell = cell_a - fz[bk] * (self.b[q] / den).sum(axis=1)
             vals[bi, bk] += patched - base_cell
-        if on.size == len(js):
-            return vals
-        out = np.zeros((len(js), z.size), dtype=complex)
-        out[on] = vals
-        return out
+        return vals
 
     def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:
         """∮ f_j dz around the curve for each requested piece, ``order`` Gauss nodes per edge.
 
-        The pieces run through ``eval`` in blocks of about ``_BLOCK / 2``
-        values.  Each block builds its pieces' data (about 115 kB per piece at
-        the default rule) and drops it when done; ``BLOCK_PIECES`` caps a
-        block's pieces, which bounds that memory when the contour is short.
+        An inactive piece comes out at round-off, not at exact 0.  The pieces
+        run through ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each
+        block builds its pieces' data (about 115 kB per piece at the default
+        rule) and drops it when done; ``BLOCK_PIECES`` caps a block's pieces,
+        which bounds that memory when the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -517,6 +510,16 @@ def sweep_partition(curve: PolyCurve, delta: float) -> Partition:
     return build_partition(delta, (lo - pad * (1 + 1j), hi + pad * (1 + 1j)))
 
 
+def _check_deltas(deltas):
+    """Raise ValueError unless ``deltas`` is a sweep whose multipole powers stay finite."""
+    if not deltas or not all(0 < float(d) < math.inf for d in deltas) or any(
+            b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be nonempty, positive, finite and strictly decreasing")
+    with np.errstate(over="ignore"):  # the powers peak at a support corner, delta/sqrt(2) out
+        if not np.float64(float(deltas[0]) / math.sqrt(2.0)) ** PieceSet.N_MOMENTS < math.inf:
+            raise ValueError(f"(delta/sqrt(2))^{PieceSet.N_MOMENTS} overflows at delta {deltas[0]!r}")
+
+
 def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
     """|S_II| against the modulus bound over a decreasing list of delta.
 
@@ -527,8 +530,7 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
     residual correction from pieces straddling the index-zero side is not
     isolated: it is part of the measured |S_II| whose decay the sweep shows.
     """
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
+    _check_deltas(deltas)
     lo, hi = curve.bbox
     rows = []
     l_curve = length(curve)

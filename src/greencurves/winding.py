@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, _chunks
+from .curves import _BLOCK, PolyCurve, _chunks
 
 MIN_DILATE = 1.5  # least factor by which a grid box dilates the curve's bounding box
 
 # Every numpy pass below covers at most this many (edge, point), (edge, cell)
 # or (edge, row) pairs, which bounds each temporary however long a slab is.
-_CHUNK = 1 << 14
+_CHUNK = _BLOCK // 2
 # An edge whose slab holds more than this many points is walked on its own,
 # in contiguous runs of the sorted points; shorter slabs are expanded together.
 _PAIR_SLAB = 768

@@ -506,7 +506,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     over all inside points.
     """
     z = np.asarray(zs, dtype=complex).ravel()
-    if not ps._active([j])[0]:
+    if not ps.active_pieces([j]):
         return np.zeros(z.shape, dtype=complex)
     c = bump_center(ps.partition, j)
     a = ps.b * ps.f.value(c + ps.offsets)

@@ -151,6 +151,10 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     # a node z - u of the disc rule rounds onto z
     {"mollifier": {"z": [0.3, 0.1], "eps": 1e-15}, "checks": ["mollifier"]},
     {"mollifier": {"z": [0.3, 0.1], "eps": 1e-50}, "checks": ["mollifier"]},
+    # vertex counts that no memory holds, and one that is not an integer
+    {"curve": {"family": "circle", "params": {"n": 10 ** 15}}, "checks": ["decompose"]},
+    {"curve": {"family": "spiral", "params": {"n": 2 * 10 ** 12}}, "checks": ["decompose"]},
+    {"curve": {"family": "circle", "params": {"n": 2.5}}, "checks": ["decompose"]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -166,6 +170,31 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
         assert "checks must be a list" in err
     if "NaN" in text or "Infinity" in text:
         assert "every number must be finite" in err
+
+
+@pytest.mark.parametrize("fields", [
+    # the contour integral of conj z overflows on a circle of radius 1e200: a NaN residual
+    {"curve": {"family": "circle", "params": {"n": 16, "radius": 1e200}}, "checks": ["decompose"]},
+    # the pole at 2 lies in the disc the sweep's modulus bound is taken over: an infinite bound
+    {"function": {"family": "reciprocal", "params": {}}, "deltas": [0.4, 0.2],
+     "checks": ["vitushkin"]},
+    # the pole inside the square: an infinite modulus bound times no meeting sub-square is NaN
+    {"function": {"family": "reciprocal", "params": {"pole": [0.5, 0]}},
+     "square": {"center": [0.4, 0], "half": 0.3, "depth": 2}, "checks": ["square"]},
+    # z^(10^12) conj z overflows: complex abs of the residual would raise
+    {"function": {"family": "monomial", "params": {"a": 10 ** 12}}, "checks": ["green"]},
+])
+def test_non_finite_report_exit_2(tmp_path, capsys, fields):
+    # a report is strict JSON: a check that gives NaN or an infinity ends with
+    # exit 2, one error line naming it, and nothing written
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields}))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: check {fields['checks'][0]!r} gives a number that is not finite"] * 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_float_exit_2(tmp_path, capsys):
@@ -357,7 +386,7 @@ def test_report_hard_fail_exit_code(tmp_path, monkeypatch):
     # force a hard invariant failure through the runner to check exit wiring
     import greencurves.cli as climod
     monkeypatch.setitem(climod._CHECKS, "decompose",
-                        (lambda doc: None,
+                        (lambda doc, curve, f: None,
                          lambda spec, curve, f, seed: {"report": {}, "hard_fail": True}))
     doc = {"schema": 1, "seed": 1, "curve": {"family": "bowtie"}, "checks": ["decompose"]}
     p = tmp_path / "s.json"
@@ -436,6 +465,10 @@ _RENDER_KINDS = ("curve", "index-heatmap", "mainlemma-diagram", "sweep-plot")
     pytest.param("index-heatmap", json.dumps({"grid": {"lo": [0, 0], "hi": [1, 1]},
                                               "values": [[0, 1], [1]]}),
                  id="index-heatmap-ragged-values"),
+    # render reads JSON as the scenario loader does: every number finite
+    pytest.param("curve", "[[NaN, 0], [1, 1], [0, 1]]", id="curve-nan-vertex"),
+    pytest.param("sweep-plot", '{"table": [{"delta": 0.4, "s_ii_abs": NaN, "bound": 2.0}]}',
+                 id="sweep-plot-nan-row"),
 ])
 def test_render_bad_input_exit_2(tmp_path, capsys, kind, text):
     src = tmp_path / "in.json"

