@@ -270,7 +270,9 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
     dumps = []  # each main-lemma geometry dump and its bytes
     for name in checks:
         t0 = time.perf_counter()
-        results[name] = _CHECKS[name][1](specs[name], curve, f, seed)
+        # an overflow leaves a non-finite number, caught below even under -W error
+        with np.errstate(all="ignore"):
+            results[name] = _CHECKS[name][1](specs[name], curve, f, seed)
         if verbose:
             print(f"[timing] {name}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
         try:  # reports are strict JSON, so a NaN or an infinity is an input out of range

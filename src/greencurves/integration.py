@@ -271,10 +271,8 @@ class GreenConfig:
     contour_order: int = 8
 
 
-def verify_green(curve: PolyCurve, f: FunctionDescriptor,
-                 cfg: GreenConfig = None) -> VerificationReport:
+def verify_green(curve: PolyCurve, f: FunctionDescriptor, cfg: GreenConfig) -> VerificationReport:
     """Compare ∮ f dz with 2i ∫ dbar(f) Ind dA for one curve and one function."""
-    cfg = cfg or GreenConfig()
     grid = GridSpec.cover(curve, cfg.resolution, cfg.dilate)
     band = cfg.band_diagonals * grid.cell_diag
     fld = index_field(curve, grid, band)

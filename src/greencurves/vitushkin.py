@@ -18,9 +18,9 @@ multipole and coarse-ring shortcuts away from it, and one polar frame about z
 corners, the exit distance of each ray) in place of the cell that contains
 z, where the difference quotient has its directional discontinuity.
 
-Only ``PieceSet``'s cells per axis is a parameter: doubling the cells checks
-the evaluator's convergence, and ``delta_sweep`` uses 8 for speed.  The Gauss
-order, the polar patch and the pieces per contour block are fixed constants.
+The rule has no parameters: its cells per axis (``PieceSet.CELLS``), Gauss
+order, polar patch and pieces per contour block are class constants that
+``class_sums`` and ``delta_sweep`` share (a convergence check patches ``CELLS``).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ CLASS_II = "II"
 CLASS_III = "III"
 # class_sums: Gauss nodes per curve edge, and refinement levels of the area form
 CLASS_CONTOUR_ORDER, CLASS_REFINE = 8, 2
-# delta_sweep: Gauss nodes per curve edge, template cells per axis, the bound's constant
-SWEEP_CONTOUR_ORDER, SWEEP_CELLS, SWEEP_BOUND_CONSTANT = 6, 8, 8.0
+# delta_sweep: Gauss nodes per curve edge, and the bound's constant
+SWEEP_CONTOUR_ORDER, SWEEP_BOUND_CONSTANT = 6, 8.0
 
 
 def _w9(u):
@@ -230,19 +230,21 @@ def classify_many(partition: Partition, js, curve: PolyCurve) -> dict:
 class PieceSet:
     """Quadrature-backed evaluators for the localized pieces of one function.
 
-    One fixed template rule lives on the support square: per-axis cells
-    aligned to the profile breakpoint at 0, Gauss-Legendre inside each cell
-    (order 5 integrates the degree-9 profile pieces exactly, so the template
-    weights of dbar(phi) telescope to zero at machine precision).  A piece at
-    z is the rational function sum(a_q/(w_q - z)) - f(z) sum(b_q/(w_q - z));
-    far from the support that sum is re-summed through shared multipole
-    moments (cheap), near the support it is two kernel matrix-vector
-    products, and for z inside the support the contribution of the cell
-    containing z is replaced by a corner-aligned polar rule about z, which
-    removes the difference quotient's directional kink from the fixed rule's
-    path.
+    One fixed template rule lives on the support square: ``CELLS`` cells per
+    axis aligned to the profile breakpoint at 0, Gauss-Legendre inside each
+    cell (order 5 integrates the degree-9 profile pieces exactly, so the
+    template weights of dbar(phi) telescope to zero at machine precision).
+    A piece at z is the rational function
+    sum(a_q/(w_q - z)) - f(z) sum(b_q/(w_q - z)); far from the support that
+    sum is re-summed through shared multipole moments (cheap); near it, it is
+    two kernel matrix-vector products, on a coarse 6-cell rule outside the
+    support and on the template inside; and for z inside the support the
+    contribution of the cell containing z is replaced by a corner-aligned
+    polar rule about z, which removes the difference quotient's directional
+    kink from the fixed rule's path.
     """
 
+    CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
     ORDER = 5         # Gauss nodes per axis of each template cell
     N_MOMENTS = 96
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
@@ -252,21 +254,18 @@ class PieceSet:
     # (OpenBLAS) depend on its row count, so other blocks change the values
     CHUNK = 1024
 
-    def __init__(self, partition: Partition, f: FunctionDescriptor, cells_per_axis: int = 16):
-        if cells_per_axis % 2:
-            raise ValueError("cells_per_axis must be even (profile breakpoint at 0)")
+    def __init__(self, partition: Partition, f: FunctionDescriptor):
         self.partition = partition
         self.f = f
-        self.cells = cells_per_axis
         delta = partition.delta
         self.half = delta / 2.0
         self.far_radius = 1.0 * delta  # corner-node multipole ratio sqrt(2)/2 per term
-        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, cells_per_axis, self.ORDER)
+        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, self.CELLS, self.ORDER)
         self.b = w * _dbar_phi(self.offsets.real, self.offsets.imag, delta) / math.pi
         _, self.offsets_c, w, _ = _tensor_rule(delta, 6, self.ORDER)  # coarse rule: points outside the support
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
-        self.nodes_by_cell = csort.reshape(cells_per_axis * cells_per_axis, self.ORDER ** 2)
+        self.nodes_by_cell = csort.reshape(self.CELLS * self.CELLS, self.ORDER ** 2)
         # shared multipole data: powers of the offsets (filled row by row, so
         # no second copy is built), and the moments of b
         self._powers = np.empty((self.N_MOMENTS + 1, self.offsets.size), dtype=complex)
@@ -321,13 +320,13 @@ class PieceSet:
         """Polar-rule values over each z's cell, vectorized over z, each inside the support about its c."""
         dx = zs.real - c.real
         dy = zs.imag - c.imag
-        ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.cells - 1)
-        iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.cells - 1)
+        ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.CELLS - 1)
+        iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.CELLS - 1)
         ze, E, WT, rmax = _polar_frame(
             zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
             c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta)
-        # one radial panel per ray: even cells_per_axis puts the profile's
-        # center lines on cell edges, so no cell straddles them.  Products are
+        # one radial panel per ray: an even CELLS puts the profile's center
+        # lines on cell edges, so no cell straddles them.  Products are
         # taken in place and each node-sized array is built where it is used,
         # so few of them are alive at once.
         gr, wr = gauss_legendre_01(self.PATCH_NR)
@@ -392,34 +391,32 @@ class PieceSet:
         ring = ~far & ~inside
         del far
         tiny = 1e-15 * self.partition.delta
-        # each kernel block is built and inverted in place, and freed before
-        # the next one
-        for row, near, ci, ai in zip(vals, ring, c, a_c):
-            sel = np.nonzero(near)[0]
-            nodes_c = ci + self.offsets_c
-            for s in range(0, sel.size, self.CHUNK):
-                ss = sel[s:s + self.CHUNK]
-                K = nodes_c[None, :] - z[ss, None]
-                np.divide(1.0, K, out=K)
-                row[ss] = K @ ai - fz[ss] * (K @ self.b_c)
-                del K
-        sub = max(_BLOCK // self.offsets.size, 1)  # rows per |K| test
-        for row, near, ci, ai in zip(vals, inside, c, a):
-            kk = np.nonzero(near)[0]
-            nodes = ci + self.offsets
-            for s in range(0, kk.size, self.CHUNK):
-                ss = kk[s:s + self.CHUNK]
-                K = nodes[None, :] - z[ss, None]
-                # a node on z: its kernel entry is 0.  |K| is taken a few rows
-                # at a time, so no float copy of the whole block is built
-                bad = np.empty(K.shape, dtype=bool)
-                for r in range(0, ss.size, sub):
-                    np.less(np.abs(K[r:r + sub]), tiny, out=bad[r:r + sub])
-                K[bad] = 1.0
-                np.divide(1.0, K, out=K)
-                K[bad] = 0.0
-                row[ss] = K @ ai - fz[ss] * (K @ self.b)
-                del K, bad
+        # the coarse rule on the ring, the fine rule inside the support.  Each
+        # kernel block is built and inverted in place, and freed before the
+        # next one.  A node on z gets kernel entry 0.  |K| < tiny needs both
+        # |Re K| and |Im K| under tiny, and Re K depends only on the node's x,
+        # Im K only on its y, so the 1-D node coordinates screen the points
+        # and only the rows of those that pass take |K|
+        for mask, coef, offsets, b in ((ring, a_c, self.offsets_c, self.b_c),
+                                       (inside, a, self.offsets, self.b)):
+            axis = offsets[:math.isqrt(offsets.size)].imag  # the rule's 1-D node coordinates
+            for row, near, ci, ai in zip(vals, mask, c, coef):
+                sel = np.nonzero(near)[0]
+                nodes = ci + offsets
+                xs, ys = ci.real + axis, ci.imag + axis
+                for s in range(0, sel.size, self.CHUNK):
+                    ss = sel[s:s + self.CHUNK]
+                    zz = z[ss, None]
+                    maybe = np.nonzero((np.abs(xs - zz.real) < tiny).any(axis=1)
+                                       & (np.abs(ys - zz.imag) < tiny).any(axis=1))[0]
+                    K = nodes[None, :] - zz
+                    rr, cc = np.nonzero(np.abs(K[maybe]) < tiny)
+                    bad = (maybe[rr], cc)
+                    K[bad] = 1.0
+                    np.divide(1.0, K, out=K)
+                    K[bad] = 0.0
+                    row[ss] = K @ ai - fz[ss] * (K @ b)
+                    del K
         # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
         # PATCH_NR nodes each; the cell term takes each piece's own coefficients
         pi, pk = np.nonzero(inside)
@@ -427,7 +424,7 @@ class PieceSet:
         for s in range(0, pi.size, step):
             bi, bk = pi[s:s + step], pk[s:s + step]
             patched, ix, iy = self._patch_values(c[bi], z[bk], fz[bk])
-            q = self.nodes_by_cell[ix * self.cells + iy]  # (n, order^2)
+            q = self.nodes_by_cell[ix * self.CELLS + iy]  # (n, order^2)
             den = (c[bi, None] + self.offsets[q]) - z[bk, None]
             den = np.where(np.abs(den) < tiny, np.inf, den)
             cell_a = (a[bi[:, None], q] / den).sum(axis=1)
@@ -440,9 +437,9 @@ class PieceSet:
 
         An inactive piece comes out at round-off, not at exact 0.  The pieces
         run through ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each
-        block builds its pieces' data (about 115 kB per piece at the default
-        rule) and drops it when done; ``BLOCK_PIECES`` caps a block's pieces,
-        which bounds that memory when the contour is short.
+        block builds its pieces' data (about 42 kB per piece) and drops it
+        when done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that
+        memory when the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -477,9 +474,10 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
                fld: IndexField) -> ClassSums:
     """Per-class sums of ∮ f_j dz, their direct total, and the area form for class I.
 
-    The class-I sum is compared against 2i ∫ (sum of class-I bumps) dbar(f) Ind dA,
-    computed by an independent area quadrature on ``fld``, which needs at least
-    4 cells per delta to resolve the bumps (ValueError otherwise).
+    The pieces take ``PieceSet``'s one rule, as in ``delta_sweep``.  The class-I
+    sum is compared against 2i ∫ (sum of class-I bumps) dbar(f) Ind dA, computed
+    by an independent area quadrature on ``fld``, which needs at least 4 cells
+    per delta to resolve the bumps (ValueError otherwise).
     """
     if max(fld.grid.cell_w, fld.grid.cell_h) > partition.delta / 4.0 * (1 + 1e-9):
         raise ValueError("index field needs at least 4 cells per delta")
@@ -537,7 +535,7 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
     for delta in deltas:
         part = sweep_partition(curve, delta)
         cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
-        ps = PieceSet(part, f, cells_per_axis=SWEEP_CELLS)
+        ps = PieceSet(part, f)
         js = ps.active_pieces(cand.tolist())
         s2 = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
         mod_box = (lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j))

@@ -546,7 +546,7 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
                 K = 1.0 / den
             out[ss] = K @ a - fz[ss] * (K @ ps.b)
         patched, ix, iy = ps._patch_values(np.full(kk.size, c), z[kk], fz[kk])
-        q = ps.nodes_by_cell[ix * ps.cells + iy]
+        q = ps.nodes_by_cell[ix * ps.CELLS + iy]
         den = nodes[q] - z[kk, None]
         den = np.where(np.abs(den) < tiny, np.inf, den)
         base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (ps.b[q] / den).sum(axis=1)

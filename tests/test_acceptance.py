@@ -343,7 +343,7 @@ def test_class_sums_memory():
     fld = index_field(curve, grid, 2 * grid.cell_diag)
     assert len(PieceSet(part, f).active_pieces()) > PieceSet.BLOCK_PIECES
     peak = _peak_mb(lambda: class_sums(f, part, curve, fld))
-    assert peak < 28.0
+    assert peak < 10.0
     print(f"ACCEPTANCE floor: PASS - criterion-6 class sums peak at {peak:.1f} MB")
 
 

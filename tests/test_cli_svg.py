@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -194,6 +195,19 @@ def test_non_finite_report_exit_2(tmp_path, capsys, fields):
         assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: check {fields['checks'][0]!r} gives a number that is not finite"] * 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_overflow_with_warnings_as_errors_exit_2(tmp_path, capsys):
+    # z^(10^12) overflows in numpy's power on a circle of radius 2; with warnings
+    # as errors, as under python -W error, the run still ends at the non-finite
+    # check with exit 2, not in a RuntimeWarning traceback
+    path = Path(__file__).parent / "data" / "monomial_overflow_green.json"
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: check 'green' gives a number that is not finite"]
     assert not (tmp_path / "out").exists()
 
 

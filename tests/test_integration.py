@@ -220,7 +220,7 @@ def test_refinement_blocks_with_partition_weight():
 
 def test_verify_green_circle_zbar():
     c = make_curve("circle", n=256)
-    rep = verify_green(c, ZBAR)
+    rep = verify_green(c, ZBAR, GreenConfig())
     assert rep.lhs == pytest.approx(2j * shoelace_area(c.vertices), rel=1e-12)
     assert rep.rel_residual <= 1e-3
 

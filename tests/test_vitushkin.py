@@ -210,13 +210,16 @@ def test_reconstruct_zbar_cutoff():
     assert n > 50
 
 
-def test_reconstruct_converges_with_rule_refinement():
+def test_reconstruct_converges_with_rule_refinement(monkeypatch):
     f = with_cutoff(make_function("monomial", a=0, b=1), 0.4, 0.7)
     part = build_partition(DELTA, (-1.2 - 1.2j, 1.2 + 1.2j))
     x = np.linspace(-0.8, 0.8, 24)
     zs = (x[None, :] + 1j * x[:, None]).ravel()
-    coarse, _ = reconstruct(PieceSet(part, f, cells_per_axis=4), zs)
-    fine, _ = reconstruct(PieceSet(part, f, cells_per_axis=8), zs)
+    errors = []
+    for cells in (4, 8):
+        monkeypatch.setattr(PieceSet, "CELLS", cells)
+        errors.append(reconstruct(PieceSet(part, f), zs)[0])
+    coarse, fine = errors
     assert fine < coarse
 
 
@@ -374,8 +377,10 @@ def _assert_eval_matches_unblocked(ps, j, z):
 
 @pytest.mark.parametrize("cells", [8, 16])
 @pytest.mark.parametrize("n_inside", [1, _PATCH_BLOCK - 1, _PATCH_BLOCK, _PATCH_BLOCK + 1])
-def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_inside, cells):
-    ps = PieceSet(partition, zbar_cut, cells_per_axis=cells)
+def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_inside, cells,
+                                                        monkeypatch):
+    monkeypatch.setattr(PieceSet, "CELLS", cells)
+    ps = PieceSet(partition, zbar_cut)
     j = _bump_near(partition, 1.0 + 0.5j)  # dbar of the cut-off conj z is 1 there
     c = partition.centers_array()[j]
     rng = seed_stream(n_inside, "vitushkin.blocks")
@@ -389,10 +394,29 @@ def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_i
     _assert_eval_matches_unblocked(ps, j, z)
 
 
+def test_eval_matches_unblocked_at_the_node_on_z_threshold(partition, zbar_cut):
+    # points whole ulps off a node in x or in y, just under and just over the
+    # threshold: a kernel entry is 0 exactly when |K| < 1e-15 delta.  The last
+    # point is under it in x and in y but not in |K|
+    ps = PieceSet(partition, zbar_cut)
+    j = _bump_near(partition, 1.0 + 0.5j)
+    node = partition.centers_array()[j] + ps.offsets[57]
+    tiny = 1e-15 * DELTA
+    z = [node]
+    for step in (np.spacing(node.real), 1j * np.spacing(node.imag)):
+        k = int(tiny // abs(step))
+        z += [node + k * step, node + (k + 1) * step]
+    z = np.array(z + [z[1] + (z[3] - node)])
+    assert np.array_equal(np.abs(z - node) < tiny, [True, True, False, True, False, False])
+    got = ps.eval(j, z)
+    assert np.all(np.isfinite(got))
+    _assert_eval_matches_unblocked(ps, j, z)
+
+
 def test_eval_matches_unblocked_on_a_dense_contour(zbar_cut):
-    # delta 0.4 with the sweep's rule: each support holds over 200 curve points
+    # at delta 0.4 each support holds over 200 curve points
     part = build_partition(0.4, (-2 - 2j, 2 + 2j))
-    ps = PieceSet(part, zbar_cut, cells_per_axis=8)
+    ps = PieceSet(part, zbar_cut)
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     for w in (1.0, np.exp(0.7j), np.exp(2.3j)):
         j = _bump_near(part, w)
@@ -422,14 +446,14 @@ def _pieces_per_block(curve, order=6):
 def _sweep_pieces(curve, delta, f):
     part = build_partition(delta, (-1.6 - 1.6j, 1.6 + 1.6j))
     cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
-    ps = PieceSet(part, f, cells_per_axis=8)
+    ps = PieceSet(part, f)
     return part, ps, ps.active_pieces(cand.tolist())
 
 
 def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
     # an active piece with points inside its support, one beyond them, and
     # one past the cutoff, where f is 0 and the piece vanishes
-    ps = PieceSet(partition, zbar_cut, cells_per_axis=8)
+    ps = PieceSet(partition, zbar_cut)
     js = [_bump_near(partition, w) for w in (1.0 + 0.5j, 0.2j, 2.45)]
     assert ps.active_pieces(js) == js[:2]
     r = np.linspace(0.0, 0.6, 40)
@@ -477,8 +501,7 @@ def test_contour_integrals_match_per_piece_with_b_tail():
     # far above round-off, so the far field adds the f(z) * b tail
     curve = make_curve("circle", n=32, radius=3.0)
     part = build_partition(4.0, (-6 - 6j, 6 + 6j))
-    ps = PieceSet(part, with_cutoff(make_function("monomial", a=0, b=1), 5.0, 9.0),
-                  cells_per_axis=8)
+    ps = PieceSet(part, with_cutoff(make_function("monomial", a=0, b=1), 5.0, 9.0))
     assert ps._use_b_tail
     js = ps.active_pieces()
     assert len(js) > _pieces_per_block(curve)
@@ -491,7 +514,7 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
     f = with_cutoff(make_function("monomial", a=0, b=1), 0.5, 0.8)
     curve = make_curve("circle", n=64, center=0.6)
     part = build_partition(0.1, (-1.0 - 1.6j, 2.2 + 1.6j))
-    ps = PieceSet(part, f, cells_per_axis=8)
+    ps = PieceSet(part, f)
     near = np.nonzero(_meets_curve(curve, part.centers_array(), 0.1))[0].tolist()[::3]
     far = [_bump_near(part, w) for w in (0.6, 0.3 + 0.1j, 0.5 - 0.3j, 0.7 + 0.2j)]
     on = set(ps.active_pieces(near + far))
