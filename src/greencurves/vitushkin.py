@@ -16,7 +16,9 @@ contour sums: one tensor Gauss rule on the support square (``_tensor_rule``),
 multipole and coarse-ring shortcuts away from it, and one polar frame about z
 (``_polar_frame``: z clipped into a rect, angular panels between its
 corners, the exit distance of each ray) in place of the cell that contains
-z, where the difference quotient has its directional discontinuity.
+z, where the difference quotient has its directional discontinuity.  The
+multipole sum has no f(z) term (the moments of dbar(phi) vanish), and contour
+nodes sit on panels of at most delta/2, the scale on which a piece varies.
 
 The rule has no parameters: its cells per axis (``PieceSet.CELLS``), Gauss
 order, polar patch and pieces per contour block are class constants that
@@ -38,10 +40,10 @@ from .winding import IndexField, distance_to_curve, winding_numbers
 CLASS_I = "I"
 CLASS_II = "II"
 CLASS_III = "III"
-# class_sums: Gauss nodes per curve edge, and refinement levels of the area form
+# class_sums: Gauss order of its contour rules, and refinement levels of the area form
 CLASS_CONTOUR_ORDER, CLASS_REFINE = 8, 2
-# delta_sweep: Gauss nodes per curve edge, and the bound's constant
-SWEEP_CONTOUR_ORDER, SWEEP_BOUND_CONSTANT = 6, 8.0
+# delta_sweep: Gauss nodes per contour panel, and the bound's constant
+SWEEP_CONTOUR_ORDER, SWEEP_BOUND_CONSTANT = 3, 8.0
 
 
 def _w9(u):
@@ -235,13 +237,13 @@ class PieceSet:
     cell (order 5 integrates the degree-9 profile pieces exactly, so the
     template weights of dbar(phi) telescope to zero at machine precision).
     A piece at z is the rational function
-    sum(a_q/(w_q - z)) - f(z) sum(b_q/(w_q - z)); far from the support that
-    sum is re-summed through shared multipole moments (cheap); near it, it is
-    two kernel matrix-vector products, on a coarse 6-cell rule outside the
-    support and on the template inside; and for z inside the support the
-    contribution of the cell containing z is replaced by a corner-aligned
-    polar rule about z, which removes the difference quotient's directional
-    kink from the fixed rule's path.
+    sum(a_q/(w_q - z)) - f(z) sum(b_q/(w_q - z)); far from the support the
+    first sum is re-summed through shared multipole moments (cheap) and the
+    second, whose moments vanish, is dropped; near it, it is two kernel
+    matrix-vector products, on a coarse 6-cell rule outside the support and
+    on the template inside; and for z inside the support the contribution of
+    the cell containing z is replaced by a corner-aligned polar rule about z,
+    which removes the difference quotient's directional kink.
     """
 
     CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
@@ -266,13 +268,10 @@ class PieceSet:
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(self.CELLS * self.CELLS, self.ORDER ** 2)
-        # shared multipole data: powers of the offsets (filled row by row, so
-        # no second copy is built), and the moments of b
+        # shared multipole powers of the offsets, filled row by row (no second copy)
         self._powers = np.empty((self.N_MOMENTS + 1, self.offsets.size), dtype=complex)
         for m, row in enumerate(self._powers):
             row[:] = self.offsets ** m
-        self.b_moments = self._powers @ self.b  # all ~0: dbar(phi) kills holomorphic moments
-        self._use_b_tail = bool(np.max(np.abs(self.b_moments)) > 1e-13)
         self._centers = partition.centers_array()
 
     def _piece_data(self, js):
@@ -385,8 +384,6 @@ class PieceSet:
         vals = self._horner(moments[:, :, None], u)
         np.negative(vals, out=vals)
         vals *= u
-        if self._use_b_tail:
-            vals += fz * self._horner(self.b_moments, u) * u
         del u
         ring = ~far & ~inside
         del far
@@ -433,9 +430,11 @@ class PieceSet:
         return vals
 
     def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:
-        """∮ f_j dz around the curve for each requested piece, ``order`` Gauss nodes per edge.
+        """∮ f_j dz around the curve for each requested piece, ``order`` Gauss nodes per panel.
 
-        An inactive piece comes out at round-off, not at exact 0.  The pieces
+        Edge a to a + d takes k = ceil(|d| / half) panels, panel p running from
+        a + (p/k) d over d/k, so a one-panel edge keeps the nodes a + t d.  An
+        inactive piece comes out at round-off, not at exact 0.  The pieces
         run through ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each
         block builds its pieces' data (about 42 kB per piece) and drops it
         when done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that
@@ -443,8 +442,12 @@ class PieceSet:
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
-        zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
-        dzw = (w[None, :] * d[:, None]).ravel()
+        k = np.ceil(curve.edge_lengths / self.half).astype(int)  # panels per edge
+        e = np.repeat(np.arange(d.size), k)  # the edge of each panel
+        p = (np.arange(e.size) - np.repeat(np.cumsum(k) - k, k)) / k[e]  # its start along the edge
+        dp = (d / k)[e, None]
+        zc = ((a[e] + p * d[e])[:, None] + t[None, :] * dp).ravel()
+        dzw = (w[None, :] * dp).ravel()
         fz = self.f.value(zc)
         js = list(js)
         step = min(max(_BLOCK // (2 * zc.size), 1), self.BLOCK_PIECES)  # pieces per block
@@ -486,11 +489,9 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
     sums = {CLASS_I: 0j, CLASS_II: 0j, CLASS_III: 0j}
     counts = {CLASS_I: 0, CLASS_II: 0, CLASS_III: 0}
     classes = classify_many(partition, js, curve)
-    for j in js:
-        counts[classes[j]] += 1
-    integrals = ps.contour_integrals(js, curve, order=CLASS_CONTOUR_ORDER)
-    for j, val in integrals.items():
+    for j, val in ps.contour_integrals(js, curve, order=CLASS_CONTOUR_ORDER).items():
         sums[classes[j]] += val
+        counts[classes[j]] += 1
 
     subset = np.zeros(partition.n_bumps, dtype=bool)
     subset[[j for j in js if classes[j] == CLASS_I]] = True
@@ -538,8 +539,7 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
         ps = PieceSet(part, f)
         js = ps.active_pieces(cand.tolist())
         s2 = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
-        mod_box = (lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j))
-        omega = f.modulus(delta, box=mod_box)
+        omega = f.modulus(delta, box=(lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j)))
         rows.append({
             "delta": float(delta),
             "s_ii_abs": float(abs(s2)),

@@ -16,7 +16,8 @@ dyadic-square generation and every piece kernel in one pass each, where the
 library runs them in blocks of bounded size; ``piece_eval_unblocked`` also
 builds its piece's data alone, where the library builds a block's data in one
 pass, and ``contour_integrals_per_piece`` sums one such piece at a time, where
-the library evaluates blocks of pieces.
+the library evaluates blocks of pieces, on contour panels that ``panel_nodes``
+builds edge by edge, where the library gathers every panel in one pass.
 ``monomial_by_powers`` and ``cutoff_by_ramp`` take every power and the
 whole smoothstep ramp, where the library skips the factors and the ramp
 values that are exactly 1.  ``modulus_by_fresh_draw`` is the
@@ -522,8 +523,6 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
         u = 1.0 / dz[far]
         s_a = ps._horner(a_moments, u)
         out[far] = -s_a * u
-        if ps._use_b_tail:
-            out[far] += fz[far] * ps._horner(ps.b_moments, u) * u
     if np.any(ring):
         sel = np.nonzero(ring)[0]
         nodes_c = c + ps.offsets_c
@@ -554,12 +553,29 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     return out
 
 
-def contour_integrals_per_piece(ps, js, curve, order: int = 8) -> dict:
-    """∮ f_j dz around the curve for each piece of ``ps``, one ``piece_eval_unblocked`` per piece."""
+def panel_nodes(curve, h: float, order: int):
+    """Contour nodes and their weights dz: ``order`` Gauss nodes on each of ceil(|edge| / h) equal panels per edge.
+
+    Built edge by edge and panel by panel, where the library gathers every
+    panel of the curve in one pass.
+    """
     t, w = _gauss01(order)
-    a, d = curve.starts, curve.edge_vectors
-    zc = (a[:, None] + t[None, :] * d[:, None]).ravel()
-    dzw = (w[None, :] * d[:, None]).ravel()
+    zs, dzw = [], []
+    for a, d in zip(curve.starts, curve.edge_vectors):
+        k = max(math.ceil(abs(d) / h), 1)
+        step = d / k
+        for p in range(k):
+            zs.append((a + (p / k) * d) + t * step)
+            dzw.append(w * step)
+    return np.concatenate(zs), np.concatenate(dzw)
+
+
+def contour_integrals_per_piece(ps, js, curve, order: int = 8) -> dict:
+    """∮ f_j dz around the curve for each piece of ``ps``, one ``piece_eval_unblocked`` per piece.
+
+    The nodes are ``panel_nodes`` on panels of at most the lattice spacing ``ps.half``.
+    """
+    zc, dzw = panel_nodes(curve, ps.half, order)
     fz = ps.f.value(zc)
     return {j: complex((piece_eval_unblocked(ps, j, zc, fz=fz) * dzw).sum()) for j in js}
 

@@ -10,13 +10,14 @@ from greencurves import (GridSpec, gallery_curves, index_field, make_curve, make
                          with_cutoff)
 from greencurves._rng import seed_stream
 from greencurves.integration import _BLOCK, contour_integral
-from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, Partition, PieceSet,
-                                   _meets_curve, build_partition, class_sums, classify_many,
-                                   delta_sweep)
+from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, SWEEP_CONTOUR_ORDER, Partition,
+                                   PieceSet, _meets_curve, build_partition, class_sums,
+                                   classify_many, delta_sweep, sweep_partition)
 
 from oracles import (contour_integrals_per_piece, distance_by_edges, finite_diff_dbar,
-                     grad_phi_norm, localize, localize_cauchy, multiplicity, phi_two_sided,
-                     piece_eval_unblocked, reconstruct, shoelace_area, winding_by_edges)
+                     grad_phi_norm, localize, localize_cauchy, multiplicity, panel_nodes,
+                     phi_two_sided, piece_eval_unblocked, reconstruct, shoelace_area,
+                     winding_by_edges)
 
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -325,10 +326,43 @@ def test_delta_sweep_golden_rows(zbar_cut):
     got = [(r["delta"].hex(), r["s_ii_abs"].hex(), r["bound"].hex(), r["n_pieces"])
            for r in rows]
     assert got == [
-        ("0x1.999999999999ap-2", "0x1.dc3ea9f5e5c62p+1", "0x1.c6db60cf0d8bcp+7", 124),
-        ("0x1.999999999999ap-3", "0x1.0f71dcba6ae80p+1", "0x1.c31181012f1b3p+6", 240),
-        ("0x1.999999999999ap-4", "0x1.2e3fe2a5d15c0p+0", "0x1.41aab2c82b865p+2", 508),
+        ("0x1.999999999999ap-2", "0x1.dc3ea9ceff053p+1", "0x1.c6db60cf0d8bcp+7", 124),
+        ("0x1.999999999999ap-3", "0x1.0f71dc873b34bp+1", "0x1.c31181012f1b3p+6", 240),
+        ("0x1.999999999999ap-4", "0x1.2e3fe2b7dbc88p+0", "0x1.41aab2c82b865p+2", 508),
     ]
+
+
+def _s_ii_reference(ps, js, curve):
+    """S_II from ``ps.eval`` at finer contour nodes than the sweep's: panels of at most delta/4, order 4.
+
+    That rule agrees with panels of at most delta/16 at order 6 to 5e-9
+    relative on the curves below, under the test's 1e-8.
+    """
+    zc, dzw = panel_nodes(curve, ps.partition.delta / 4, 4)
+    fz = ps.f.value(zc)
+    total = 0j
+    for s in range(0, len(js), 32):
+        rows = dict.fromkeys(js[s:s + 32])
+        for j in list(rows):
+            total += (ps.eval(j, zc, fz, rows) * dzw).sum()
+    return complex(total)
+
+
+@pytest.mark.parametrize("curve", [
+    make_curve("star", n=56, seed=721050, r_min=0.4, r_max=0.6),
+    make_curve("circle", n=112, radius=0.57, center=0.2 - 0.15j),
+], ids=["star", "circle_off"])
+def test_delta_sweep_s_ii_matches_a_finer_contour_rule(zbar_cut, curve):
+    # the pieces vary on the scale of delta, not of the edge: six nodes on
+    # each whole edge missed the star's S_II by 5.9e-6 relative at delta 0.05
+    deltas = [0.1, 0.05]
+    rows = delta_sweep(zbar_cut, curve, deltas)
+    for delta, row in zip(deltas, rows):
+        _, ps, js = _sweep_pieces(curve, delta, zbar_cut)
+        got = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
+        assert row["s_ii_abs"] == abs(got) and row["n_pieces"] == len(js)
+        want = _s_ii_reference(ps, js, curve)
+        assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_delta_sweep_bound_holds_when_the_box_dwarfs_the_support(zbar_cut):
@@ -438,13 +472,13 @@ def _assert_blocks_match_per_piece(ps, js, curve, order=6):
     assert _hex(got) == _hex(contour_integrals_per_piece(ps, js, curve, order=order))
 
 
-def _pieces_per_block(curve, order=6):
-    n_points = curve.starts.size * order
+def _pieces_per_block(ps, curve, order=6):
+    n_points = panel_nodes(curve, ps.half, order)[0].size
     return min(max(_BLOCK // (2 * n_points), 1), PieceSet.BLOCK_PIECES)
 
 
 def _sweep_pieces(curve, delta, f):
-    part = build_partition(delta, (-1.6 - 1.6j, 1.6 + 1.6j))
+    part = sweep_partition(curve, delta)
     cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
     ps = PieceSet(part, f)
     return part, ps, ps.active_pieces(cand.tolist())
@@ -468,14 +502,28 @@ def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
 @pytest.mark.parametrize("n_edges", [64, 16])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra, n_edges):
-    # 16 edges give 96 contour points, under 171: BLOCK_PIECES caps the block
+    # 64 edges at delta 0.1 take 2 panels of 6 nodes each: 768 contour points.
+    # 16 edges at delta 0.2 take 4 panels of 2 nodes: 128 points, under 171,
+    # so BLOCK_PIECES caps the block
+    delta, order = {64: (0.1, 6), 16: (0.2, 2)}[n_edges]
     curve = make_curve("circle", n=n_edges)
-    step = _pieces_per_block(curve)
+    _, ps, js = _sweep_pieces(curve, delta, zbar_cut)
+    step = _pieces_per_block(ps, curve, order)
     assert 1 < step <= PieceSet.BLOCK_PIECES
     assert (step == PieceSet.BLOCK_PIECES) == (n_edges == 16)
-    _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
     for n in (step + extra, 2 * step + extra):
-        _assert_blocks_match_per_piece(ps, js[:n], curve)
+        _assert_blocks_match_per_piece(ps, js[:n], curve, order)
+
+
+def test_contour_integrals_match_per_piece_on_many_panels_per_edge(zbar_cut):
+    # each edge of a 16-gon is about 0.39 long: at delta 0.1 it takes 8
+    # panels of at most the lattice spacing delta/2
+    curve = make_curve("circle", n=16)
+    _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
+    assert np.all(np.ceil(np.abs(curve.edge_vectors) / ps.half) == 8)
+    step = _pieces_per_block(ps, curve, SWEEP_CONTOUR_ORDER)
+    assert len(js) > step
+    _assert_blocks_match_per_piece(ps, js, curve, SWEEP_CONTOUR_ORDER)
 
 
 def test_piece_data_calls_f_on_bounded_blocks(zbar_cut):
@@ -488,23 +536,23 @@ def test_piece_data_calls_f_on_bounded_blocks(zbar_cut):
         return zbar_cut.value(z)
 
     curve = make_curve("circle", n=16)
-    _, ps, js = _sweep_pieces(curve, 0.1, dataclasses.replace(zbar_cut, value=value))
-    assert _pieces_per_block(curve) * ps.offsets.size > _BLOCK
-    want = contour_integrals_per_piece(ps, js[:PieceSet.BLOCK_PIECES], curve, order=6)
+    _, ps, js = _sweep_pieces(curve, 0.2, dataclasses.replace(zbar_cut, value=value))
+    assert _pieces_per_block(ps, curve, order=2) == PieceSet.BLOCK_PIECES
+    assert PieceSet.BLOCK_PIECES * ps.offsets.size > _BLOCK
+    want = contour_integrals_per_piece(ps, js[:PieceSet.BLOCK_PIECES], curve, order=2)
     sizes.clear()
-    assert _hex(ps.contour_integrals(js[:PieceSet.BLOCK_PIECES], curve, order=6)) == _hex(want)
+    assert _hex(ps.contour_integrals(js[:PieceSet.BLOCK_PIECES], curve, order=2)) == _hex(want)
     assert max(sizes) <= _BLOCK
 
 
-def test_contour_integrals_match_per_piece_with_b_tail():
-    # at delta 4 the high powers of the node offsets leave the moments of b
-    # far above round-off, so the far field adds the f(z) * b tail
+def test_contour_integrals_match_per_piece_at_delta_4():
+    # at delta 4 the multipole powers of the node offsets are large, and
+    # every edge of the radius-3 circle is one panel
     curve = make_curve("circle", n=32, radius=3.0)
     part = build_partition(4.0, (-6 - 6j, 6 + 6j))
     ps = PieceSet(part, with_cutoff(make_function("monomial", a=0, b=1), 5.0, 9.0))
-    assert ps._use_b_tail
     js = ps.active_pieces()
-    assert len(js) > _pieces_per_block(curve)
+    assert len(js) > _pieces_per_block(ps, curve)
     _assert_blocks_match_per_piece(ps, js, curve)
 
 
@@ -527,9 +575,8 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
 def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut):
     curve = make_curve("circle", n=64)
     part, ps, js = _sweep_pieces(curve, 0.4, zbar_cut)
-    t = np.polynomial.legendre.leggauss(6)[0] / 2 + 0.5
-    zc = (curve.starts[:, None] + t[None, :] * curve.edge_vectors[:, None]).ravel()
-    js = js[:_pieces_per_block(curve) + 3]
+    zc = panel_nodes(curve, ps.half, 6)[0]
+    js = js[:_pieces_per_block(ps, curve) + 3]
     counts = []
     for j in js:
         dz = zc - part.centers_array()[j]
@@ -537,7 +584,7 @@ def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cu
     step = max(_BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR), 1)
     # in the first block of pieces, some patch block holds the inside points
     # of two pieces: the piece of a pair changes away from a block boundary
-    n = _pieces_per_block(curve)
+    n = _pieces_per_block(ps, curve)
     owner = np.repeat(np.arange(n), counts[:n])
     changes = np.flatnonzero(np.diff(owner)) + 1
     assert owner.size > step and np.any(changes % step != 0)
