@@ -241,9 +241,12 @@ class PieceSet:
     first sum is re-summed through shared multipole moments (cheap) and the
     second, whose moments vanish, is dropped; near it, it is two kernel
     matrix-vector products, on a coarse 6-cell rule outside the support and
-    on the template inside; and for z inside the support the contribution of
-    the cell containing z is replaced by a corner-aligned polar rule about z,
-    which removes the difference quotient's directional kink.
+    on the template inside.  For z inside the support a corner-aligned polar
+    rule about z, which removes the difference quotient's directional kink,
+    stands in for the template cell that holds z: that cell's nodes take no
+    kernel entry.  Every other fine node lies at least 0.0469 delta/8 from
+    such a z, and every coarse node 0.0469 delta/6 from a z outside the
+    support, so no kernel entry comes near 1/0.
     """
 
     CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
@@ -315,12 +318,9 @@ class PieceSet:
             out += coeffs[m]
         return out
 
-    def _patch_values(self, c: np.ndarray, zs: np.ndarray, fzs: np.ndarray):
-        """Polar-rule values over each z's cell, vectorized over z, each inside the support about its c."""
-        dx = zs.real - c.real
-        dy = zs.imag - c.imag
-        ix = np.clip(np.searchsorted(self.edges, dx, side="right") - 1, 0, self.CELLS - 1)
-        iy = np.clip(np.searchsorted(self.edges, dy, side="right") - 1, 0, self.CELLS - 1)
+    def _patch_values(self, c: np.ndarray, zs: np.ndarray, fzs: np.ndarray, cell: np.ndarray):
+        """Polar-rule values over each z's template ``cell``, each z inside the support about its c."""
+        ix, iy = np.divmod(cell, self.CELLS)
         ze, E, WT, rmax = _polar_frame(
             zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
             c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta)
@@ -338,7 +338,7 @@ class PieceSet:
         vals *= _dbar_phi(dx, dy, self.partition.delta)
         del dx, dy
         vals *= (WT * rmax)[..., None] * wr
-        return vals.sum(axis=(1, 2, 3)) / math.pi, ix, iy
+        return vals.sum(axis=(1, 2, 3)) / math.pi
 
     def eval(self, j: int, zs, fz=None, rows=None) -> np.ndarray:
         """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
@@ -366,17 +366,25 @@ class PieceSet:
         Points at distance >= delta from a bump center use the multipole
         re-summation, one Horner pass over the whole block; points outside
         the support square but closer use the coarse rule (the integrand is
-        smooth there), and points inside the support use the fine rule with
-        the polar patch on their cell.  The kernel matrices stay per piece and
-        per ``CHUNK`` points; the polar patch runs over fixed blocks of the
-        block's (piece, inside point) pairs.  Every value is bit for bit the
-        one a block of that piece alone gives.
+        smooth there), and points inside the support use the fine rule
+        without the nodes of their own cell, for which the polar patch stands
+        in; each inside (piece, point) pair looks its cell up once, for both.
+        The kernel matrices stay per piece and per ``CHUNK`` points; the polar
+        patch runs over fixed blocks of the block's (piece, inside point)
+        pairs.  Every value is bit for bit the one a block of that piece alone
+        gives.
         """
         fz = self.f.value(z) if fz is None else fz
         c, a, a_c, moments = self._piece_data(js)
         dz = z[None, :] - c[:, None]
         far = np.abs(dz) >= self.far_radius
         inside = (np.abs(dz.real) < self.half) & (np.abs(dz.imag) < self.half)
+        # z's template cell, looked up once per inside (piece, point) pair
+        d = dz[inside]
+        cell = np.zeros(dz.shape, dtype=np.intp)
+        cell[inside] = ((np.searchsorted(self.edges, d.real, side="right") - 1) * self.CELLS
+                        + np.searchsorted(self.edges, d.imag, side="right") - 1)
+        del d
         # far field on every entry; the near entries are overwritten below
         u = np.zeros(dz.shape, dtype=complex)
         np.divide(1.0, dz, out=u, where=far)
@@ -387,46 +395,31 @@ class PieceSet:
         del u
         ring = ~far & ~inside
         del far
-        tiny = 1e-15 * self.partition.delta
         # the coarse rule on the ring, the fine rule inside the support.  Each
         # kernel block is built and inverted in place, and freed before the
-        # next one.  A node on z gets kernel entry 0.  |K| < tiny needs both
-        # |Re K| and |Im K| under tiny, and Re K depends only on the node's x,
-        # Im K only on its y, so the 1-D node coordinates screen the points
-        # and only the rows of those that pass take |K|
-        for mask, coef, offsets, b in ((ring, a_c, self.offsets_c, self.b_c),
-                                       (inside, a, self.offsets, self.b)):
-            axis = offsets[:math.isqrt(offsets.size)].imag  # the rule's 1-D node coordinates
-            for row, near, ci, ai in zip(vals, mask, c, coef):
+        # next one.  Inside, the nodes of z's own cell get kernel entry 0
+        # (1/inf): the polar patch below stands in for that cell
+        for mask, coef, offsets, b, by_cell in (
+                (ring, a_c, self.offsets_c, self.b_c, None),
+                (inside, a, self.offsets, self.b, self.nodes_by_cell)):
+            for row, near, ci, ai, own in zip(vals, mask, c, coef, cell):
                 sel = np.nonzero(near)[0]
                 nodes = ci + offsets
-                xs, ys = ci.real + axis, ci.imag + axis
                 for s in range(0, sel.size, self.CHUNK):
                     ss = sel[s:s + self.CHUNK]
-                    zz = z[ss, None]
-                    maybe = np.nonzero((np.abs(xs - zz.real) < tiny).any(axis=1)
-                                       & (np.abs(ys - zz.imag) < tiny).any(axis=1))[0]
-                    K = nodes[None, :] - zz
-                    rr, cc = np.nonzero(np.abs(K[maybe]) < tiny)
-                    bad = (maybe[rr], cc)
-                    K[bad] = 1.0
+                    K = nodes[None, :] - z[ss, None]
+                    if by_cell is not None:
+                        K[np.arange(ss.size)[:, None], by_cell[own[ss]]] = np.inf
                     np.divide(1.0, K, out=K)
-                    K[bad] = 0.0
                     row[ss] = K @ ai - fz[ss] * (K @ b)
                     del K
         # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
-        # PATCH_NR nodes each; the cell term takes each piece's own coefficients
+        # PATCH_NR nodes each
         pi, pk = np.nonzero(inside)
         step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)
         for s in range(0, pi.size, step):
             bi, bk = pi[s:s + step], pk[s:s + step]
-            patched, ix, iy = self._patch_values(c[bi], z[bk], fz[bk])
-            q = self.nodes_by_cell[ix * self.CELLS + iy]  # (n, order^2)
-            den = (c[bi, None] + self.offsets[q]) - z[bk, None]
-            den = np.where(np.abs(den) < tiny, np.inf, den)
-            cell_a = (a[bi[:, None], q] / den).sum(axis=1)
-            base_cell = cell_a - fz[bk] * (self.b[q] / den).sum(axis=1)
-            vals[bi, bk] += patched - base_cell
+            vals[bi, bk] += self._patch_values(c[bi], z[bk], fz[bk], cell[bi, bk])
         return vals
 
     def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:

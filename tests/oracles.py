@@ -533,23 +533,19 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     kk = np.nonzero(inside)[0]
     if kk.size:
         nodes = c + ps.offsets
-        tiny = 1e-15 * ps.partition.delta
+        # z's own template cell, and each node's, by axis: the polar patch
+        # stands in for z's cell, so its nodes take no kernel entry
+        cell_of = lambda t: np.searchsorted(ps.edges, t, side="right") - 1
+        zx, zy = cell_of(dz.real[kk]), cell_of(dz.imag[kk])
+        nx, ny = cell_of(ps.offsets.real), cell_of(ps.offsets.imag)
         for s in range(0, kk.size, ps.CHUNK):
             ss = kk[s:s + ps.CHUNK]
+            own = (nx[None, :] == zx[s:s + ps.CHUNK, None]) & (ny[None, :] == zy[s:s + ps.CHUNK, None])
             den = nodes[None, :] - z[ss, None]
-            bad = np.abs(den) < tiny
-            if np.any(bad):
-                den = np.where(bad, 1.0, den)
-                K = np.where(bad, 0.0, 1.0 / den)
-            else:
-                K = 1.0 / den
+            den[own] = np.inf
+            K = 1.0 / den
             out[ss] = K @ a - fz[ss] * (K @ ps.b)
-        patched, ix, iy = ps._patch_values(np.full(kk.size, c), z[kk], fz[kk])
-        q = ps.nodes_by_cell[ix * ps.CELLS + iy]
-        den = nodes[q] - z[kk, None]
-        den = np.where(np.abs(den) < tiny, np.inf, den)
-        base_cell = (a[q] / den).sum(axis=1) - fz[kk] * (ps.b[q] / den).sum(axis=1)
-        out[kk] += patched - base_cell
+        out[kk] += ps._patch_values(np.full(kk.size, c), z[kk], fz[kk], zx * ps.CELLS + zy)
     return out
 
 

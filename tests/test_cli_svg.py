@@ -48,7 +48,7 @@ def test_bundled_bowtie_scenario(tmp_path):
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
-    "cutoff_localize": "1e15abb57929352ff216aaeb1c5884bebda68911528a43d4d3bdaabbb8dfedd8",
+    "cutoff_localize": "ee31620516646a4618228a5a04a69335b536c79e7af2cf78c2ed145b5313347a",
 }
 _CUTOFF_LOCALIZE = {
     "schema": 1, "seed": 7,
