@@ -32,12 +32,13 @@ from .curves import curve_families, gallery_curves, is_jordan, jordan_decompose,
 from .errors import (BoundViolated, GreenCurvesError, KindMismatch, NestingViolation, OnCurve,
                      ParseError)
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
-from .integration import (GreenConfig, Square, _check_mollifier_input, contour_integral,
+from .integration import (BAND_DIAGONALS, CONTOUR_ORDER, GreenConfig, Square,
+                          _check_mollifier_input, _green_field, contour_integral,
                           green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
 from .svg import render_svg
 from .vitushkin import _check_deltas, delta_sweep, sweep_partition
-from .winding import MIN_DILATE, GridSpec, distance_to_curve, index_field, winding_numbers
+from .winding import MIN_DILATE, GridSpec, distance_to_curve, winding_numbers
 
 # Most curve vertices, grid cells, sub-squares in the deepest square generation, or
 # bumps at the smallest delta that a scenario may ask for; more would not fit in memory.
@@ -80,12 +81,17 @@ def _load_scenario(path: str) -> dict:
     return doc
 
 
+def _int(x, what: str, lo: float, hi: float) -> int:
+    """``x`` if it is a JSON integer from ``lo`` to ``hi``; ValueError naming ``what`` otherwise."""
+    if type(x) is not int or not lo <= x <= hi:
+        raise ValueError(f"{what} must be an integer from {lo} to {hi}: {x!r}")
+    return x
+
+
 def _build_curve(doc: dict):
     spec = doc["curve"]
     params = dict(spec.get("params", {}))
-    n = params.get("n", 3)
-    if type(n) is not int or not 3 <= n <= _MAX_ITEMS:  # before any array is built
-        raise ValueError(f"curve n must be an integer from 3 to {_MAX_ITEMS}: {n!r}")
+    _int(params.get("n", 3), "curve n", 3, _MAX_ITEMS)  # before any array is built
     if isinstance(params.get("center"), list):
         params["center"] = complex(*params["center"])
     return make_curve(spec["family"], **params)
@@ -110,19 +116,15 @@ def _build_function(doc: dict):
 def _green_cfg(doc: dict, curve, f) -> GreenConfig:
     g = doc.get("grid", {})
     q = doc.get("quadrature", {})
+    for sec, key, fixed in ((g, "dilate", MIN_DILATE), (g, "band_diagonals", BAND_DIAGONALS),
+                            (q, "contour_order", CONTOUR_ORDER)):
+        if sec.get(key, fixed) != fixed:  # one value in the library, which a scenario may state
+            raise ValueError(f"{key} is fixed at {fixed}: {sec[key]!r}")
     # a dataclass's class attributes are its field defaults
-    cfg = GreenConfig(
-        resolution=int(g.get("resolution", GreenConfig.resolution)),
-        dilate=float(g.get("dilate", GreenConfig.dilate)),
-        band_diagonals=float(g.get("band_diagonals", GreenConfig.band_diagonals)),
-        refine=int(q.get("refine", GreenConfig.refine)),
-        contour_order=int(q.get("contour_order", GreenConfig.contour_order)),
-    )
-    if (not 1 <= cfg.resolution <= math.isqrt(_MAX_ITEMS) or cfg.contour_order < 1
-            or cfg.refine < 0 or not cfg.dilate >= MIN_DILATE or not cfg.band_diagonals >= 0):
-        raise ValueError(f"grid and quadrature settings out of range (resolution at most "
-                         f"{math.isqrt(_MAX_ITEMS)}): {cfg}")
-    return cfg
+    return GreenConfig(
+        resolution=_int(g.get("resolution", GreenConfig.resolution), "grid.resolution",
+                        1, math.isqrt(_MAX_ITEMS)),
+        refine=_int(q.get("refine", GreenConfig.refine), "quadrature.refine", 0, math.inf))
 
 
 def _deltas(doc: dict, curve, f) -> list:
@@ -140,9 +142,7 @@ def _discs(doc: dict, curve, f) -> list:
 
 def _square(doc: dict, curve, f):
     spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
-    depth = int(spec.get("depth", 5))
-    if not 0 <= depth <= math.log(_MAX_ITEMS, 4):  # 4**depth sub-squares, never computed
-        raise ValueError(f"square.depth must be at least 0, with at most {_MAX_ITEMS} sub-squares")
+    depth = _int(spec.get("depth", 5), "square.depth", 0, int(math.log(_MAX_ITEMS, 4)))
     return Square(center=complex(*spec["center"]), half=float(spec["half"])), depth
 
 
@@ -259,7 +259,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
     doc = _load_scenario(path)
     checks = list(doc["checks"])
     try:
-        seed = int(doc.get("seed", 0))
+        seed = _int(doc.get("seed", 0), "seed", -math.inf, math.inf)
         curve = _build_curve(doc)
         f = _build_function(doc)
         specs = {name: _CHECKS[name][0](doc, curve, f) for name in checks}
@@ -304,9 +304,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
             (out / "curve.svg").write_text(render_svg(
                 [[z.real, z.imag] for z in curve.vertices], "curve"))
             if "green" in checks:
-                cfg = specs["green"]
-                grid = GridSpec.cover(curve, min(cfg.resolution, 128), cfg.dilate)
-                fld = index_field(curve, grid, 2 * grid.cell_diag)
+                fld = _green_field(curve, min(specs["green"].resolution, 128))
                 (out / "index.svg").write_text(render_svg(fld.to_json_dict(), "index-heatmap"))
             if "vitushkin" in checks:
                 (out / "sweep.svg").write_text(render_svg(

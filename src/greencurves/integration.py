@@ -1,16 +1,17 @@
 """Contour and index-weighted area integrals, and the Green-identity verdicts.
 
-The left-hand side ∮ f dz is Gauss-Legendre per edge (exact for polynomial
-integrands of degree <= 2*order-1 per edge).  The right-hand side integrates
-dbar(f) * Ind over the plane by a midpoint rule on the clean cells of an index
-field, with adaptive dyadic refinement of the near-curve cells.  All sums use
-numpy's pairwise accumulation, so results are reproducible for a fixed input.
+The left-hand side ∮ f dz is Gauss-Legendre with ``CONTOUR_ORDER`` nodes on
+each edge of every contour.  The right-hand side integrates dbar(f) * Ind over
+the plane by a midpoint rule on the clean cells of an index field (a
+``MIN_DILATE`` box, a band of ``BAND_DIAGONALS`` cell diagonals), with adaptive
+dyadic refinement of the near-curve cells.  All sums use numpy's pairwise
+accumulation, so results are reproducible for a fixed input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,11 +19,12 @@ import numpy as np
 from .curves import _BLOCK, PolyCurve
 from .errors import PoleOnCurve
 from .functions import FunctionDescriptor
-from .winding import (GridSpec, IndexField, _grid_pairs, distance_to_curve, index_field,
-                      winding_numbers)
+from .winding import (MIN_DILATE, GridSpec, IndexField, _grid_pairs, distance_to_curve,
+                      index_field, winding_numbers)
 
-# Gauss orders of the dyadic-square check: per axis of a clear sub-square, per edge of the square
-SQUARE_QUAD_ORDER, SQUARE_CONTOUR_ORDER = 6, 8
+CONTOUR_ORDER = 8  # Gauss nodes per edge of every contour integral
+BAND_DIAGONALS = 2.0  # near-curve band width, in diagonals of a cell or sub-cell
+SQUARE_QUAD_ORDER = 6  # Gauss nodes per axis of a clear sub-square of the dyadic-square check
 
 
 @lru_cache(maxsize=32)
@@ -34,30 +36,30 @@ def gauss_legendre_01(order: int):
     return nodes, weights
 
 
-def polyline_integral(points, fn, order: int, closed: bool) -> complex:
+def polyline_integral(points, fn, closed: bool) -> complex:
     """∫ fn(z) dz along a polyline given by ``points`` (closed appends the return edge)."""
     p = np.asarray(points, dtype=complex)
     a = p if closed else p[:-1]
     b = np.roll(p, -1) if closed else p[1:]
-    t, w = gauss_legendre_01(order)
+    t, w = gauss_legendre_01(CONTOUR_ORDER)
     z = a[:, None] + t[None, :] * (b - a)[:, None]
     vals = fn(z)
     per_edge = (vals * w[None, :]).sum(axis=1) * (b - a)
     return complex(per_edge.sum())
 
 
-def contour_integral(curve: PolyCurve, f: FunctionDescriptor, order: int = 8) -> complex:
+def contour_integral(curve: PolyCurve, f: FunctionDescriptor) -> complex:
     """∮ f(z) dz over the closed curve.
 
-    Raises PoleOnCurve when the descriptor has a pole within the geometric
-    tolerance of an edge-length of the contour.
+    Raises PoleOnCurve when the descriptor has a pole within 1e-9 diameters
+    of the contour.
     """
     if f.pole is not None:
-        tol = max(curve.tau_geom, 1e-9 * curve.diameter)
+        tol = 1e-9 * curve.diameter
         d = float(distance_to_curve(curve, np.array([f.pole]), cap=tol)[0])
         if d <= tol:
             raise PoleOnCurve(f"pole at {f.pole} lies on the contour (distance {d:.3g})")
-    return polyline_integral(curve.vertices, f.value, order=order, closed=True)
+    return polyline_integral(curve.vertices, f.value, closed=True)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
 
     Clean cells use the midpoint rule at the stored integer index.  Cells in
     the near-curve band are split dyadically up to ``refine`` times; a subcell
-    is released to the midpoint rule as soon as it clears a band of two of its
+    is released to the midpoint rule once it clears ``BAND_DIAGONALS`` of its
     own diagonals, and at the final depth remaining subcells are classified by
     the winding number at their center.  Subcells whose center is on the curve
     are dropped.  Returns (value, info) where info reports the dropped area
@@ -198,7 +200,7 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     act_w = field_.values[near].astype(np.int32)
     dropped_area = 0.0
     straddle_area = 0.0
-    tau_on = max(curve.tau_geom, 1e-14 * curve.diameter)
+    tau_on = curve.tau_geom
     v = curve.vertices
     slack = 1e-9 * (max(np.abs(v.real).max(), np.abs(v.imag).max()) + 1.0)
     step = _BLOCK // 4  # parents per block
@@ -212,7 +214,7 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
         last = level == refine
         hx, hy = hx / 2, hy / 2
         off = np.array([-hx - 1j * hy, hx - 1j * hy, -hx + 1j * hy, hx + 1j * hy])
-        band = 2.0 * math.hypot(2 * hx, 2 * hy)
+        band = BAND_DIAGONALS * math.hypot(2 * hx, 2 * hy)
         r = math.hypot(hx, hy) + slack
         area = 4 * hx * hy
         # the level's clear values (and, on the last level, its kept values)
@@ -265,21 +267,23 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
 @dataclass
 class GreenConfig:
     resolution: int = 256
-    dilate: float = 1.5
-    band_diagonals: float = 2.0
     refine: int = 3
-    contour_order: int = 8
+
+
+def _green_field(curve: PolyCurve, resolution: int) -> IndexField:
+    """The green check's index field: cover's grid, a band of ``BAND_DIAGONALS`` cell diagonals."""
+    grid = GridSpec.cover(curve, resolution)
+    return index_field(curve, grid, BAND_DIAGONALS * grid.cell_diag)
 
 
 def verify_green(curve: PolyCurve, f: FunctionDescriptor, cfg: GreenConfig) -> VerificationReport:
     """Compare ∮ f dz with 2i ∫ dbar(f) Ind dA for one curve and one function."""
-    grid = GridSpec.cover(curve, cfg.resolution, cfg.dilate)
-    band = cfg.band_diagonals * grid.cell_diag
-    fld = index_field(curve, grid, band)
-    lhs = contour_integral(curve, f, order=cfg.contour_order)
+    fld = _green_field(curve, cfg.resolution)
+    lhs = contour_integral(curve, f)
     area, info = area_integral_weighted(fld, f, refine=cfg.refine)
-    rhs = 2j * area
-    return VerificationReport.build(lhs, rhs, asdict(cfg), **info)
+    settings = dict(resolution=cfg.resolution, dilate=MIN_DILATE, band_diagonals=BAND_DIAGONALS,
+                    refine=cfg.refine, contour_order=CONTOUR_ORDER)
+    return VerificationReport.build(lhs, 2j * area, settings, **info)
 
 
 def _segments_meet_square(curve: PolyCurve, x, y, h) -> np.ndarray:
@@ -323,7 +327,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
     bound, not an estimate.  The report carries the per-generation table; rhs
     is the final-depth value.
     """
-    lhs = polyline_integral(sq.corners, f.value, order=SQUARE_CONTOUR_ORDER, closed=True)
+    lhs = polyline_integral(sq.corners, f.value, closed=True)
 
     gx, gw = gauss_legendre_01(SQUARE_QUAD_ORDER)
     gx2 = (gx[:, None] + 1j * gx[None, :]).ravel()
@@ -367,7 +371,7 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
         })
         rhs_final = rhs_n
     settings = {"depth": depth, "quad_order": SQUARE_QUAD_ORDER,
-                "contour_order": SQUARE_CONTOUR_ORDER}
+                "contour_order": CONTOUR_ORDER}
     return VerificationReport.build(lhs, rhs_final, settings, generations=rows)
 
 

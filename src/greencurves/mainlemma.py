@@ -26,14 +26,13 @@ from ._rng import seed_stream
 from .curves import PolyCurve
 from .errors import BoundViolated, NestingViolation, RadiusJitterNeeded
 from .functions import FunctionDescriptor
-from .integration import VerificationReport, gauss_legendre_01, polyline_integral
+from .integration import CONTOUR_ORDER, VerificationReport, gauss_legendre_01, polyline_integral
 from .winding import winding_numbers
 
 ENTER = "enter"
 LEAVE = "leave"
 
 TWO_PI = 2.0 * math.pi
-CONTOUR_ORDER = 8  # Gauss nodes per curve edge
 ARC_ORDER = 16  # Gauss nodes per signed circle piece
 JITTER_ATTEMPTS = 8  # radius inflations tried before a tangency is an error
 
@@ -313,7 +312,7 @@ def _geometry(curve: PolyCurve, disc: Disc) -> _Geometry:
 
 def _exterior_integral(comps: list, h: FunctionDescriptor) -> complex:
     """∮ h dz over the exterior components, summed in order from 0j."""
-    return sum((polyline_integral(comp.points, h.value, order=CONTOUR_ORDER, closed=comp.closed)
+    return sum((polyline_integral(comp.points, h.value, closed=comp.closed)
                 for comp in comps), 0j)
 
 

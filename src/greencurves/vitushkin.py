@@ -34,14 +34,13 @@ import numpy as np
 
 from .curves import _BLOCK, PolyCurve, length
 from .functions import FunctionDescriptor
-from .integration import area_integral_weighted, contour_integral, gauss_legendre_01
+from .integration import CONTOUR_ORDER, area_integral_weighted, contour_integral, gauss_legendre_01
 from .winding import IndexField, distance_to_curve, winding_numbers
 
 CLASS_I = "I"
 CLASS_II = "II"
 CLASS_III = "III"
-# class_sums: Gauss order of its contour rules, and refinement levels of the area form
-CLASS_CONTOUR_ORDER, CLASS_REFINE = 8, 2
+CLASS_REFINE = 2  # class_sums: refinement levels of the area form
 # delta_sweep: Gauss nodes per contour panel, and the bound's constant
 SWEEP_CONTOUR_ORDER, SWEEP_BOUND_CONSTANT = 3, 8.0
 
@@ -482,7 +481,7 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
     sums = {CLASS_I: 0j, CLASS_II: 0j, CLASS_III: 0j}
     counts = {CLASS_I: 0, CLASS_II: 0, CLASS_III: 0}
     classes = classify_many(partition, js, curve)
-    for j, val in ps.contour_integrals(js, curve, order=CLASS_CONTOUR_ORDER).items():
+    for j, val in ps.contour_integrals(js, curve, order=CONTOUR_ORDER).items():
         sums[classes[j]] += val
         counts[classes[j]] += 1
 
@@ -490,7 +489,7 @@ def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
     subset[[j for j in js if classes[j] == CLASS_I]] = True
     weight = lambda zs: partition.sum_phi(zs, subset=subset)
     area, _ = area_integral_weighted(fld, f, refine=CLASS_REFINE, weight=weight)
-    direct = contour_integral(curve, f, order=CLASS_CONTOUR_ORDER)
+    direct = contour_integral(curve, f)
     return ClassSums(s_i=sums[CLASS_I], s_ii=sums[CLASS_II], s_iii=sums[CLASS_III],
                      direct=direct, area_form_i=2j * area, counts=counts)
 

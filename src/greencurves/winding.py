@@ -32,7 +32,7 @@ import numpy as np
 
 from .curves import _BLOCK, PolyCurve, _chunks
 
-MIN_DILATE = 1.5  # least factor by which a grid box dilates the curve's bounding box
+MIN_DILATE = 1.5  # GridSpec.cover's dilation of the curve's box; the least index_field takes
 
 # Every numpy pass below covers at most this many (edge, point), (edge, cell)
 # or (edge, row) pairs, which bounds each temporary however long a slab is.
@@ -159,14 +159,12 @@ class GridSpec:
             raise ValueError("degenerate grid box")
 
     @classmethod
-    def cover(cls, curve: PolyCurve, resolution: int, dilate: float = 1.5) -> "GridSpec":
-        """Square-cell grid whose box is the curve bounding box dilated about its center."""
-        if dilate < MIN_DILATE:
-            raise ValueError(f"grid box must dilate the curve bounding box by at least {MIN_DILATE}")
+    def cover(cls, curve: PolyCurve, resolution: int) -> "GridSpec":
+        """Square-cell grid on the curve's bounding box dilated ``MIN_DILATE`` times."""
         lo, hi = curve.bbox
         cx, cy = (lo.real + hi.real) / 2, (lo.imag + hi.imag) / 2
-        hx = max(hi.real - lo.real, 1e-12) / 2 * dilate
-        hy = max(hi.imag - lo.imag, 1e-12) / 2 * dilate
+        hx = max(hi.real - lo.real, 1e-12) / 2 * MIN_DILATE
+        hy = max(hi.imag - lo.imag, 1e-12) / 2 * MIN_DILATE
         h = max(hx, hy)
         return cls(complex(cx - h, cy - h), complex(cx + h, cy + h), resolution, resolution)
 

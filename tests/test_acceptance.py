@@ -39,7 +39,7 @@ def _report(n, text):
 def test_criterion_01_green_identity_simple_curve():
     t0 = time.perf_counter()
     c = make_curve("circle", n=256)
-    rep = verify_green(c, ZBAR, GreenConfig(resolution=256, refine=3, contour_order=8))
+    rep = verify_green(c, ZBAR, GreenConfig(resolution=256, refine=3))
     target = 2j * shoelace_area(c.vertices)
     assert abs(rep.lhs - target) <= 1e-12 * abs(target)
     assert rep.rel_residual <= 1e-3
@@ -71,7 +71,7 @@ def test_criterion_03_cauchy_corollary_polynomials():
     for deg in range(7):
         f = make_function("monomial", a=deg, b=0)
         for name, c in gallery:
-            val = abs(contour_integral(c, f, order=8))
+            val = abs(contour_integral(c, f))
             fmax = float(np.max(np.abs(f.value(c.vertices))))
             budget = 1e-11 * (1 + sum(c.edge_lengths) * fmax)
             assert val <= budget, (name, deg, val, budget)
@@ -127,7 +127,8 @@ def test_criterion_06_localization():
     curve = make_curve("circle", n=256)
     f = with_cutoff(ZBAR, 1.8, 2.2)
     part = build_partition(delta, (-2.5 - 2.5j, 2.5 + 2.5j))
-    grid = GridSpec.cover(curve, 128, dilate=2.4)
+    # GridSpec.cover's box for the unit circle's bounding box dilated 2.4 times, not 1.5
+    grid = GridSpec(-2.4 - 2.4j, 2.4 + 2.4j, 128, 128)
     fld = index_field(curve, grid, 2 * grid.cell_diag)
 
     # sup |f_j| / omega(f, delta) <= 50 over all pieces
@@ -339,7 +340,8 @@ def test_class_sums_memory():
     curve = make_curve("circle", n=256)
     f = with_cutoff(ZBAR, 1.8, 2.2)
     part = build_partition(0.25, (-2.5 - 2.5j, 2.5 + 2.5j))
-    grid = GridSpec.cover(curve, 128, dilate=2.4)
+    # GridSpec.cover's box for the unit circle's bounding box dilated 2.4 times, not 1.5
+    grid = GridSpec(-2.4 - 2.4j, 2.4 + 2.4j, 128, 128)
     fld = index_field(curve, grid, 2 * grid.cell_diag)
     assert len(PieceSet(part, f).active_pieces()) > PieceSet.BLOCK_PIECES
     peak = _peak_mb(lambda: class_sums(f, part, curve, fld))

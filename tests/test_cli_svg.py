@@ -26,6 +26,7 @@ from greencurves.mainlemma import Disc, geometry_dump
 from greencurves.svg import render_svg
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "greencurves" / "scenarios"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def test_bundled_circle_scenario(tmp_path):
@@ -44,11 +45,13 @@ def test_bundled_bowtie_scenario(tmp_path):
 
 
 # sha256 of report.json bytes: the two bundled scenarios (as the benchmark
-# records them) and a small cut-off conj z localization scenario
+# records them), a small cut-off conj z localization scenario and the star
+# that runs every check (the only one here that runs mainlemma)
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
     "cutoff_localize": "ee31620516646a4618228a5a04a69335b536c79e7af2cf78c2ed145b5313347a",
+    "star_every_check.json": "ff1a951f9e8b7d7bcc80e178419fbc07b1c0e342cd90349959d01f723eb48ce1",
 }
 _CUTOFF_LOCALIZE = {
     "schema": 1, "seed": 7,
@@ -64,7 +67,7 @@ _CUTOFF_LOCALIZE = {
 
 @pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
 def test_report_bytes_pinned(tmp_path, name):
-    path = SCEN_DIR / name
+    path = (DATA_DIR if name == "star_every_check.json" else SCEN_DIR) / name
     if name == "cutoff_localize":
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(_CUTOFF_LOCALIZE))
@@ -130,9 +133,20 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"grid": {"resolution": 32, "dilate": -float("inf")}, "checks": ["green"]},
     # an integer too large for float()
     {"square": {"center": [0.0, 0.0], "half": 10 ** 400, "depth": 2}, "checks": ["square"]},
-    # the grid box must dilate the curve's by 1.5; the band is a nonnegative width
+    # the grid dilation, the band and the contour order each have one value
     {"grid": {"resolution": 32, "dilate": 1.0}, "checks": ["green"]},
+    {"grid": {"resolution": 32, "dilate": 2.0}, "checks": ["green"]},
     {"grid": {"resolution": 32, "band_diagonals": -1}, "checks": ["green"]},
+    {"grid": {"resolution": 32, "band_diagonals": 3.0}, "checks": ["green"]},
+    {"grid": {"resolution": 32}, "quadrature": {"contour_order": 16}, "checks": ["green"]},
+    # integer settings are JSON integers, never truncated or coerced
+    {"grid": {"resolution": 64.9}, "checks": ["green"]},
+    {"grid": {"resolution": "64"}, "checks": ["green"]},
+    {"grid": {"resolution": True}, "checks": ["green"]},
+    {"grid": {"resolution": 32}, "quadrature": {"refine": 2.5}, "checks": ["green"]},
+    {"square": {"center": [0.0, 0.0], "half": 0.25, "depth": 3.7}, "checks": ["square"]},
+    {"seed": 1.5, "checks": ["decompose"]},
+    {"seed": "7", "checks": ["decompose"]},
     # sizes that no memory holds: 10^10 grid cells, 4^40 sub-squares, ~10^15 bumps
     {"grid": {"resolution": 100000}, "checks": ["green"]},
     {"deltas": [1e-7], "checks": ["vitushkin"]},
@@ -163,7 +177,7 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     p.write_text(text)
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     # rejected before any check runs, so nothing is written
     assert main(["run", str(p), "--out", str(tmp_path / "out"), "--svg"]) == 2
     assert not (tmp_path / "out").exists()
@@ -171,6 +185,9 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
         assert "checks must be a list" in err
     if "NaN" in text or "Infinity" in text:
         assert "every number must be finite" in err
+    else:  # a fixed setting with another value is named
+        for key in ("dilate", "band_diagonals", "contour_order"):
+            assert (f"{key} is fixed at" in err) == (key in text)
 
 
 @pytest.mark.parametrize("fields", [
@@ -202,7 +219,7 @@ def test_numpy_overflow_with_warnings_as_errors_exit_2(tmp_path, capsys):
     # z^(10^12) overflows in numpy's power on a circle of radius 2; with warnings
     # as errors, as under python -W error, the run still ends at the non-finite
     # check with exit 2, not in a RuntimeWarning traceback
-    path = Path(__file__).parent / "data" / "monomial_overflow_green.json"
+    path = DATA_DIR / "monomial_overflow_green.json"
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -11,7 +11,7 @@ from greencurves import (PolyCurve, gallery_curves, is_jordan, jordan_decompose,
                          make_curve, self_intersections)
 from greencurves.curves import _cluster_points, _collinear, curve_families
 from greencurves.errors import DegenerateOverlap, UnknownFamily
-from greencurves.integration import contour_integral, polyline_integral
+from greencurves.integration import contour_integral
 from greencurves.functions import make_function
 
 from oracles import brute_force_crossings, cluster_points_greedy, gl_contour, shoelace_area

@@ -39,7 +39,8 @@ def zbar_cut():
 @pytest.fixture(scope="module")
 def circle_field():
     c = make_curve("circle", n=256)
-    grid = GridSpec.cover(c, 128, dilate=2.4)
+    # GridSpec.cover's box for the unit circle's bounding box dilated 2.4 times, not 1.5
+    grid = GridSpec(-2.4 - 2.4j, 2.4 + 2.4j, 128, 128)
     return c, index_field(c, grid, 2 * grid.cell_diag)
 
 

@@ -82,8 +82,6 @@ def test_ray_crossing_equals_angle_sum_on_random_points():
 
 def test_grid_cover_validation():
     c = make_curve("circle", n=32)
-    with pytest.raises(ValueError):
-        GridSpec.cover(c, 64, dilate=1.2)
     small = GridSpec(lo=-1.1 - 1.1j, hi=1.1 + 1.1j, nx=64, ny=64)
     with pytest.raises(ValueError):
         index_field(c, small, 0.0)
