@@ -121,10 +121,14 @@ def _green_cfg(doc: dict, curve, f) -> GreenConfig:
         if sec.get(key, fixed) != fixed:  # one value in the library, which a scenario may state
             raise ValueError(f"{key} is fixed at {fixed}: {sec[key]!r}")
     # a dataclass's class attributes are its field defaults
-    return GreenConfig(
-        resolution=_int(g.get("resolution", GreenConfig.resolution), "grid.resolution",
-                        1, math.isqrt(_MAX_ITEMS)),
-        refine=_int(q.get("refine", GreenConfig.refine), "quadrature.refine", 0, math.inf))
+    res = _int(g.get("resolution", GreenConfig.resolution), "grid.resolution",
+               1, math.isqrt(_MAX_ITEMS))
+    # the refinement measures about two dozen sub-cells per unit of
+    # resolution * 2^refine along a curve the size of its box, so that
+    # product stays within _MAX_ITEMS / 32
+    top = (_MAX_ITEMS // (32 * res)).bit_length() - 1
+    return GreenConfig(resolution=res, refine=_int(
+        q.get("refine", GreenConfig.refine), f"quadrature.refine at grid.resolution {res}", 0, top))
 
 
 def _deltas(doc: dict, curve, f) -> list:

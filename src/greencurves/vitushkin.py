@@ -20,9 +20,16 @@ z, where the difference quotient has its directional discontinuity.  The
 multipole sum has no f(z) term (the moments of dbar(phi) vanish), and contour
 nodes sit on panels of at most delta/2, the scale on which a piece varies.
 
+Work that depends on a point alone is done once per point: the template
+cells of all bumps tile one lattice, so a point's cell is one integer index
+that every bump over it reads, and one polar patch there serves all four
+bumps over that cell.  A far (piece, point) pair sums only the multipole
+moments its distance needs.
+
 The rule has no parameters: its cells per axis (``PieceSet.CELLS``), Gauss
-order, polar patch and pieces per contour block are class constants that
-``class_sums`` and ``delta_sweep`` share (a convergence check patches ``CELLS``).
+order, polar patch, far tiers and pieces per contour block are class
+constants that ``class_sums`` and ``delta_sweep`` share (a convergence check
+patches ``CELLS``).
 """
 
 from __future__ import annotations
@@ -72,8 +79,12 @@ def _value(x):
     return _W1 - _w9(x)
 
 
+def _rho(r: float, x):
+    return (315.0 / (256.0 * r)) * (1.0 - x * x) ** 4  # x is clipped: rho(+-1) is exactly 0
+
+
 def _slope(t, r: float, x):
-    rho = (315.0 / (256.0 * r)) * (1.0 - x * x) ** 4  # x is clipped: rho(+-1) is exactly 0
+    rho = _rho(r, x)
     return np.where(t < 0, rho, 0.0 - rho)  # 0.0 - rho keeps the +0.0 of rho(t + r) - rho(t - r)
 
 
@@ -95,8 +106,8 @@ def _dbar_phi(dx, dy, delta: float):
 def _tensor_rule(delta: float, n_cells: int, order: int):
     """Tensor Gauss-Legendre rule on the support square [-delta/2, delta/2]^2.
 
-    Returns the per-axis cell edges, the node offsets from the bump center,
-    their weights, and the cell of each node, numbered ``ix * n_cells + iy``.
+    Returns the node offsets from the bump center, their weights, and the
+    cell of each node, numbered ``ix * n_cells + iy``.
     """
     half = delta / 2.0
     edges = np.linspace(-half, half, n_cells + 1)
@@ -107,7 +118,7 @@ def _tensor_rule(delta: float, n_cells: int, order: int):
     cell = np.repeat(np.arange(n_cells), order)
     offsets = (x[:, None] + 1j * x[None, :]).ravel()
     weights = (w[:, None] * w[None, :]).ravel()
-    return edges, offsets, weights, (cell[:, None] * n_cells + cell[None, :]).ravel()
+    return offsets, weights, (cell[:, None] * n_cells + cell[None, :]).ravel()
 
 
 def _polar_frame(zs, x0, x1, y0, y1, delta: float):
@@ -240,17 +251,31 @@ class PieceSet:
     first sum is re-summed through shared multipole moments (cheap) and the
     second, whose moments vanish, is dropped; near it, it is two kernel
     matrix-vector products, on a coarse 6-cell rule outside the support and
-    on the template inside.  For z inside the support a corner-aligned polar
-    rule about z, which removes the difference quotient's directional kink,
-    stands in for the template cell that holds z: that cell's nodes take no
-    kernel entry.  Every other fine node lies at least 0.0469 delta/8 from
-    such a z, and every coarse node 0.0469 delta/6 from a z outside the
-    support, so no kernel entry comes near 1/0.
+    on the template inside.
+
+    The template cells of all bumps tile one lattice of pitch delta/CELLS
+    (CELLS is even and the bumps sit half a support apart), so a point's cell
+    is one pair of integers (``_cells``), and each bump's local cell, inside
+    test and excluded kernel nodes follow by integer arithmetic: the four
+    bumps over a cell always agree on it.  For z inside the support a
+    corner-aligned polar rule about z, which removes the difference
+    quotient's directional kink, stands in for z's cell, whose nodes take no
+    kernel entry; one frame per point serves all four bumps
+    (``_patch_block``).  Every other fine node lies at least 0.0469 delta/8
+    from such a z, and every coarse node 0.0469 delta/6 from a z outside the
+    support, so no kernel entry comes near 1/0.  At |z - c| >= k delta a far
+    pair sums only the first n moments, the fewest with rho^n <=
+    (1/sqrt 2)^96 = 2^-48, rho = delta/(sqrt(2) |z - c|) the largest node's
+    ratio (``FAR_TIERS``): the accuracy at |z - c| = delta, where the far
+    field starts and sums all N_MOMENTS + 1 moments.
     """
 
     CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
     ORDER = 5         # Gauss nodes per axis of each template cell
     N_MOMENTS = 96
+    # (k, n): from k delta out a far pair sums n = ceil(48 / (1/2 + log2 k))
+    # moments; from delta, where the far field starts, all N_MOMENTS + 1
+    FAR_TIERS = ((16, 11), (8, 14), (4, 20), (2, 32), (1, N_MOMENTS + 1))
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
     PATCH_NR = 10     # polar patch: Gauss nodes per ray
     BLOCK_PIECES = 96  # most pieces per contour block, which bounds its piece data
@@ -263,10 +288,9 @@ class PieceSet:
         self.f = f
         delta = partition.delta
         self.half = delta / 2.0
-        self.far_radius = 1.0 * delta  # corner-node multipole ratio sqrt(2)/2 per term
-        self.edges, self.offsets, w, node_cell = _tensor_rule(delta, self.CELLS, self.ORDER)
+        self.offsets, w, node_cell = _tensor_rule(delta, self.CELLS, self.ORDER)
         self.b = w * _dbar_phi(self.offsets.real, self.offsets.imag, delta) / math.pi
-        _, self.offsets_c, w, _ = _tensor_rule(delta, 6, self.ORDER)  # coarse rule: points outside the support
+        self.offsets_c, w, _ = _tensor_rule(delta, 6, self.ORDER)  # coarse rule: points outside the support
         self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(self.CELLS * self.CELLS, self.ORDER ** 2)
@@ -275,6 +299,11 @@ class PieceSet:
         for m, row in enumerate(self._powers):
             row[:] = self.offsets ** m
         self._centers = partition.centers_array()
+        # the cell lattice: bump (ix, iy) holds lattice cells H ix .. H ix + CELLS - 1
+        # by H iy .. H iy + CELLS - 1, H = CELLS/2, from the lower-left support corner
+        self._pitch = delta / self.CELLS
+        self._origin = complex((partition.i0 - 0.5) * self.half, (partition.j0 - 0.5) * self.half)
+        self._contour = None  # contour_integrals' nodes, their cells and patch table
 
     def _piece_data(self, js):
         """Centers, kernel coefficients and multipole moments of the pieces ``js``."""
@@ -309,35 +338,70 @@ class PieceSet:
             out += [j for j, on in zip(jj, np.any(np.abs(dbv) != 0.0, axis=1)) if on]
         return out
 
-    @staticmethod
-    def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.full(u.shape, coeffs[-1], dtype=complex)
-        for m in range(len(coeffs) - 2, -1, -1):
-            out *= u
-            out += coeffs[m]
+    def _cells(self, z: np.ndarray):
+        """Each point's lattice cell, as integer column and row indices.
+
+        They are clipped to one cell past the partition's supports on either
+        side, where no bump reaches, so a far point casts to an integer
+        without overflow.
+        """
+        part, h = self.partition, self.CELLS // 2
+        return [np.floor(np.clip((t - o) / self._pitch, -1, h * (n + 1))).astype(np.intp)
+                for t, o, n in ((z.real, self._origin.real, part.ni),
+                                (z.imag, self._origin.imag, part.nj))]
+
+    def _patch_table(self, z: np.ndarray, fz: np.ndarray, gx: np.ndarray, gy: np.ndarray):
+        """``_patch_block`` over the points in fixed blocks, which bound its node arrays: shape (points, 2, 2)."""
+        out = np.empty((z.size, 2, 2), dtype=complex)
+        step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)  # points per block
+        for s in range(0, z.size, step):
+            sl = slice(s, s + step)
+            out[sl] = self._patch_block(z[sl], fz[sl], gx[sl], gy[sl])
         return out
 
-    def _patch_values(self, c: np.ndarray, zs: np.ndarray, fzs: np.ndarray, cell: np.ndarray):
-        """Polar-rule values over each z's template ``cell``, each z inside the support about its c."""
-        ix, iy = np.divmod(cell, self.CELLS)
-        ze, E, WT, rmax = _polar_frame(
-            zs, c.real + self.edges[ix], c.real + self.edges[ix + 1],
-            c.imag + self.edges[iy], c.imag + self.edges[iy + 1], self.partition.delta)
+    def _patch_block(self, z: np.ndarray, fz: np.ndarray, gx: np.ndarray, gy: np.ndarray):
+        """Polar-rule values over each z's lattice cell (gx, gy) for the 2 x 2 bumps over it.
+
+        Entry [k, kx, ky] belongs to bump (gx // H - 1 + kx, gy // H - 1 + ky)
+        of the partition, H = CELLS/2.  The cell lies between the
+        centers of its two bump columns, so one profile argument per axis gives
+        both: the profile values W(1) -/+ W(x) and the slopes -/+ rho.  The sums
+        run over each point's nodes alone, so a value depends only on z, f(z)
+        and the bump, not on the other points of the block.
+        """
+        part, h = self.partition, self.CELLS // 2
+        delta, p, o = part.delta, self._pitch, self._origin
+        ze, E, WT, rmax = _polar_frame(z, o.real + gx * p, o.real + (gx + 1) * p,
+                                       o.imag + gy * p, o.imag + (gy + 1) * p, delta)
         # one radial panel per ray: an even CELLS puts the profile's center
-        # lines on cell edges, so no cell straddles them.  Products are
-        # taken in place and each node-sized array is built where it is used,
-        # so few of them are alive at once.
+        # lines on cell edges, so no cell straddles them
         gr, wr = gauss_legendre_01(self.PATCH_NR)
         E = E[..., None]
-        wpts = ze[:, None, None, None] + (rmax[..., None] * gr) * E
-        c = c[:, None, None, None]
-        vals = (self.f.value(wpts) - fzs[:, None, None, None]) * np.conj(E)
-        dx, dy = wpts.real - c.real, wpts.imag - c.imag
-        del wpts
-        vals *= _dbar_phi(dx, dy, self.partition.delta)
-        del dx, dy
-        vals *= (WT * rmax)[..., None] * wr
-        return vals.sum(axis=(1, 2, 3)) / math.pi
+        w = ze[:, None, None, None] + (rmax[..., None] * gr) * E
+        g = (self.f.value(w) - fz[:, None, None, None]) * np.conj(E)
+        g *= (WT * rmax)[..., None] * (wr * (0.5 / math.pi))  # 0.5: dbar's, 1/pi: the piece's
+        g = g.reshape(z.size, -1)
+        profiles = []
+        for t, lo, i0 in ((w.real, gx, part.i0), (w.imag, gy, part.j0)):
+            # the lower bump column's center, computed as centers_array computes it
+            lower = (i0 + lo // h - 1 + 0.5) * self.half
+            _, r, x = _fold(t.reshape(z.size, -1) - lower[:, None], delta)
+            profiles.append((_rho(r, x), _w9(x)))
+        del w
+        (rho_x, w_x), (rho_y, w_y) = profiles
+        # dbar(phi) / 2 of bump (kx, ky) is s_x v_y + i v_x s_y with slopes
+        # s = -/+ rho and values v = W(1) -/+ W for index 0/1: the sums of
+        # g rho_x v_y over each point's nodes for both rows, and of g v_x rho_y
+        # for both columns, give all four bumps
+        g_rho = g * rho_x
+        sum_x = [(g_rho * (_W1 - w_y)).sum(axis=1), (g_rho * (_W1 + w_y)).sum(axis=1)]
+        del g_rho
+        g *= rho_y
+        sum_y = [(g * (_W1 - w_x)).sum(axis=1), (g * (_W1 + w_x)).sum(axis=1)]
+        out = np.empty((z.size, 2, 2), dtype=complex)
+        for kx, ky in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out[:, kx, ky] = (sum_x[ky] if kx else -sum_x[ky]) + 1j * (sum_y[kx] if ky else -sum_y[kx])
+        return out
 
     def eval(self, j: int, zs, fz=None, rows=None) -> np.ndarray:
         """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
@@ -347,78 +411,102 @@ class PieceSet:
         same points passes ``rows``, a dict whose keys are those pieces and
         whose values start as None: the first call evaluates them all in one
         block and keeps their rows there, and each later call takes its own
-        row out.
+        row out.  At the nodes of a running ``contour_integrals`` the block
+        reads that call's patch table; elsewhere it builds one for its own
+        inside points.
         """
         if rows is not None and rows.get(j) is not None:
             return rows.pop(j)
         js = [j] + [k for k, v in (rows or {}).items() if v is None and k != j]
         z = np.asarray(zs, dtype=complex).ravel()
-        vals = self._eval_block(js, z, None if fz is None else np.asarray(fz).ravel())
+        fz = self.f.value(z) if fz is None else np.asarray(fz).ravel()
+        if self._contour is not None and zs is self._contour[0]:
+            _, cells, table = self._contour
+        else:
+            cells, table = self._cells(z), None
+        vals = self._eval_block(js, z, fz, cells, table)
         if rows is not None:
             rows.update(zip(js[1:], vals[1:]))
             rows.pop(j, None)
         return vals[0]
 
-    def _eval_block(self, js, z: np.ndarray, fz) -> np.ndarray:
-        """Values of the pieces ``js`` at the points ``z``, one row per piece; ``fz`` is f(z) or None.
+    def _eval_block(self, js, z: np.ndarray, fz: np.ndarray, cells, table) -> np.ndarray:
+        """Values of the pieces ``js`` at the points ``z``, one row per piece.
 
-        Points at distance >= delta from a bump center use the multipole
-        re-summation, one Horner pass over the whole block; points outside
+        ``cells`` are the points' lattice cells and ``table`` their patch table,
+        or None to build it here for the points inside some support.  Points
+        at distance >= delta from a bump center use the multipole re-summation
+        with the moments their distance needs (``FAR_TIERS``); points outside
         the support square but closer use the coarse rule (the integrand is
-        smooth there), and points inside the support use the fine rule
-        without the nodes of their own cell, for which the polar patch stands
-        in; each inside (piece, point) pair looks its cell up once, for both.
-        The kernel matrices stay per piece and per ``CHUNK`` points; the polar
-        patch runs over fixed blocks of the block's (piece, inside point)
-        pairs.  Every value is bit for bit the one a block of that piece alone
-        gives.
+        smooth there), and points inside the support use the fine rule without
+        the nodes of their own cell, for which the patch table stands in.
+        The kernel matrices stay per piece and per ``CHUNK`` points.  Every
+        value is bit for bit the one a block of that piece alone gives.
         """
-        fz = self.f.value(z) if fz is None else fz
         c, a, a_c, moments = self._piece_data(js)
+        part, cn, h = self.partition, self.CELLS, self.CELLS // 2
+        by, bx = np.divmod(np.asarray(js, dtype=np.intp), part.ni)
+        gx, gy = cells
+        lo = h * bx[:, None]
+        inside = (gx >= lo) & (gx < lo + cn)
+        lo = h * by[:, None]
+        inside &= (gy >= lo) & (gy < lo + cn)
         dz = z[None, :] - c[:, None]
-        far = np.abs(dz) >= self.far_radius
-        inside = (np.abs(dz.real) < self.half) & (np.abs(dz.imag) < self.half)
-        # z's template cell, looked up once per inside (piece, point) pair
-        d = dz[inside]
-        cell = np.zeros(dz.shape, dtype=np.intp)
-        cell[inside] = ((np.searchsorted(self.edges, d.real, side="right") - 1) * self.CELLS
-                        + np.searchsorted(self.edges, d.imag, side="right") - 1)
-        del d
-        # far field on every entry; the near entries are overwritten below
-        u = np.zeros(dz.shape, dtype=complex)
-        np.divide(1.0, dz, out=u, where=far)
+        r = np.abs(dz)
+        ring = (r < part.delta) & ~inside
+        # far pairs by tier, the nearest (most moments) first, so that the
+        # pairs still summing at power m are a prefix: each pair runs the
+        # Horner steps of its own tier in one fixed order, whatever the block
+        tiers, hi = [], np.inf
+        for k, n in self.FAR_TIERS:
+            tiers.insert(0, (n, np.flatnonzero((r >= k * part.delta) & (r < hi))))
+            hi = k * part.delta
+        del r
+        idx = np.concatenate([e for _, e in tiers])
+        # pairs per (tier, piece): within a tier, idx runs piece by piece
+        counts = np.concatenate([np.bincount(e // z.size, minlength=c.size) for _, e in tiers])
+        u = 1.0 / dz.reshape(-1)[idx]
         del dz
-        vals = self._horner(moments[:, :, None], u)
-        np.negative(vals, out=vals)
-        vals *= u
-        del u
-        ring = ~far & ~inside
-        del far
+        acc = np.empty(idx.size, dtype=complex)
+        live = 0  # pairs summing so far; a tier joins at its top power n - 1
+        for m in range(self.N_MOMENTS, -1, -1):
+            live_tiers = sum(n > m for n, _ in tiers)
+            coef = np.repeat(np.tile(moments[m], live_tiers), counts[:live_tiers * c.size])
+            acc[:live] *= u[:live]
+            acc[:live] += coef[:live]
+            acc[live:coef.size] = coef[live:]
+            live = coef.size
+        np.negative(acc, out=acc)
+        acc *= u
+        vals = np.empty((c.size, z.size), dtype=complex)
+        vals.reshape(-1)[idx] = acc
+        del acc, coef, u, idx
+        if table is None:
+            need = np.flatnonzero(inside.any(axis=0))
+            table = np.zeros((z.size, 2, 2), dtype=complex)
+            table[need] = self._patch_table(z[need], fz[need], gx[need], gy[need])
         # the coarse rule on the ring, the fine rule inside the support.  Each
         # kernel block is built and inverted in place, and freed before the
         # next one.  Inside, the nodes of z's own cell get kernel entry 0
-        # (1/inf): the polar patch below stands in for that cell
-        for mask, coef, offsets, b, by_cell in (
-                (ring, a_c, self.offsets_c, self.b_c, None),
-                (inside, a, self.offsets, self.b, self.nodes_by_cell)):
-            for row, near, ci, ai, own in zip(vals, mask, c, coef, cell):
-                sel = np.nonzero(near)[0]
+        # (1/inf): the patch stands in for that cell
+        for mask, coef, offsets, b, own_cell in (
+                (ring, a_c, self.offsets_c, self.b_c, False),
+                (inside, a, self.offsets, self.b, True)):
+            for row, near, ci, ai, ix, iy in zip(vals, mask, c, coef, bx, by):
+                sel = np.flatnonzero(near)
                 nodes = ci + offsets
+                if own_cell:
+                    own = self.nodes_by_cell[(gx[sel] - h * ix) * cn + gy[sel] - h * iy]
                 for s in range(0, sel.size, self.CHUNK):
                     ss = sel[s:s + self.CHUNK]
                     K = nodes[None, :] - z[ss, None]
-                    if by_cell is not None:
-                        K[np.arange(ss.size)[:, None], by_cell[own[ss]]] = np.inf
+                    if own_cell:
+                        K[np.arange(ss.size)[:, None], own[s:s + self.CHUNK]] = np.inf
                     np.divide(1.0, K, out=K)
                     row[ss] = K @ ai - fz[ss] * (K @ b)
                     del K
-        # inside (piece, point) pairs per patch block, at 4 panels x PATCH_NT x
-        # PATCH_NR nodes each
-        pi, pk = np.nonzero(inside)
-        step = max(_BLOCK // (4 * self.PATCH_NT * self.PATCH_NR), 1)
-        for s in range(0, pi.size, step):
-            bi, bk = pi[s:s + step], pk[s:s + step]
-            vals[bi, bk] += self._patch_values(c[bi], z[bk], fz[bk], cell[bi, bk])
+                if own_cell:
+                    row[sel] += table[sel, ix - gx[sel] // h + 1, iy - gy[sel] // h + 1]
         return vals
 
     def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:
@@ -426,11 +514,12 @@ class PieceSet:
 
         Edge a to a + d takes k = ceil(|d| / half) panels, panel p running from
         a + (p/k) d over d/k, so a one-panel edge keeps the nodes a + t d.  An
-        inactive piece comes out at round-off, not at exact 0.  The pieces
-        run through ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each
-        block builds its pieces' data (about 42 kB per piece) and drops it
-        when done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that
-        memory when the contour is short.
+        inactive piece comes out at round-off, not at exact 0.  The nodes'
+        cells and patch table are built once; the pieces then run through
+        ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each block builds
+        its pieces' data (about 42 kB per piece) and drops it when done;
+        ``BLOCK_PIECES`` caps a block's pieces, which bounds that memory when
+        the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -441,13 +530,18 @@ class PieceSet:
         zc = ((a[e] + p * d[e])[:, None] + t[None, :] * dp).ravel()
         dzw = (w[None, :] * dp).ravel()
         fz = self.f.value(zc)
+        cells = self._cells(zc)
         js = list(js)
         step = min(max(_BLOCK // (2 * zc.size), 1), self.BLOCK_PIECES)  # pieces per block
         out = {}
-        for s in range(0, len(js), step):
-            rows = dict.fromkeys(js[s:s + step])
-            for j in list(rows):
-                out[j] = complex((self.eval(j, zc, fz, rows) * dzw).sum())
+        self._contour = (zc, cells, self._patch_table(zc, fz, *cells))
+        try:
+            for s in range(0, len(js), step):
+                rows = dict.fromkeys(js[s:s + step])
+                for j in list(rows):
+                    out[j] = complex((self.eval(j, zc, fz, rows) * dzw).sum())
+        finally:
+            self._contour = None
         return out
 
 

@@ -18,6 +18,11 @@ builds its piece's data alone, where the library builds a block's data in one
 pass, and ``contour_integrals_per_piece`` sums one such piece at a time, where
 the library evaluates blocks of pieces, on contour panels that ``panel_nodes``
 builds edge by edge, where the library gathers every panel in one pass.
+``patch_per_pair`` builds the polar patch of every (bump, point) pair
+with its own cell lookup, where the library builds one frame per point on
+its one cell lattice for the four bumps over the cell, and
+``far_field_all_moments`` sums every multipole moment, where the library
+sums only those a pair's distance needs.
 ``monomial_by_powers`` and ``cutoff_by_ramp`` take every power and the
 whole smoothstep ramp, where the library skips the factors and the ramp
 values that are exactly 1.  ``modulus_by_fresh_draw`` is the
@@ -503,26 +508,45 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
 
     The arithmetic of ``PieceSet.eval`` with the piece's own data built from
     its center alone (one f call per rule on fresh 1-D arrays, one gemv for
-    the moments), freshly allocated kernel matrices and one polar-patch call
-    over all inside points.
+    the moments), each far tier's Horner pass run over that tier's points
+    alone with scalar coefficients, the lattice cell and the own-cell nodes
+    worked out here, freshly allocated kernel matrices and one polar-patch
+    block over all inside points.
     """
     z = np.asarray(zs, dtype=complex).ravel()
     if not ps.active_pieces([j]):
         return np.zeros(z.shape, dtype=complex)
-    c = bump_center(ps.partition, j)
+    part = ps.partition
+    c = bump_center(part, j)
     a = ps.b * ps.f.value(c + ps.offsets)
     a_c = ps.b_c * ps.f.value(c + ps.offsets_c)
     a_moments = ps._powers @ a
     fz = ps.f.value(z) if fz is None else np.asarray(fz).ravel()
     out = np.empty(z.shape, dtype=complex)
     dz = z - c
-    far = np.abs(dz) >= ps.far_radius
-    inside = (np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)
-    ring = ~far & ~inside
-    if np.any(far):
-        u = 1.0 / dz[far]
-        s_a = ps._horner(a_moments, u)
-        out[far] = -s_a * u
+    r = np.abs(dz)
+    hi = np.inf
+    for k, n in ps.FAR_TIERS:
+        tier = (r >= k * part.delta) & (r < hi)
+        hi = k * part.delta
+        if np.any(tier):
+            u = 1.0 / dz[tier]
+            acc = np.full(u.shape, a_moments[n - 1])
+            for m in range(n - 2, -1, -1):
+                acc *= u
+                acc += a_moments[m]
+            np.negative(acc, out=acc)
+            acc *= u
+            out[tier] = acc
+    # the lattice of template cells, pitch delta / CELLS, from the lower-left
+    # support corner of bump (0, 0); bump (ix, iy) starts CELLS / 2 cells on per index
+    h, cells, pitch = ps.CELLS // 2, ps.CELLS, part.delta / ps.CELLS
+    iy, ix = divmod(j, part.ni)
+    gx = np.floor(np.clip((z.real - (part.i0 - 0.5) * ps.half) / pitch, -1, h * (part.ni + 1))).astype(int)
+    gy = np.floor(np.clip((z.imag - (part.j0 - 0.5) * ps.half) / pitch, -1, h * (part.nj + 1))).astype(int)
+    lx, ly = gx - h * ix, gy - h * iy
+    inside = (lx >= 0) & (lx < cells) & (ly >= 0) & (ly < cells)
+    ring = (r < part.delta) & ~inside
     if np.any(ring):
         sel = np.nonzero(ring)[0]
         nodes_c = c + ps.offsets_c
@@ -533,20 +557,73 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     kk = np.nonzero(inside)[0]
     if kk.size:
         nodes = c + ps.offsets
-        # z's own template cell, and each node's, by axis: the polar patch
-        # stands in for z's cell, so its nodes take no kernel entry
-        cell_of = lambda t: np.searchsorted(ps.edges, t, side="right") - 1
-        zx, zy = cell_of(dz.real[kk]), cell_of(dz.imag[kk])
-        nx, ny = cell_of(ps.offsets.real), cell_of(ps.offsets.imag)
+        # the template cell of each node: nodes run x-major over CELLS * ORDER per axis
+        nx, ny = np.divmod(np.arange(ps.offsets.size), cells * ps.ORDER)
+        nx, ny = nx // ps.ORDER, ny // ps.ORDER
         for s in range(0, kk.size, ps.CHUNK):
             ss = kk[s:s + ps.CHUNK]
-            own = (nx[None, :] == zx[s:s + ps.CHUNK, None]) & (ny[None, :] == zy[s:s + ps.CHUNK, None])
+            own = (nx[None, :] == lx[ss, None]) & (ny[None, :] == ly[ss, None])
             den = nodes[None, :] - z[ss, None]
             den[own] = np.inf
             K = 1.0 / den
             out[ss] = K @ a - fz[ss] * (K @ ps.b)
-        out[kk] += ps._patch_values(np.full(kk.size, c), z[kk], fz[kk], zx * ps.CELLS + zy)
+        table = ps._patch_block(z[kk], fz[kk], gx[kk], gy[kk])
+        out[kk] += table[np.arange(kk.size), ix - gx[kk] // h + 1, iy - gy[kk] // h + 1]
     return out
+
+
+def far_field_all_moments(ps, j: int, zs) -> np.ndarray:
+    """Multipole value of piece j of ``ps`` at each of ``zs``: all N_MOMENTS + 1 moments, one Horner pass."""
+    c = bump_center(ps.partition, j)
+    moments = ps._powers @ (ps.b * ps.f.value(c + ps.offsets))
+    u = 1.0 / (np.asarray(zs, dtype=complex) - c)
+    acc = np.full(u.shape, moments[-1])
+    for m in range(moments.size - 2, -1, -1):
+        acc = acc * u + moments[m]
+    return -acc * u
+
+
+def patch_per_pair(ps, c, zs, fzs) -> np.ndarray:
+    """The polar patch of each (bump center c, point z) pair, z inside that bump's support.
+
+    The per-pair rule: z's template cell looked up by ``searchsorted`` on
+    z - c against the bump's own cell edges; z clipped 1e-12 delta inside
+    the cell; four angular panels between the corner directions, sorted, of
+    ``PATCH_NT`` Gauss nodes each; each ray's exit distance, the nearer of
+    its two side crossings, split into ``PATCH_NR`` Gauss nodes; and dbar(phi)
+    from the two-sided profiles.  Everything is built for every pair.
+    """
+    delta = ps.partition.delta
+    c = np.asarray(c, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
+    edges = np.linspace(-delta / 2, delta / 2, ps.CELLS + 1)
+    ix = np.searchsorted(edges, (zs - c).real, side="right") - 1
+    iy = np.searchsorted(edges, (zs - c).imag, side="right") - 1
+    x0, x1 = c.real + edges[ix], c.real + edges[ix + 1]
+    y0, y1 = c.imag + edges[iy], c.imag + edges[iy + 1]
+    m = 1e-12 * delta
+    ze = np.clip(zs.real, x0 + m, x1 - m) + 1j * np.clip(zs.imag, y0 + m, y1 - m)
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
+    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
+    th = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
+    gt, wt = _gauss01(ps.PATCH_NT)
+    TH = th[:, :4, None] + np.diff(th, axis=1)[..., None] * gt  # (pair, panel, node)
+    WT = np.diff(th, axis=1)[..., None] * wt
+    ct, st = np.cos(TH), np.sin(TH)
+    zx, zy = ze.real[:, None, None], ze.imag[:, None, None]
+    with np.errstate(divide="ignore"):
+        tx = np.where(ct > 0, (x1[:, None, None] - zx) / ct,
+                      np.where(ct < 0, (x0[:, None, None] - zx) / ct, np.inf))
+        ty = np.where(st > 0, (y1[:, None, None] - zy) / st,
+                      np.where(st < 0, (y0[:, None, None] - zy) / st, np.inf))
+    rmax = np.minimum(tx, ty)
+    gr, wr = _gauss01(ps.PATCH_NR)
+    e = np.exp(1j * TH)[..., None]
+    w = ze[:, None, None, None] + rmax[..., None] * gr * e
+    d = w - c[:, None, None, None]
+    vals = ((ps.f.value(w) - np.asarray(fzs)[:, None, None, None]) * np.conj(e)
+            * dbar_phi_two_sided(d.real, d.imag, delta) * (WT * rmax)[..., None] * wr)
+    return vals.sum(axis=(1, 2, 3)) / math.pi
 
 
 def panel_nodes(curve, h: float, order: int):

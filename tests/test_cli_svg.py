@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greencurves import GridSpec, index_field, make_curve
-from greencurves.cli import canonical_json, cmd_gallery, main, run_scenario
+from greencurves.cli import _green_cfg, canonical_json, cmd_gallery, main, run_scenario
 from greencurves.errors import KindMismatch, ParseError
 from greencurves.mainlemma import Disc, geometry_dump
 from greencurves.svg import render_svg
@@ -45,13 +45,15 @@ def test_bundled_bowtie_scenario(tmp_path):
 
 
 # sha256 of report.json bytes: the two bundled scenarios (as the benchmark
-# records them), a small cut-off conj z localization scenario and the star
-# that runs every check (the only one here that runs mainlemma)
+# records them), a small cut-off conj z localization scenario, the star
+# that runs every check (the only one here that runs mainlemma) and a sweep
+# on the bowtie, whose horizontal edges put contour nodes on cell edges
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
     "cutoff_localize": "ee31620516646a4618228a5a04a69335b536c79e7af2cf78c2ed145b5313347a",
-    "star_every_check.json": "ff1a951f9e8b7d7bcc80e178419fbc07b1c0e342cd90349959d01f723eb48ce1",
+    "star_every_check.json": "a8f1feefffda4543181df1353ef51b78253325b07817e940e182a401798c2c6b",
+    "bowtie_vitushkin.json": "410c4724540e336aea118b5108db32f5fc4a6ab3d9b38d9d47428f429a080124",
 }
 _CUTOFF_LOCALIZE = {
     "schema": 1, "seed": 7,
@@ -67,7 +69,7 @@ _CUTOFF_LOCALIZE = {
 
 @pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
 def test_report_bytes_pinned(tmp_path, name):
-    path = (DATA_DIR if name == "star_every_check.json" else SCEN_DIR) / name
+    path = (DATA_DIR if (DATA_DIR / name).exists() else SCEN_DIR) / name
     if name == "cutoff_localize":
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(_CUTOFF_LOCALIZE))
@@ -144,6 +146,8 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"grid": {"resolution": "64"}, "checks": ["green"]},
     {"grid": {"resolution": True}, "checks": ["green"]},
     {"grid": {"resolution": 32}, "quadrature": {"refine": 2.5}, "checks": ["green"]},
+    # refine past its limit, 12 at resolution 16 (refine 14 there peaked at 231 MB)
+    {"grid": {"resolution": 16}, "quadrature": {"refine": 14}, "checks": ["green"]},
     {"square": {"center": [0.0, 0.0], "half": 0.25, "depth": 3.7}, "checks": ["square"]},
     {"seed": 1.5, "checks": ["decompose"]},
     {"seed": "7", "checks": ["decompose"]},
@@ -188,6 +192,16 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     else:  # a fixed setting with another value is named
         for key in ("dilate", "band_diagonals", "contour_order"):
             assert (f"{key} is fixed at" in err) == (key in text)
+
+
+@pytest.mark.parametrize("res, top", [(16, 12), (512, 7), (1448, 5)])
+def test_refine_limit_follows_the_resolution(res, top):
+    # resolution * 2^refine stays within _MAX_ITEMS / 32; the shipped and
+    # benchmark scenarios reach refine 4 at resolution 512
+    doc = lambda refine: {"grid": {"resolution": res}, "quadrature": {"refine": refine}}
+    assert _green_cfg(doc(top), None, None).refine == top
+    with pytest.raises(ValueError, match=f"at grid.resolution {res} must be an integer from 0 to {top}: {top + 1}"):
+        _green_cfg(doc(top + 1), None, None)
 
 
 @pytest.mark.parametrize("fields", [

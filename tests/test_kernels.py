@@ -216,7 +216,7 @@ def test_profile_matches_two_sided_outside_support(delta):
 
 def test_profile_matches_two_sided_on_the_tensor_rules():
     for delta, cells, order in ((0.25, 16, 5), (0.1, 6, 5), (0.25, 12, 12)):
-        _, offsets, _, _ = _tensor_rule(delta, cells, order)
+        offsets, _, _ = _tensor_rule(delta, cells, order)
         _same_bits(_dbar_phi(offsets.real, offsets.imag, delta),
                    dbar_phi_two_sided(offsets.real, offsets.imag, delta))
 

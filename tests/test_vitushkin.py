@@ -14,10 +14,10 @@ from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, SWEEP_CONTOUR_O
                                    PieceSet, _meets_curve, build_partition, class_sums,
                                    classify_many, delta_sweep, sweep_partition)
 
-from oracles import (contour_integrals_per_piece, distance_by_edges, finite_diff_dbar,
-                     grad_phi_norm, localize, localize_cauchy, multiplicity, panel_nodes,
-                     phi_two_sided, piece_eval_unblocked, reconstruct, shoelace_area,
-                     winding_by_edges)
+from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_all_moments,
+                     finite_diff_dbar, grad_phi_norm, localize, localize_cauchy, multiplicity,
+                     panel_nodes, patch_per_pair, phi_two_sided, piece_eval_unblocked,
+                     reconstruct, shoelace_area, winding_by_edges)
 
 # a kernel that divides by zero fails here instead of being hidden by an overwrite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -369,6 +369,19 @@ def test_delta_sweep_s_ii_matches_a_finer_contour_rule(zbar_cut, curve):
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
+def test_delta_sweep_on_lattice_aligned_edges(zbar_cut, monkeypatch):
+    # the bowtie's horizontal edges, y = -0.7 and 0.7, lie on lines of the cell
+    # lattice at both deltas, so many contour nodes sit on cell edges.  The four
+    # bumps over such a node must read the same cell: a lookup per bump left
+    # |S_II| 4.1e-6 and 1.7e-6 off the 16-cell sweep
+    curve = make_curve("bowtie", scale=0.7)
+    deltas = [0.4, 0.2]
+    rows = delta_sweep(zbar_cut, curve, deltas)
+    monkeypatch.setattr(PieceSet, "CELLS", 16)
+    for row, fine in zip(rows, delta_sweep(zbar_cut, curve, deltas)):
+        assert abs(row["s_ii_abs"] - fine["s_ii_abs"]) <= 2e-7 * fine["s_ii_abs"]
+
+
 def test_delta_sweep_bound_holds_when_the_box_dwarfs_the_support(zbar_cut):
     # at delta >= 300 the modulus box is thousands of times the cutoff's
     # support: a bound over it must still see the ramp, stay positive, fall
@@ -404,7 +417,7 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
 # ---------------------------------------------------------------------------
 # blocked kernels and polar patch against the one-pass evaluator
 
-_PATCH_BLOCK = _BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR)  # inside points per block
+_PATCH_BLOCK = _BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR)  # points per patch-table block
 
 
 def _assert_eval_matches_unblocked(ps, j, z):
@@ -430,6 +443,49 @@ def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_i
     z = np.concatenate([ring[:2], inside, far, ring[2:]])
     assert np.count_nonzero((np.abs((z - c).real) < h) & (np.abs((z - c).imag) < h)) == n_inside
     _assert_eval_matches_unblocked(ps, j, z)
+
+
+def test_far_tiers_reach_the_tail_of_all_moments():
+    # from k delta out a far pair sums the fewest moments n whose largest
+    # dropped ratio, (1/(k sqrt 2))^n, is at most (1/sqrt 2)^96 = 2^-48, the
+    # far field's accuracy at delta, where it sums all N_MOMENTS + 1
+    assert PieceSet.FAR_TIERS[-1] == (1, PieceSet.N_MOMENTS + 1)
+    for k, n in PieceSet.FAR_TIERS[:-1]:
+        ratio = 1.0 / (k * math.sqrt(2.0))
+        assert ratio ** n <= 2.0 ** -48 < ratio ** (n - 1)
+
+
+def test_patch_table_and_far_tiers_match_the_per_pair_oracles(partition, zbar_cut):
+    # the patch table, one frame per point for the four bumps over its cell,
+    # against the per-pair rule with its own cell lookup; and the far tiers
+    # against all moments, just past each tier's start, where its dropped
+    # tail is largest.  At delta 0.25 the lattice lines are dyadic, so points
+    # on cell and support edges are exact and both lookups agree on the cell
+    ps = PieceSet(partition, zbar_cut)
+    j = _bump_near(partition, 1.0 + 0.5j)
+    c = partition.centers_array()[j]
+    h, pitch = ps.half, DELTA / PieceSet.CELLS
+    rng = seed_stream(21, "vitushkin.patch")
+    t = rng.uniform(-h, h, 8)
+    edges = -h + pitch * np.arange(1, PieceSet.CELLS)
+    z = np.concatenate([
+        c + ps.offsets[[0, 57, 777, ps.offsets.size - 1]],  # on template nodes
+        c + edges + 1j * t[0], c + t[1] + 1j * edges,  # on cell edges
+        c - h + 1j * t[2:4], c + t[4:6] - 1j * h, [c - h - 1j * h],  # on support edges
+        c + rng.uniform(-h, h, 6) + 1j * rng.uniform(-h, h, 6)])
+    fz = zbar_cut.value(z)
+    gx, gy = ps._cells(z)
+    table = ps._patch_table(z, fz, gx, gy)
+    half_cells = PieceSet.CELLS // 2
+    for kx in (0, 1):
+        for ky in (0, 1):
+            bumps = (gy // half_cells - 1 + ky) * partition.ni + gx // half_cells - 1 + kx
+            want = patch_per_pair(ps, partition.centers_array()[bumps], z, fz)
+            assert np.all(np.abs(table[:, kx, ky] - want) <= 1e-14 * np.abs(want))
+    k = np.array([1, 2, 4, 8, 16, 32])
+    far = c + (k[:, None] * DELTA * (1 + 1e-9) * np.exp(2j * np.pi * rng.random(4))).ravel()
+    want = far_field_all_moments(ps, j, far)
+    assert np.all(np.abs(ps.eval(j, far) - want) <= 1e-14 * np.abs(want))
 
 
 def test_eval_matches_unblocked_on_and_next_to_a_node(partition, zbar_cut):
@@ -583,19 +639,19 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
 
 
 def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut):
+    # the contour's patch table is built once, in blocks of nodes; each node
+    # serves the four bumps over its cell, so a table block holds the inside
+    # nodes of several pieces, and a piece's inside nodes span table blocks
     curve = make_curve("circle", n=64)
     part, ps, js = _sweep_pieces(curve, 0.4, zbar_cut)
     zc = panel_nodes(curve, ps.half, 6)[0]
     js = js[:_pieces_per_block(ps, curve) + 3]
-    counts = []
+    block = np.arange(zc.size) // _PATCH_BLOCK
+    spans = []
     for j in js:
         dz = zc - part.centers_array()[j]
-        counts.append(np.count_nonzero((np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)))
-    step = max(_BLOCK // (4 * PieceSet.PATCH_NT * PieceSet.PATCH_NR), 1)
-    # in the first block of pieces, some patch block holds the inside points
-    # of two pieces: the piece of a pair changes away from a block boundary
-    n = _pieces_per_block(ps, curve)
-    owner = np.repeat(np.arange(n), counts[:n])
-    changes = np.flatnonzero(np.diff(owner)) + 1
-    assert owner.size > step and np.any(changes % step != 0)
+        inside = (np.abs(dz.real) < ps.half) & (np.abs(dz.imag) < ps.half)
+        spans.append(set(block[inside]))
+    assert zc.size > _PATCH_BLOCK and any(len(b) > 1 for b in spans)
+    assert any(spans[i] & spans[k] for i in range(len(js)) for k in range(i))
     _assert_blocks_match_per_piece(ps, js, curve)
