@@ -88,28 +88,56 @@ def _int(x, what: str, lo: float, hi: float) -> int:
     return x
 
 
+def _real(x, what: str):
+    """``x`` if it is a JSON number, not a bool or a string; ValueError naming ``what`` otherwise."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{what} must be a number: {x!r}")
+    return x
+
+
+def _point(x, what: str) -> complex:
+    """The JSON point [x, y] as a complex number; ValueError naming ``what`` otherwise."""
+    if type(x) is not list or len(x) != 2:
+        raise ValueError(f"{what} must be a point [x, y]: {x!r}")
+    return complex(_real(x[0], what), _real(x[1], what))
+
+
+# the integer parameters of the curve and function families, and their ranges;
+# every other parameter is a point or a number
+_INT_PARAMS = {"n": (3, _MAX_ITEMS), "k": (-math.inf, math.inf), "seed": (-math.inf, math.inf),
+               "a": (0, math.inf), "b": (0, math.inf)}
+
+
+def _params(spec: dict, what: str) -> dict:
+    """A family's ``params``, each read by its name, before any array is built."""
+    out = {}
+    for key, x in spec.get("params", {}).items():
+        name = f"{what} {key}"
+        if key in _INT_PARAMS:
+            out[key] = _int(x, name, *_INT_PARAMS[key])
+        elif key in ("center", "pole"):
+            out[key] = _point(x, name)
+        elif key == "terms":
+            out[key] = tuple((_real(c, name), _int(a, name, 0, math.inf), _int(b, name, 0, math.inf))
+                             for c, a, b in x)
+        else:
+            out[key] = _real(x, name)
+    return out
+
+
 def _build_curve(doc: dict):
     spec = doc["curve"]
-    params = dict(spec.get("params", {}))
-    _int(params.get("n", 3), "curve n", 3, _MAX_ITEMS)  # before any array is built
-    if isinstance(params.get("center"), list):
-        params["center"] = complex(*params["center"])
-    return make_curve(spec["family"], **params)
+    return make_curve(spec["family"], **_params(spec, "curve"))
 
 
 def _build_function(doc: dict):
     spec = doc.get("function", {"family": "monomial", "params": {"a": 0, "b": 1}})
-    params = dict(spec.get("params", {}))
-    for key in ("center", "pole"):
-        if key in params and isinstance(params[key], list):
-            params[key] = complex(*params[key])
-    if "terms" in params:
-        params["terms"] = tuple(tuple(t) for t in params["terms"])
-    f = make_function(spec["family"], **params)
+    f = make_function(spec["family"], **_params(spec, "function"))
     cut = spec.get("cutoff")
     if cut:
-        f = with_cutoff(f, cut["r_inner"], cut["r_outer"],
-                        center=complex(*cut.get("center", [0, 0])))
+        f = with_cutoff(f, _real(cut["r_inner"], "cutoff r_inner"),
+                        _real(cut["r_outer"], "cutoff r_outer"),
+                        center=_point(cut.get("center", [0, 0]), "cutoff center"))
     return f
 
 
@@ -132,7 +160,7 @@ def _green_cfg(doc: dict, curve, f) -> GreenConfig:
 
 
 def _deltas(doc: dict, curve, f) -> list:
-    deltas = list(doc.get("deltas", [0.4, 0.2, 0.1, 0.05]))
+    deltas = [_real(d, "deltas") for d in doc.get("deltas", [0.4, 0.2, 0.1, 0.05])]
     _check_deltas(deltas)
     if sweep_partition(curve, deltas[-1]).n_bumps > _MAX_ITEMS:
         raise ValueError(f"deltas: more than {_MAX_ITEMS} bumps at the smallest delta")
@@ -140,19 +168,21 @@ def _deltas(doc: dict, curve, f) -> list:
 
 
 def _discs(doc: dict, curve, f) -> list:
-    return [Disc(center=complex(*spec["center"]), radius=float(spec["radius"]))
+    return [Disc(center=_point(spec["center"], "disc center"),
+                 radius=float(_real(spec["radius"], "disc radius")))
             for spec in doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}])]
 
 
 def _square(doc: dict, curve, f):
     spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
     depth = _int(spec.get("depth", 5), "square.depth", 0, int(math.log(_MAX_ITEMS, 4)))
-    return Square(center=complex(*spec["center"]), half=float(spec["half"])), depth
+    return Square(center=_point(spec["center"], "square center"),
+                  half=float(_real(spec["half"], "square half"))), depth
 
 
 def _mollifier(doc: dict, curve, f):
     spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
-    z, eps = complex(*spec["z"]), float(spec["eps"])
+    z, eps = _point(spec["z"], "mollifier z"), float(_real(spec["eps"], "mollifier eps"))
     _check_mollifier_input(f, z, eps)
     return z, eps
 

@@ -11,7 +11,7 @@ accumulation, so results are reproducible for a fixed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,7 +96,7 @@ class VerificationReport:
     abs_residual: float
     rel_residual: float
     settings: dict
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     @classmethod
     def build(cls, lhs: complex, rhs: complex, settings: dict, **extras) -> "VerificationReport":

@@ -136,7 +136,6 @@ def circle_crossings(curve: PolyCurve, disc: Disc) -> list:
         # a transversal crossing count is even; an odd count means a partner
         # crossing was lost to rounding near a tangency
         raise RadiusJitterNeeded("odd crossing count")
-    out.sort(key=lambda cr: (cr.edge, cr.t))
     return out
 
 

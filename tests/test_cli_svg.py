@@ -108,6 +108,34 @@ def test_unknown_family_exit_2(tmp_path):
 
 _CIRCLE = {"family": "circle", "params": {"n": 16}}
 
+# numbers given as booleans or strings, and integer family parameters that are
+# not integers, each with the key its error line names
+_NOT_NUMBERS = [
+    ({"deltas": [True, 0.5], "checks": ["vitushkin"]}, "deltas"),
+    ({"discs": [{"center": [1.0, 0.0], "radius": "0.5"}], "checks": ["mainlemma"]}, "disc radius"),
+    ({"discs": [{"center": [1.0, 0.0], "radius": True}], "checks": ["mainlemma"]}, "disc radius"),
+    ({"discs": [{"center": [True, False], "radius": 0.5}], "checks": ["mainlemma"]}, "disc center"),
+    ({"square": {"center": [0.0, 0.0], "half": "0.125", "depth": 2}, "checks": ["square"]},
+     "square half"),
+    ({"mollifier": {"z": [0.3, 0.1], "eps": "0.05"}, "checks": ["mollifier"]}, "mollifier eps"),
+    ({"mollifier": {"z": [0.3, 0.1], "eps": True}, "checks": ["mollifier"]}, "mollifier eps"),
+    ({"function": {"family": "monomial", "params": {"a": 1.7}}, "checks": ["decompose"]},
+     "function a"),
+    ({"function": {"family": "monomial", "params": {"a": True}}, "checks": ["decompose"]},
+     "function a"),
+    ({"function": {"family": "poly", "params": {"terms": [[1.0, 1, 0.5]]}},
+     "checks": ["decompose"]}, "function terms"),
+    ({"curve": {"family": "star", "params": {"n": 16, "seed": 1.5}}, "checks": ["decompose"]},
+     "curve seed"),
+    ({"curve": {"family": "kfold", "params": {"n": 16, "k": 2.5}}, "checks": ["decompose"]},
+     "curve k"),
+    ({"curve": {"family": "circle", "params": {"n": 16, "radius": True}}, "checks": ["decompose"]},
+     "curve radius"),
+    ({"function": {"family": "monomial", "params": {"a": 0, "b": 1},
+                   "cutoff": {"r_inner": "1.8", "r_outer": 2.2}}, "checks": ["vitushkin"]},
+     "cutoff r_inner"),
+]
+
 
 @pytest.mark.parametrize("fields", [
     {"curve": {"family": "circle", "params": {"nn": 16}}, "checks": ["decompose"]},
@@ -174,6 +202,7 @@ _CIRCLE = {"family": "circle", "params": {"n": 16}}
     {"curve": {"family": "circle", "params": {"n": 10 ** 15}}, "checks": ["decompose"]},
     {"curve": {"family": "spiral", "params": {"n": 2 * 10 ** 12}}, "checks": ["decompose"]},
     {"curve": {"family": "circle", "params": {"n": 2.5}}, "checks": ["decompose"]},
+    *(fields for fields, _ in _NOT_NUMBERS),
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -187,6 +216,9 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     assert not (tmp_path / "out").exists()
     if fields["checks"] == "green":
         assert "checks must be a list" in err
+    for bad, key in _NOT_NUMBERS:
+        if fields == bad:
+            assert f"{key} must be" in err
     if "NaN" in text or "Infinity" in text:
         assert "every number must be finite" in err
     else:  # a fixed setting with another value is named

@@ -3,11 +3,12 @@
 Winding and distance, self-intersections and the dyadic-square test touch
 only candidate pairs; the bump profile evaluates only its live branch.  Each
 must reproduce its oracle bit for bit.  The oracles themselves import only an
-allowlist of library names.
+allowlist of library names, and the library only the standard library and numpy.
 """
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,3 +374,20 @@ def test_oracles_import_only_the_allowlist():
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("greencurves")):
             got |= {(node.module, a.name) for a in node.names}
     assert got <= _ORACLE_IMPORTS, got - _ORACLE_IMPORTS
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    # the runtime dependency stays numpy only
+    src = Path(__file__).parent.parent / "src" / "greencurves"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    got = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                got |= {(path.name, a.name) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                got.add((path.name, node.module))
+    outside = {(name, module) for name, module in got if module.split(".")[0] not in allowed}
+    assert not outside, outside

