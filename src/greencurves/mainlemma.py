@@ -158,19 +158,12 @@ def exterior_components(curve: PolyCurve, disc: Disc):
     for k, cr in enumerate(crossings):
         if cr.kind != LEAVE:
             continue
-        wrapped = (k + 1) == m
         nxt = crossings[(k + 1) % m]
-        pts = [cr.point]
-        if wrapped or nxt.edge != cr.edge:
-            # walk vertices strictly between the two crossings
-            step = (cr.edge + 1) % n
-            while True:
-                pts.append(curve.vertices[step])
-                if step == nxt.edge:
-                    break
-                step = (step + 1) % n
-        pts.append(nxt.point)
-        comps.append(ArcComponent(points=np.array(pts, dtype=complex), start=cr, end=nxt))
+        # the vertices strictly between the crossings; all n if the wrapping pair shares an edge
+        count = (nxt.edge - cr.edge) % n or (n if k + 1 == m else 0)
+        walk = curve.vertices[(cr.edge + 1 + np.arange(count)) % n]
+        pts = np.concatenate([[cr.point], walk, [nxt.point]])
+        comps.append(ArcComponent(points=pts, start=cr, end=nxt))
     return comps, crossings
 
 

@@ -266,8 +266,8 @@ class PieceSet:
     support, so no kernel entry comes near 1/0.  At |z - c| >= k delta a far
     pair sums only the first n moments, the fewest with rho^n <=
     (1/sqrt 2)^96 = 2^-48, rho = delta/(sqrt(2) |z - c|) the largest node's
-    ratio (``FAR_TIERS``): the accuracy at |z - c| = delta, where the far
-    field starts and sums all N_MOMENTS + 1 moments.
+    ratio (``FAR_TIERS``, one Horner pass per tier): the accuracy at |z - c|
+    = delta, where the far field starts and sums all N_MOMENTS + 1 moments.
     """
 
     CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
@@ -421,14 +421,14 @@ class PieceSet:
         """Values of the pieces ``js`` at the points ``z``, one row per piece.
 
         ``cells`` are the points' lattice cells and ``table`` their patch table,
-        or None to build it here for the points inside some support.  Points
-        at distance >= delta from a bump center use the multipole re-summation
-        with the moments their distance needs (``FAR_TIERS``); points outside
-        the support square but closer use the coarse rule (the integrand is
-        smooth there), and points inside the support use the fine rule without
-        the nodes of their own cell, for which the patch table stands in.
-        The kernel matrices stay per piece and per ``CHUNK`` points.  Every
-        value is bit for bit the one a block of that piece alone gives.
+        or None to build it here for the points inside some support.  Pairs at
+        distance >= delta sum the multipole moments their distance needs, one
+        Horner pass per ``FAR_TIERS`` band; points outside the support square
+        but closer use the coarse rule (the integrand is smooth there), and
+        points inside the support use the fine rule without the nodes of their
+        own cell, for which the patch table stands in.  The kernel matrices
+        stay per piece and per ``CHUNK`` points.  Every value is bit for bit
+        the one a block of that piece alone gives.
         """
         c, a, a_c, moments = self._piece_data(js)
         part, cn, h = self.partition, self.CELLS, self.CELLS // 2
@@ -441,33 +441,22 @@ class PieceSet:
         dz = z[None, :] - c[:, None]
         r = np.abs(dz)
         ring = (r < part.delta) & ~inside
-        # far pairs by tier, the nearest (most moments) first, so that the
-        # pairs still summing at power m are a prefix: each pair runs the
-        # Horner steps of its own tier in one fixed order, whatever the block
-        tiers, hi = [], np.inf
-        for k, n in self.FAR_TIERS:
-            tiers.insert(0, (n, np.flatnonzero((r >= k * part.delta) & (r < hi))))
-            hi = k * part.delta
-        del r
-        idx = np.concatenate([e for _, e in tiers])
-        # pairs per (tier, piece): within a tier, idx runs piece by piece
-        counts = np.concatenate([np.bincount(e // z.size, minlength=c.size) for _, e in tiers])
-        u = 1.0 / dz.reshape(-1)[idx]
-        del dz
-        acc = np.empty(idx.size, dtype=complex)
-        live = 0  # pairs summing so far; a tier joins at its top power n - 1
-        for m in range(self.N_MOMENTS, -1, -1):
-            live_tiers = sum(n > m for n, _ in tiers)
-            coef = np.repeat(np.tile(moments[m], live_tiers), counts[:live_tiers * c.size])
-            acc[:live] *= u[:live]
-            acc[:live] += coef[:live]
-            acc[live:coef.size] = coef[live:]
-            live = coef.size
-        np.negative(acc, out=acc)
-        acc *= u
         vals = np.empty((c.size, z.size), dtype=complex)
-        vals.reshape(-1)[idx] = acc
-        del acc, coef, u, idx
+        # far pairs tier by tier: each runs its tier's Horner steps, whatever the block
+        hi = np.inf
+        for k, n in self.FAR_TIERS:
+            idx = np.flatnonzero((r >= k * part.delta) & (r < hi))
+            hi = k * part.delta
+            piece = idx // z.size
+            u = 1.0 / dz.reshape(-1)[idx]
+            acc = moments[n - 1].take(piece)
+            for m in range(n - 2, -1, -1):
+                acc *= u
+                acc += moments[m].take(piece)
+            np.negative(acc, out=acc)
+            acc *= u
+            vals.reshape(-1)[idx] = acc
+        del r, dz, idx, piece, u, acc
         if table is None:
             need = np.flatnonzero(inside.any(axis=0))
             table = np.zeros((z.size, 2, 2), dtype=complex)

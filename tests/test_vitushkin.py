@@ -548,15 +548,25 @@ def _sweep_pieces(curve, delta, f):
 
 def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
     # an active piece with points inside its support, one beyond them, and
-    # one past the cutoff, where f is 0 and the piece vanishes
+    # one past the cutoff, where f is 0 and the piece vanishes.  Each piece
+    # also gets one point exactly k delta off its center for each far tier
+    # (k, n): the lattice is dyadic at delta 0.25, so |z - c| is exact, and
+    # every piece of the block has pairs in every tier, each at its lower edge
     ps = PieceSet(partition, zbar_cut)
     js = [_bump_near(partition, w) for w in (1.0 + 0.5j, 0.2j, 2.45)]
     assert ps.active_pieces(js) == js[:2]
+    c = partition.centers_array()[js]
+    ks = np.array([k for k, _ in PieceSet.FAR_TIERS])
     r = np.linspace(0.0, 0.6, 40)
-    z = 1.0 + 0.5j + r * np.exp(2j * np.pi * 7 * r)
+    z = np.concatenate([1.0 + 0.5j + r * np.exp(2j * np.pi * 7 * r),
+                        (c[:, None] + DELTA * ks * np.resize([1, 1j, -1, -1j], ks.size)).ravel()])
+    dist = np.abs(z[None, :] - c[:, None])
+    assert all(np.any(dist == k * DELTA, axis=1).all() for k in ks)
     block = ps._eval_block(js, z, zbar_cut.value(z), ps._cells(z), None)
     for j, row in zip(js, block):
         assert np.array_equal(row.view(np.uint8), ps.eval(j, z).view(np.uint8))
+    for j, row in zip(js[:2], block):  # the oracle gives an inactive piece exact zeros
+        assert np.array_equal(row.view(np.uint8), piece_eval_unblocked(ps, j, z).view(np.uint8))
     rows = dict(zip(js, block))
     want = dict(rows)
     assert all(ps.eval(j, z, rows) is want[j] for j in js) and rows == {}
