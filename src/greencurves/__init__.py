@@ -15,5 +15,5 @@ from .integration import (GreenConfig, Square, VerificationReport, area_integral
 from .mainlemma import (ArcComponent, BoundaryInterval, Disc, GenerationTree, bound_check,
                         build_generations, exterior_components, exterior_integral_identity,
                         select_interval, with_jitter)
-from .vitushkin import Partition, PieceSet, build_partition, class_sums, delta_sweep
+from .vitushkin import Partition, PieceSet, build_partition, delta_sweep
 from .winding import GridSpec, IndexField, index_field, winding_numbers

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from ._rng import seed_stream
-from .curves import curve_families, gallery_curves, is_jordan, jordan_decompose, length, make_curve
+from .curves import (_BLOCK, curve_families, gallery_curves, is_jordan, jordan_decompose, length,
+                     make_curve)
 from .errors import (BoundViolated, GreenCurvesError, KindMismatch, NestingViolation, OnCurve,
                      ParseError)
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
@@ -206,13 +207,17 @@ def _green_probes(curve, seed):
 def _check_green(cfg, curve, f, seed):
     rep = verify_green(curve, f, cfg)
     # exact-integer invariant at seeded probe points: the ray-crossing index
-    # must agree with the rounded argument sum
+    # must agree with the rounded argument sum.  The probes run in blocks of
+    # about _BLOCK (probe, vertex) values, at least one probe each, and each
+    # probe's angles are summed as one row, so the bits do not depend on the block
     pts = _green_probes(curve, seed)
     ray = winding_numbers(curve, pts)
     v = curve.vertices
-    turn = np.angle((np.roll(v, -1) - pts[:, None]) / (v - pts[:, None])).sum(axis=1)
-    ang = np.rint(turn / (2 * np.pi))
-    hard_fail = bool(np.any(ray != ang))
+    nxt = np.roll(v, -1)
+    step = max(_BLOCK // v.size, 1)  # probes per block
+    blocks = (pts[s:s + step, None] for s in range(0, pts.size, step))
+    turn = np.concatenate([np.angle((nxt - p) / (v - p)).sum(axis=1) for p in blocks])
+    hard_fail = bool(np.any(ray != np.rint(turn / (2 * np.pi))))
     return {"report": rep.to_json_dict(), "hard_fail": hard_fail}
 
 

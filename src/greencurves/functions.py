@@ -122,6 +122,8 @@ def _zbar_absz():
 
 def _bump(center=0j, radius=1.0, height=1.0):
     z0, R, h = complex(center), float(radius), float(height)
+    if not R > 0:  # a radius of 0 or below would make the gradient bound 1/0 or negative
+        raise ValueError(f"bump radius must be positive: {radius!r}")
 
     def value(z):
         z = np.asarray(z, dtype=complex)

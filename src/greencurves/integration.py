@@ -132,9 +132,8 @@ def _known_windings(curve: PolyCurve, z, wind):
     return wind
 
 
-def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: int,
-                           weight=None):
-    """∫ dbar(f) * Ind (* weight) over the plane, without the 2i prefactor.
+def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: int):
+    """∫ dbar(f) * Ind over the plane, without the 2i prefactor.
 
     Clean cells use the midpoint rule at the stored integer index.  Cells in
     the near-curve band are split dyadically up to ``refine`` times; a subcell
@@ -144,6 +143,8 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     are dropped.  Returns (value, info) where info reports the dropped area
     and the area of final-depth subcells that may still straddle the curve:
     that area times a local bound on |dbar(f)*Ind| is the honest error budget.
+
+    A weighted integral takes the weight folded into the descriptor's dbar.
 
     Each subcell's distance and winding come from its parent where they can.
     The distance to the curve is 1-Lipschitz and a child's center lies
@@ -170,9 +171,6 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     curve = field_.curve
     grid = field_.grid
 
-    def term(z, wind):
-        return f.dbar(z) * wind * (1.0 if weight is None else weight(z))
-
     # the clean cells fill one array row block by row block, in row-major
     # order, and are summed at once: pairwise summation makes the bits
     # depend on the array being summed
@@ -187,7 +185,7 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
         ok = clean[rows]
         z = (x[None, :] + 1j * y[rows, None])[ok]
         if z.size:
-            vals[k:k + z.size] = term(z, field_.values[rows][ok])
+            vals[k:k + z.size] = f.dbar(z) * field_.values[rows][ok]
             k += z.size
     total = complex(vals.sum() * grid.cell_area)
     del vals, clean
@@ -237,14 +235,14 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
             clear = dist > band
             if np.any(clear):
                 zc = sub[clear]
-                clear_vals.append(term(zc, _known_windings(curve, zc, wind[clear])))
+                clear_vals.append(f.dbar(zc) * _known_windings(curve, zc, wind[clear]))
             rest = ~clear
             if last:
                 n_rest += int(np.count_nonzero(rest))
                 ok = rest & (dist > tau_on)
                 zr = sub[ok]
                 if zr.size:
-                    kept_vals.append(term(zr, _known_windings(curve, zr, wind[ok])))
+                    kept_vals.append(f.dbar(zr) * _known_windings(curve, zr, wind[ok]))
             else:
                 rest_parts.append((sub[rest], dist[rest], wind[rest]))
         if clear_vals:

@@ -34,6 +34,7 @@ LEAVE = "leave"
 
 TWO_PI = 2.0 * math.pi
 ARC_ORDER = 16  # Gauss nodes per signed circle piece
+CIRCLE_ORDER = 64  # Gauss nodes on the whole circle, when the curve stays outside the disc
 JITTER_ATTEMPTS = 8  # radius inflations tried before a tangency is an error
 
 
@@ -312,19 +313,20 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc,
                                h: FunctionDescriptor) -> VerificationReport:
     """Check ∮ over the exterior components against the signed interval integrals."""
     geo = _geometry(curve, disc)
-    settings = {"contour_order": CONTOUR_ORDER, "arc_order": ARC_ORDER, "radius": disc.radius,
+    order = CIRCLE_ORDER if geo.closed else ARC_ORDER
+    settings = {"contour_order": CONTOUR_ORDER, "arc_order": order, "radius": disc.radius,
                 "center": [disc.center.real, disc.center.imag]}
     lhs = _exterior_integral(geo.components, h)
     pieces = [[t0, sp, eps] for t0, sp, eps in geo.pieces if eps]
     if geo.closed:
         [(theta0, span, ind)] = geo.pieces
         # index times the whole-circle integral, so a zero index keeps its signed zeros
-        rhs = ind * _arc_integral(disc, theta0, span, h.value, order=64)
+        rhs = ind * _arc_integral(disc, theta0, span, h.value, order=order)
         return VerificationReport.build(lhs, rhs, settings, pieces=pieces,
                                         n_components=1, closed=True)
     rhs = 0j
     for theta0, span, eps in geo.pieces:
-        rhs += eps * _arc_integral(disc, theta0, span, h.value, order=ARC_ORDER)
+        rhs += eps * _arc_integral(disc, theta0, span, h.value, order=order)
     extras = {
         "n_components": len(geo.components),
         "n_crossings": len(geo.crossings),

@@ -1,4 +1,4 @@
-"""Localization of singularities: partition of unity, localized pieces, class sums.
+"""Localization of singularities: partition of unity, localized pieces, the class-II sweep.
 
 The partition covers the plane with bumps on a half-spacing square lattice:
 each bump is the indicator of a lattice square convolved with a fixed
@@ -27,9 +27,9 @@ bumps over that cell.  A far (piece, point) pair sums only the multipole
 moments its distance needs.
 
 The rule has no parameters: its cells per axis (``PieceSet.CELLS``), Gauss
-order, polar patch, far tiers and pieces per contour block are class
-constants that ``class_sums`` and ``delta_sweep`` share (a convergence check
-patches ``CELLS``).
+order, polar patch, far tiers, contour panel order (``PieceSet.PANEL_ORDER``)
+and pieces per contour block are class constants (tests patch ``CELLS``
+and ``PANEL_ORDER``).
 """
 
 from __future__ import annotations
@@ -41,15 +41,10 @@ import numpy as np
 
 from .curves import _BLOCK, PolyCurve, length
 from .functions import FunctionDescriptor
-from .integration import CONTOUR_ORDER, area_integral_weighted, contour_integral, gauss_legendre_01
-from .winding import IndexField, distance_to_curve, winding_numbers
+from .integration import gauss_legendre_01
+from .winding import distance_to_curve
 
-CLASS_I = "I"
-CLASS_II = "II"
-CLASS_III = "III"
-CLASS_REFINE = 2  # class_sums: refinement levels of the area form
-# delta_sweep: Gauss nodes per contour panel, and the bound's constant
-SWEEP_CONTOUR_ORDER, SWEEP_BOUND_CONSTANT = 3, 8.0
+SWEEP_BOUND_CONSTANT = 8.0  # delta_sweep: the bound's constant
 
 
 def _w9(u):
@@ -155,7 +150,7 @@ class Partition:
 
     Bump j has center ``centers_array()[j]``; its support is the open square of side
     ``delta`` about the center (inside the nominal disc of radius delta), and
-    the nominal discs are what the I/II/III classification uses.
+    the nominal discs are what the class-II test (``_meets_curve``) uses.
     """
 
     delta: float
@@ -178,11 +173,11 @@ class Partition:
         y = (self.j0 + np.arange(self.nj) + 0.5) * d
         return (x[None, :] + 1j * y[:, None]).ravel()
 
-    def sum_phi(self, zs, subset=None) -> np.ndarray:
-        """Sum of bump values at each point, optionally over a subset flag array.
+    def sum_phi(self, zs) -> np.ndarray:
+        """Sum of bump values at each point.
 
         Only the 3x3 lattice bumps about a point can contain it; ``ok`` drops
-        those off the lattice or outside the subset.
+        those off the lattice.
         """
         z = np.asarray(zs, dtype=complex)
         total = np.zeros(z.shape, dtype=float)
@@ -194,8 +189,6 @@ class Partition:
             cy = (self.j0 + iy + 0.5) * d
             for ix in (bx - 1, bx, bx + 1):
                 ok = ok_y & (ix >= 0) & (ix < self.ni)
-                if subset is not None:
-                    ok &= subset[np.clip(iy, 0, self.nj - 1) * self.ni + np.clip(ix, 0, self.ni - 1)]
                 px = profile(z.real - (self.i0 + ix + 0.5) * d, self.delta)
                 py = profile(z.imag - cy, self.delta)
                 total += np.where(ok, px * py, 0.0)
@@ -222,21 +215,6 @@ def _meets_curve(curve: PolyCurve, centers, delta: float) -> np.ndarray:
     every decision exact while it skips the edges far from each center.
     """
     return distance_to_curve(curve, centers, cap=delta) < delta
-
-
-def classify_many(partition: Partition, js, curve: PolyCurve) -> dict:
-    """Class of each bump j: II if its disc meets the curve, else I or III by the index.
-
-    A center whose disc misses the curve lies at least delta off it, so its
-    exact winding number is the index on the whole disc: nonzero gives I,
-    zero gives III.
-    """
-    js = list(js)
-    centers = partition.centers_array()[js]
-    meets = _meets_curve(curve, centers, partition.delta)
-    wind = winding_numbers(curve, centers)
-    return {j: CLASS_II if hit else CLASS_I if w else CLASS_III
-            for j, hit, w in zip(js, meets, wind)}
 
 
 class PieceSet:
@@ -278,6 +256,7 @@ class PieceSet:
     FAR_TIERS = ((16, 11), (8, 14), (4, 20), (2, 32), (1, N_MOMENTS + 1))
     PATCH_NT = 12     # polar patch: Gauss nodes per angular panel
     PATCH_NR = 10     # polar patch: Gauss nodes per ray
+    PANEL_ORDER = 3   # Gauss nodes per contour panel
     BLOCK_PIECES = 96  # most pieces per contour block, which bounds its piece data
     # points per kernel matrix block: fixed, because the bits of a gemv
     # (OpenBLAS) depend on its row count, so other blocks change the values
@@ -322,13 +301,13 @@ class PieceSet:
         c, a, a_c, moments = self._piece_data([j])
         return {"center": c[0], "a": a[0], "a_c": a_c[0], "a_moments": moments[:, 0]}
 
-    def active_pieces(self, js=None) -> list:
-        """The pieces among ``js`` (default: all), in the order asked, that are not identically zero.
+    def active_pieces(self, js) -> list:
+        """The pieces among ``js``, in the order asked, that are not identically zero.
 
         Piece j's dbar is phi_j * dbar(f); dbar(f) is probed on the coarse rule
         of each bump (enough for the smooth gallery dbars), uncached.
         """
-        js = list(range(self.partition.n_bumps) if js is None else js)
+        js = list(js)
         step = max(_BLOCK // self.offsets_c.size, 1)  # bumps per probe block
         out = []
         for s in range(0, len(js), step):
@@ -485,8 +464,8 @@ class PieceSet:
                     row[sel] += table[sel, ix - gx[sel] // h + 1, iy - gy[sel] // h + 1]
         return vals
 
-    def contour_integrals(self, js, curve: PolyCurve, order: int) -> dict:
-        """∮ f_j dz around the curve for each requested piece, ``order`` Gauss nodes per panel.
+    def contour_integrals(self, js, curve: PolyCurve) -> dict:
+        """∮ f_j dz around the curve for each requested piece, ``PANEL_ORDER`` Gauss nodes per panel.
 
         Edge a to a + d takes k = ceil(|d| / half) panels, panel p running from
         a + (p/k) d over d/k, so a one-panel edge keeps the nodes a + t d.  An
@@ -497,7 +476,7 @@ class PieceSet:
         done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that memory
         when the contour is short.
         """
-        t, w = gauss_legendre_01(order)
+        t, w = gauss_legendre_01(self.PANEL_ORDER)
         a, d = curve.starts, curve.edge_vectors
         k = np.ceil(curve.edge_lengths / self.half).astype(int)  # panels per edge
         e = np.repeat(np.arange(d.size), k)  # the edge of each panel
@@ -517,49 +496,6 @@ class PieceSet:
             for j in block:
                 out[j] = complex((self.eval(j, zc, rows) * dzw).sum())
         return out
-
-
-@dataclass
-class ClassSums:
-    s_i: complex
-    s_ii: complex
-    s_iii: complex
-    direct: complex
-    area_form_i: complex
-    counts: dict
-
-    @property
-    def total(self) -> complex:
-        return self.s_i + self.s_ii + self.s_iii
-
-
-def class_sums(f: FunctionDescriptor, partition: Partition, curve: PolyCurve,
-               fld: IndexField) -> ClassSums:
-    """Per-class sums of ∮ f_j dz, their direct total, and the area form for class I.
-
-    The pieces take ``PieceSet``'s one rule, as in ``delta_sweep``.  The class-I
-    sum is compared against 2i ∫ (sum of class-I bumps) dbar(f) Ind dA, computed
-    by an independent area quadrature on ``fld``, which needs at least 4 cells
-    per delta to resolve the bumps (ValueError otherwise).
-    """
-    if max(fld.grid.cell_w, fld.grid.cell_h) > partition.delta / 4.0 * (1 + 1e-9):
-        raise ValueError("index field needs at least 4 cells per delta")
-    ps = PieceSet(partition, f)
-    js = ps.active_pieces()
-    sums = {CLASS_I: 0j, CLASS_II: 0j, CLASS_III: 0j}
-    counts = {CLASS_I: 0, CLASS_II: 0, CLASS_III: 0}
-    classes = classify_many(partition, js, curve)
-    for j, val in ps.contour_integrals(js, curve, order=CONTOUR_ORDER).items():
-        sums[classes[j]] += val
-        counts[classes[j]] += 1
-
-    subset = np.zeros(partition.n_bumps, dtype=bool)
-    subset[[j for j in js if classes[j] == CLASS_I]] = True
-    weight = lambda zs: partition.sum_phi(zs, subset=subset)
-    area, _ = area_integral_weighted(fld, f, refine=CLASS_REFINE, weight=weight)
-    direct = contour_integral(curve, f)
-    return ClassSums(s_i=sums[CLASS_I], s_ii=sums[CLASS_II], s_iii=sums[CLASS_III],
-                     direct=direct, area_form_i=2j * area, counts=counts)
 
 
 def sweep_partition(curve: PolyCurve, delta: float) -> Partition:
@@ -598,7 +534,7 @@ def delta_sweep(f: FunctionDescriptor, curve: PolyCurve, deltas) -> list:
         cand = np.nonzero(_meets_curve(curve, part.centers_array(), delta))[0]
         ps = PieceSet(part, f)
         js = ps.active_pieces(cand.tolist())
-        s2 = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
+        s2 = sum(ps.contour_integrals(js, curve).values(), 0j)
         omega = f.modulus(delta, box=(lo - 2 * delta * (1 + 1j), hi + 2 * delta * (1 + 1j)))
         rows.append({
             "delta": float(delta),

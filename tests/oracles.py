@@ -339,7 +339,7 @@ def localize_cauchy(f, partition: Partition, j: int, zs) -> np.ndarray:
 def reconstruct(ps, zs):
     """Sup over ``zs`` of |f - the sum of the pieces of the PieceSet ``ps``|, and its active pieces."""
     z = np.asarray(zs, dtype=complex).ravel()
-    js = ps.active_pieces()
+    js = ps.active_pieces(range(ps.partition.n_bumps))
     return float(np.max(np.abs(sum(ps.eval(j, z) for j in js) - ps.f.value(z)))), len(js)
 
 
@@ -425,7 +425,7 @@ def squares_by_edges(vertices, cx, cy, h) -> np.ndarray:
     return meets
 
 
-def area_by_levels(field_, f, refine: int = 3, weight=None):
+def area_by_levels(field_, f, refine: int = 3):
     """Index-weighted area integral with every subcell's distance and winding measured.
 
     The dyadic near-band refinement level by level: each subcell gets its
@@ -434,14 +434,9 @@ def area_by_levels(field_, f, refine: int = 3, weight=None):
     """
     curve, grid = field_.curve, field_.grid
     v = curve.vertices
-
-    def w_of(z):
-        return 1.0 if weight is None else weight(z)
-
     centers = cell_centers(grid)
     clean = ~field_.near_mask
-    total = complex((f.dbar(centers[clean]) * field_.values[clean] * w_of(centers[clean])).sum()
-                    * grid.cell_area)
+    total = complex((f.dbar(centers[clean]) * field_.values[clean]).sum() * grid.cell_area)
     hx, hy = grid.cell_w / 2, grid.cell_h / 2
     act_z = centers[field_.near_mask].ravel()
     dropped_area = 0.0
@@ -461,14 +456,14 @@ def area_by_levels(field_, f, refine: int = 3, weight=None):
         area = 4 * hx * hy
         if np.any(clear):
             zc = sub[clear]
-            total += complex((f.dbar(zc) * winding_by_edges(v, zc) * w_of(zc)).sum() * area)
+            total += complex((f.dbar(zc) * winding_by_edges(v, zc)).sum() * area)
         rest = sub[~clear]
         if level == refine:
             if rest.size:
                 ok = dist[~clear] > tau_on
                 zr = rest[ok]
                 if zr.size:
-                    total += complex((f.dbar(zr) * winding_by_edges(v, zr) * w_of(zr)).sum() * area)
+                    total += complex((f.dbar(zr) * winding_by_edges(v, zr)).sum() * area)
                 straddle_area += float(zr.size * area)
                 dropped_area += float((rest.size - zr.size) * area)
             act_z = np.empty(0, dtype=complex)

@@ -16,15 +16,16 @@ from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curve
                          index_field, jordan_decompose, make_curve, make_function,
                          verify_green, with_cutoff)
 from greencurves._rng import seed_stream
-from greencurves.cli import run_scenario
+from greencurves.cli import _check_green, run_scenario
 from greencurves.functions import truncated_cauchy
 from greencurves.integration import (contour_integral, green_on_square,
                                      mollifier_identity_check)
 from greencurves.mainlemma import (Disc, bound_check, exterior_components,
                                    exterior_integral_identity, select_interval, with_jitter)
-from greencurves.vitushkin import PieceSet, build_partition, class_sums, delta_sweep
+from greencurves.vitushkin import PieceSet, build_partition, delta_sweep
 from greencurves.winding import distance_to_curve, winding_numbers
 
+from class_sums import class_sums
 from oracles import (clip_polygon_by_halfplane, finite_diff_dbar, grad_phi_norm, localize,
                      multiplicity, phi_two_sided, shoelace_area, winding_by_angles)
 
@@ -134,7 +135,7 @@ def test_criterion_06_localization():
     # sup |f_j| / omega(f, delta) <= 50 over all pieces
     omega = f.modulus(delta, box=(-2.4 - 2.4j, 2.4 + 2.4j))
     ps = PieceSet(part, f)
-    js = ps.active_pieces()
+    js = ps.active_pieces(range(part.n_bumps))
     rng = seed_stream(20240406, "acceptance.localization")
     worst = 0.0
     for j in js:
@@ -302,6 +303,16 @@ def test_green_resolution_1024_memory():
     print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 peaks at {peak:.1f} MB")
 
 
+def test_green_check_memory():
+    # the probe check sums the probes' angles over the vertices in blocks of
+    # about 32 k values: a (probes, vertices) array took about 2 kB per
+    # vertex, 128 MB here.  The peak is now the contour integral's nodes
+    c = make_curve("circle", n=65536)
+    peak = _peak_mb(lambda: _check_green(GreenConfig(resolution=64, refine=0), c, ZBAR, 1))
+    assert peak < 45.0
+    print(f"ACCEPTANCE floor: PASS - green check on circle-65536 at resolution 64 peaks at {peak:.1f} MB")
+
+
 @pytest.mark.parametrize("name", ["trefoil-8000", "bowtie"])
 def test_index_field_memory(name):
     # the (edge, cell) and (edge, row) pairs run in bounded chunks, so the
@@ -343,7 +354,7 @@ def test_class_sums_memory():
     # GridSpec.cover's box for the unit circle's bounding box dilated 2.4 times, not 1.5
     grid = GridSpec(-2.4 - 2.4j, 2.4 + 2.4j, 128, 128)
     fld = index_field(curve, grid, 2 * grid.cell_diag)
-    assert len(PieceSet(part, f).active_pieces()) > PieceSet.BLOCK_PIECES
+    assert len(PieceSet(part, f).active_pieces(range(part.n_bumps))) > PieceSet.BLOCK_PIECES
     peak = _peak_mb(lambda: class_sums(f, part, curve, fld))
     assert peak < 10.0
     print(f"ACCEPTANCE floor: PASS - criterion-6 class sums peak at {peak:.1f} MB")

@@ -52,7 +52,7 @@ _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
     "cutoff_localize": "ee31620516646a4618228a5a04a69335b536c79e7af2cf78c2ed145b5313347a",
-    "star_every_check.json": "a8f1feefffda4543181df1353ef51b78253325b07817e940e182a401798c2c6b",
+    "star_every_check.json": "034e860e2ea42a4e287e18aeb0420735b3e8f54414e4fe335d8509f80f93aea8",
     "bowtie_vitushkin.json": "410c4724540e336aea118b5108db32f5fc4a6ab3d9b38d9d47428f429a080124",
 }
 _CUTOFF_LOCALIZE = {
@@ -203,6 +203,10 @@ _NOT_NUMBERS = [
     {"curve": {"family": "spiral", "params": {"n": 2 * 10 ** 12}}, "checks": ["decompose"]},
     {"curve": {"family": "circle", "params": {"n": 2.5}}, "checks": ["decompose"]},
     *(fields for fields, _ in _NOT_NUMBERS),
+    # a bump of radius 0 or below: its gradient bound would be 1/0 or negative
+    *({"function": {"family": "bump", "params": {"radius": r}},
+       "square": {"center": [0.95, 0.1], "half": 0.125, "depth": 3}, "checks": ["square"]}
+      for r in (-0.5, 0)),
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})

@@ -368,9 +368,12 @@ def test_main_lemma_properties(pair, seed):
     sup_h = h.bounds(disc.center, disc.radius)[0]
     assert abs(bound.lhs) <= 2 * math.pi * sup_h * disc.radius * (1 + 1e-9)
     assert bound.lhs == rep.lhs
+    # the report names the order its circle integrals took: the whole circle has its own
+    closed = bool(comps) and comps[0].closed
+    assert rep.settings["arc_order"] == (mainlemma.CIRCLE_ORDER if closed else mainlemma.ARC_ORDER)
 
     dump = geometry_dump(curve, disc)
-    if comps and comps[0].closed:
+    if closed:
         ind = winding_by_angles(curve.vertices, disc.center)
         assert rep.extras["pieces"] == ([[0.0, 2 * math.pi, ind]] if ind else [])
         assert dump["intervals"] == [] and dump["max_depth"] == -1

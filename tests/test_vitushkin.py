@@ -10,10 +10,10 @@ from greencurves import (GridSpec, gallery_curves, index_field, make_curve, make
                          with_cutoff)
 from greencurves._rng import seed_stream
 from greencurves.integration import _BLOCK, contour_integral
-from greencurves.vitushkin import (CLASS_I, CLASS_II, CLASS_III, SWEEP_CONTOUR_ORDER, Partition,
-                                   PieceSet, _meets_curve, build_partition, class_sums,
-                                   classify_many, delta_sweep, sweep_partition)
+from greencurves.vitushkin import (Partition, PieceSet, _meets_curve, build_partition, delta_sweep,
+                                   sweep_partition)
 
+from class_sums import CLASS_I, CLASS_II, CLASS_III, class_sums, classify_many
 from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_all_moments,
                      finite_diff_dbar, grad_phi_norm, localize, localize_cauchy, multiplicity,
                      panel_nodes, patch_per_pair, phi_two_sided, piece_eval_unblocked,
@@ -118,7 +118,7 @@ def test_localize_sup_bounded_by_modulus(partition, zbar_cut):
     ps = PieceSet(partition, zbar_cut)
     rng = seed_stream(14, "vitushkin.test")
     worst = 0.0
-    js = ps.active_pieces()
+    js = ps.active_pieces(range(partition.n_bumps))
     for j in js[:: max(1, len(js) // 40)]:
         c = partition.centers_array()[j]
         zs = c + (rng.uniform(-1, 1, 25) + 1j * rng.uniform(-1, 1, 25)) * DELTA
@@ -359,7 +359,7 @@ def test_delta_sweep_s_ii_matches_a_finer_contour_rule(zbar_cut, curve):
     rows = delta_sweep(zbar_cut, curve, deltas)
     for delta, row in zip(deltas, rows):
         _, ps, js = _sweep_pieces(curve, delta, zbar_cut)
-        got = sum(ps.contour_integrals(js, curve, order=SWEEP_CONTOUR_ORDER).values(), 0j)
+        got = sum(ps.contour_integrals(js, curve).values(), 0j)
         assert row["s_ii_abs"] == abs(got) and row["n_pieces"] == len(js)
         want = _s_ii_reference(ps, js, curve)
         assert abs(got - want) <= 1e-8 * abs(want)
@@ -405,7 +405,7 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
     # more bumps than one probe block holds: each block stays within the budget
     assert len(js) > _BLOCK // ps.offsets_c.size
     assert len(probed) > 1 and max(probed) <= _BLOCK
-    full = set(PieceSet(partition, zbar_cut).active_pieces())
+    full = set(PieceSet(partition, zbar_cut).active_pieces(range(partition.n_bumps)))
     assert got == [j for j in js if j in full]
     assert 0 < len(got) < len(js)
 
@@ -501,7 +501,7 @@ def test_piece_is_continuous_at_a_template_node(zbar_cut):
     # screened out and subtracted back as z moves off one of its nodes
     delta = 0.1
     ps = PieceSet(build_partition(delta, (-1.2 - 1.2j, 1.2 + 1.2j)), zbar_cut)
-    js = ps.active_pieces()
+    js = ps.active_pieces(range(ps.partition.n_bumps))
     j = js[len(js) // 2]
     node = ps.partition.centers_array()[j] + ps.offsets[777]
     t = np.array([1e-16, 1e-15, 2e-15, 1e-14, 1e-12])
@@ -528,14 +528,14 @@ def _hex(values: dict) -> dict:
     return {j: (v.real.hex(), v.imag.hex()) for j, v in values.items()}
 
 
-def _assert_blocks_match_per_piece(ps, js, curve, order=6):
-    got = ps.contour_integrals(js, curve, order=order)
+def _assert_blocks_match_per_piece(ps, js, curve):
+    got = ps.contour_integrals(js, curve)
     assert list(got) == list(dict.fromkeys(js))
-    assert _hex(got) == _hex(contour_integrals_per_piece(ps, js, curve, order=order))
+    assert _hex(got) == _hex(contour_integrals_per_piece(ps, js, curve, order=ps.PANEL_ORDER))
 
 
-def _pieces_per_block(ps, curve, order=6):
-    n_points = panel_nodes(curve, ps.half, order)[0].size
+def _pieces_per_block(ps, curve):
+    n_points = panel_nodes(curve, ps.half, ps.PANEL_ORDER)[0].size
     return min(max(_BLOCK // (2 * n_points), 1), PieceSet.BLOCK_PIECES)
 
 
@@ -574,18 +574,19 @@ def test_eval_hands_each_piece_its_row_of_a_block(partition, zbar_cut):
 
 @pytest.mark.parametrize("n_edges", [64, 16])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra, n_edges):
+def test_contour_integrals_match_per_piece_at_the_block_edge(zbar_cut, extra, n_edges, monkeypatch):
     # 64 edges at delta 0.1 take 2 panels of 6 nodes each: 768 contour points.
     # 16 edges at delta 0.2 take 4 panels of 2 nodes: 128 points, under 171,
     # so BLOCK_PIECES caps the block
     delta, order = {64: (0.1, 6), 16: (0.2, 2)}[n_edges]
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", order)
     curve = make_curve("circle", n=n_edges)
     _, ps, js = _sweep_pieces(curve, delta, zbar_cut)
-    step = _pieces_per_block(ps, curve, order)
+    step = _pieces_per_block(ps, curve)
     assert 1 < step <= PieceSet.BLOCK_PIECES
     assert (step == PieceSet.BLOCK_PIECES) == (n_edges == 16)
     for n in (step + extra, 2 * step + extra):
-        _assert_blocks_match_per_piece(ps, js[:n], curve, order)
+        _assert_blocks_match_per_piece(ps, js[:n], curve)
 
 
 def test_contour_integrals_match_per_piece_on_many_panels_per_edge(zbar_cut):
@@ -594,14 +595,15 @@ def test_contour_integrals_match_per_piece_on_many_panels_per_edge(zbar_cut):
     curve = make_curve("circle", n=16)
     _, ps, js = _sweep_pieces(curve, 0.1, zbar_cut)
     assert np.all(np.ceil(np.abs(curve.edge_vectors) / ps.half) == 8)
-    step = _pieces_per_block(ps, curve, SWEEP_CONTOUR_ORDER)
+    step = _pieces_per_block(ps, curve)
     assert len(js) > step
-    _assert_blocks_match_per_piece(ps, js, curve, SWEEP_CONTOUR_ORDER)
+    _assert_blocks_match_per_piece(ps, js, curve)
 
 
-def test_piece_data_calls_f_on_bounded_blocks(zbar_cut):
+def test_piece_data_calls_f_on_bounded_blocks(zbar_cut, monkeypatch):
     # a short contour takes BLOCK_PIECES pieces per block, more fine nodes
     # than _BLOCK, yet f sees at most _BLOCK values per call
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", 2)
     sizes = []
 
     def value(z):
@@ -610,28 +612,30 @@ def test_piece_data_calls_f_on_bounded_blocks(zbar_cut):
 
     curve = make_curve("circle", n=16)
     _, ps, js = _sweep_pieces(curve, 0.2, dataclasses.replace(zbar_cut, value=value))
-    assert _pieces_per_block(ps, curve, order=2) == PieceSet.BLOCK_PIECES
+    assert _pieces_per_block(ps, curve) == PieceSet.BLOCK_PIECES
     assert PieceSet.BLOCK_PIECES * ps.offsets.size > _BLOCK
-    want = contour_integrals_per_piece(ps, js[:PieceSet.BLOCK_PIECES], curve, order=2)
+    want = contour_integrals_per_piece(ps, js[:PieceSet.BLOCK_PIECES], curve, order=ps.PANEL_ORDER)
     sizes.clear()
-    assert _hex(ps.contour_integrals(js[:PieceSet.BLOCK_PIECES], curve, order=2)) == _hex(want)
+    assert _hex(ps.contour_integrals(js[:PieceSet.BLOCK_PIECES], curve)) == _hex(want)
     assert max(sizes) <= _BLOCK
 
 
-def test_contour_integrals_match_per_piece_at_delta_4():
+def test_contour_integrals_match_per_piece_at_delta_4(monkeypatch):
     # at delta 4 the multipole powers of the node offsets are large, and
-    # every edge of the radius-3 circle is one panel
+    # every edge of the radius-3 circle is one panel of 6 nodes
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", 6)
     curve = make_curve("circle", n=32, radius=3.0)
     part = build_partition(4.0, (-6 - 6j, 6 + 6j))
     ps = PieceSet(part, with_cutoff(make_function("monomial", a=0, b=1), 5.0, 9.0))
-    js = ps.active_pieces()
+    js = ps.active_pieces(range(part.n_bumps))
     assert len(js) > _pieces_per_block(ps, curve)
     _assert_blocks_match_per_piece(ps, js, curve)
 
 
-def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
+def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces(monkeypatch):
     # f vanishes outside |z| = 0.8, so the pieces on the far side of the
     # off-center circle are identically zero
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", 6)
     f = with_cutoff(make_function("monomial", a=0, b=1), 0.5, 0.8)
     curve = make_curve("circle", n=64, center=0.6)
     part = build_partition(0.1, (-1.0 - 1.6j, 2.2 + 1.6j))
@@ -645,13 +649,14 @@ def test_contour_integrals_match_per_piece_with_inactive_and_far_pieces():
     _assert_blocks_match_per_piece(ps, js, curve)
 
 
-def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut):
+def test_contour_integrals_match_per_piece_when_patch_blocks_span_pieces(zbar_cut, monkeypatch):
     # the contour's patch table is built once, in blocks of nodes; each node
     # serves the four bumps over its cell, so a table block holds the inside
     # nodes of several pieces, and a piece's inside nodes span table blocks
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", 6)
     curve = make_curve("circle", n=64)
     part, ps, js = _sweep_pieces(curve, 0.4, zbar_cut)
-    zc = panel_nodes(curve, ps.half, 6)[0]
+    zc = panel_nodes(curve, ps.half, ps.PANEL_ORDER)[0]
     js = js[:_pieces_per_block(ps, curve) + 3]
     block = np.arange(zc.size) // _PATCH_BLOCK
     spans = []
