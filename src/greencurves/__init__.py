@@ -9,7 +9,7 @@ from .curves import (IntersectionEvent, JordanDecomposition, PolyCurve, curve_fa
                      self_intersections)
 from .functions import (FunctionDescriptor, function_families, make_function,
                         truncated_cauchy, with_cutoff)
-from .integration import (GreenConfig, Square, VerificationReport, area_integral_weighted,
+from .integration import (Square, VerificationReport, area_integral_weighted,
                           contour_integral, green_on_square, mollifier_identity_check,
                           verify_green)
 from .mainlemma import (ArcComponent, BoundaryInterval, Disc, GenerationTree, bound_check,

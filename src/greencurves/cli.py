@@ -33,7 +33,7 @@ from .curves import (_BLOCK, curve_families, gallery_curves, is_jordan, jordan_d
 from .errors import (BoundViolated, GreenCurvesError, KindMismatch, NestingViolation, OnCurve,
                      ParseError)
 from .functions import function_families, make_function, truncated_cauchy, with_cutoff
-from .integration import (BAND_DIAGONALS, CONTOUR_ORDER, GreenConfig, Square,
+from .integration import (BAND_DIAGONALS, CONTOUR_ORDER, Square,
                           _check_mollifier_input, _green_field, contour_integral,
                           green_on_square, mollifier_identity_check, verify_green)
 from .mainlemma import Disc, bound_check, exterior_integral_identity, geometry_dump, with_jitter
@@ -75,9 +75,11 @@ def _load_scenario(path: str) -> dict:
             raise ParseError(f"scenario is missing required key {key!r}")
     if not isinstance(doc["checks"], list):
         raise ParseError("checks must be a list")
-    for name in doc["checks"]:
-        if name not in _CHECKS:
+    for k, name in enumerate(doc["checks"]):
+        if type(name) is not str or name not in _CHECKS:
             raise ParseError(f"unknown check {name!r}; valid: {tuple(_CHECKS)}")
+        if name in doc["checks"][:k]:
+            raise ParseError(f"checks must be a list of distinct checks: {name!r} is repeated")
     doc["_hash"] = hashlib.sha256(raw).hexdigest()
     return doc
 
@@ -134,30 +136,30 @@ def _build_curve(doc: dict):
 def _build_function(doc: dict):
     spec = doc.get("function", {"family": "monomial", "params": {"a": 0, "b": 1}})
     f = make_function(spec["family"], **_params(spec, "function"))
-    cut = spec.get("cutoff")
-    if cut:
+    if "cutoff" in spec:
+        cut = spec["cutoff"]
+        if type(cut) is not dict or not {"r_inner", "r_outer"} <= cut.keys():
+            raise ValueError(f"cutoff must be an object with r_inner and r_outer: {cut!r}")
         f = with_cutoff(f, _real(cut["r_inner"], "cutoff r_inner"),
                         _real(cut["r_outer"], "cutoff r_outer"),
                         center=_point(cut.get("center", [0, 0]), "cutoff center"))
     return f
 
 
-def _green_cfg(doc: dict, curve, f) -> GreenConfig:
+def _green_cfg(doc: dict, curve, f) -> tuple:
+    """The green check's grid resolution (256 by default) and refinement depth (3)."""
     g = doc.get("grid", {})
     q = doc.get("quadrature", {})
     for sec, key, fixed in ((g, "dilate", MIN_DILATE), (g, "band_diagonals", BAND_DIAGONALS),
                             (q, "contour_order", CONTOUR_ORDER)):
         if sec.get(key, fixed) != fixed:  # one value in the library, which a scenario may state
             raise ValueError(f"{key} is fixed at {fixed}: {sec[key]!r}")
-    # a dataclass's class attributes are its field defaults
-    res = _int(g.get("resolution", GreenConfig.resolution), "grid.resolution",
-               1, math.isqrt(_MAX_ITEMS))
+    res = _int(g.get("resolution", 256), "grid.resolution", 1, math.isqrt(_MAX_ITEMS))
     # the refinement measures about two dozen sub-cells per unit of
     # resolution * 2^refine along a curve the size of its box, so that
     # product stays within _MAX_ITEMS / 32
     top = (_MAX_ITEMS // (32 * res)).bit_length() - 1
-    return GreenConfig(resolution=res, refine=_int(
-        q.get("refine", GreenConfig.refine), f"quadrature.refine at grid.resolution {res}", 0, top))
+    return res, _int(q.get("refine", 3), f"quadrature.refine at grid.resolution {res}", 0, top)
 
 
 def _deltas(doc: dict, curve, f) -> list:
@@ -205,7 +207,7 @@ def _green_probes(curve, seed):
 
 
 def _check_green(cfg, curve, f, seed):
-    rep = verify_green(curve, f, cfg)
+    rep = verify_green(curve, f, *cfg)
     # exact-integer invariant at seeded probe points: the ray-crossing index
     # must agree with the rounded argument sum.  The probes run in blocks of
     # about _BLOCK (probe, vertex) values, at least one probe each, and each
@@ -343,7 +345,7 @@ def run_scenario(path: str, out_dir: str = None, svg: bool = False, verbose: boo
             (out / "curve.svg").write_text(render_svg(
                 [[z.real, z.imag] for z in curve.vertices], "curve"))
             if "green" in checks:
-                fld = _green_field(curve, min(specs["green"].resolution, 128))
+                fld = _green_field(curve, min(specs["green"][0], 128))  # [0]: the resolution
                 (out / "index.svg").write_text(render_svg(fld.to_json_dict(), "index-heatmap"))
             if "vitushkin" in checks:
                 (out / "sweep.svg").write_text(render_svg(

@@ -88,6 +88,8 @@ def _monomial(a=0, b=1, coeff=1.0):
 
 
 def _poly(terms=((1.0, 1, 0),)):
+    if not terms:
+        raise ValueError(f"poly terms must be nonempty: {list(terms)!r}")
     parts = [_monomial(a=a, b=b, coeff=c) for (c, a, b) in terms]
 
     def value(z):

@@ -1,7 +1,8 @@
 """Contour and index-weighted area integrals, and the Green-identity verdicts.
 
-The left-hand side ∮ f dz is Gauss-Legendre with ``CONTOUR_ORDER`` nodes on
-each edge of every contour.  The right-hand side integrates dbar(f) * Ind over
+Every contour's Gauss nodes come from one panel rule (``_panels``).  The
+left-hand side ∮ f dz takes one panel of ``CONTOUR_ORDER`` nodes on each
+edge of every contour.  The right-hand side integrates dbar(f) * Ind over
 the plane by a midpoint rule on the clean cells of an index field (a
 ``MIN_DILATE`` box, a band of ``BAND_DIAGONALS`` cell diagonals), with adaptive
 dyadic refinement of the near-curve cells.  All sums use numpy's pairwise
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import _BLOCK, PolyCurve
+from .curves import _BLOCK, PolyCurve, _ragged
 from .errors import PoleOnCurve
 from .functions import FunctionDescriptor
 from .winding import (MIN_DILATE, GridSpec, IndexField, _grid_pairs, distance_to_curve,
@@ -36,15 +37,27 @@ def gauss_legendre_01(order: int):
     return nodes, weights
 
 
+def _panels(a, d, k, order: int):
+    """Gauss nodes of k[e] equal panels on each edge a[e] to a[e] + d[e], ``order`` nodes each.
+
+    Panel p of edge e runs from a + (p/k) d over d/k, so a one-panel edge
+    keeps the nodes a + t d.  Returns the nodes, one row per panel in edge
+    order, and each panel's vector.
+    """
+    t, _ = gauss_legendre_01(order)
+    e, p = _ragged(k)  # each panel's edge and its index along the edge
+    dp = (d / k)[e]
+    return (a[e] + p / k[e] * d[e])[:, None] + t[None, :] * dp[:, None], dp
+
+
 def polyline_integral(points, fn, closed: bool) -> complex:
     """∫ fn(z) dz along a polyline given by ``points`` (closed appends the return edge)."""
     p = np.asarray(points, dtype=complex)
     a = p if closed else p[:-1]
     b = np.roll(p, -1) if closed else p[1:]
-    t, w = gauss_legendre_01(CONTOUR_ORDER)
-    z = a[:, None] + t[None, :] * (b - a)[:, None]
-    vals = fn(z)
-    per_edge = (vals * w[None, :]).sum(axis=1) * (b - a)
+    _, w = gauss_legendre_01(CONTOUR_ORDER)
+    z, d = _panels(a, b - a, np.ones(a.size, dtype=int), CONTOUR_ORDER)
+    per_edge = (fn(z) * w[None, :]).sum(axis=1) * d
     return complex(per_edge.sum())
 
 
@@ -262,25 +275,24 @@ def area_integral_weighted(field_: IndexField, f: FunctionDescriptor, refine: in
     return total, info
 
 
-@dataclass
-class GreenConfig:
-    resolution: int = 256
-    refine: int = 3
-
-
 def _green_field(curve: PolyCurve, resolution: int) -> IndexField:
     """The green check's index field: cover's grid, a band of ``BAND_DIAGONALS`` cell diagonals."""
     grid = GridSpec.cover(curve, resolution)
     return index_field(curve, grid, BAND_DIAGONALS * grid.cell_diag)
 
 
-def verify_green(curve: PolyCurve, f: FunctionDescriptor, cfg: GreenConfig) -> VerificationReport:
-    """Compare ∮ f dz with 2i ∫ dbar(f) Ind dA for one curve and one function."""
-    fld = _green_field(curve, cfg.resolution)
+def verify_green(curve: PolyCurve, f: FunctionDescriptor, resolution: int,
+                 refine: int) -> VerificationReport:
+    """Compare ∮ f dz with 2i ∫ dbar(f) Ind dA for one curve and one function.
+
+    The index field is ``GridSpec.cover``'s ``resolution`` x ``resolution``
+    grid, and its near-curve cells are split dyadically ``refine`` times.
+    """
+    fld = _green_field(curve, resolution)
     lhs = contour_integral(curve, f)
-    area, info = area_integral_weighted(fld, f, refine=cfg.refine)
-    settings = dict(resolution=cfg.resolution, dilate=MIN_DILATE, band_diagonals=BAND_DIAGONALS,
-                    refine=cfg.refine, contour_order=CONTOUR_ORDER)
+    area, info = area_integral_weighted(fld, f, refine=refine)
+    settings = dict(resolution=resolution, dilate=MIN_DILATE, band_diagonals=BAND_DIAGONALS,
+                    refine=refine, contour_order=CONTOUR_ORDER)
     return VerificationReport.build(lhs, 2j * area, settings, **info)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .curves import _BLOCK, PolyCurve, length
 from .functions import FunctionDescriptor
-from .integration import gauss_legendre_01
+from .integration import _panels, gauss_legendre_01
 from .winding import distance_to_curve
 
 SWEEP_BOUND_CONSTANT = 8.0  # delta_sweep: the bound's constant
@@ -81,15 +81,6 @@ def _rho(r: float, x):
 def _slope(t, r: float, x):
     rho = _rho(r, x)
     return np.where(t < 0, rho, 0.0 - rho)  # 0.0 - rho keeps the +0.0 of rho(t + r) - rho(t - r)
-
-
-def profile(t, delta: float):
-    """1D bump profile: indicator of [-delta/4, delta/4] convolved with the radius-delta/4 mollifier.
-
-    Supported on |t| < delta/2, equals 1 only at t = 0, piecewise polynomial
-    of degree 9 on each half with C^3 matching.
-    """
-    return _value(_fold(t, delta)[2])
 
 
 def _dbar_phi(dx, dy, delta: float):
@@ -172,27 +163,6 @@ class Partition:
         x = (self.i0 + np.arange(self.ni) + 0.5) * d
         y = (self.j0 + np.arange(self.nj) + 0.5) * d
         return (x[None, :] + 1j * y[:, None]).ravel()
-
-    def sum_phi(self, zs) -> np.ndarray:
-        """Sum of bump values at each point.
-
-        Only the 3x3 lattice bumps about a point can contain it; ``ok`` drops
-        those off the lattice.
-        """
-        z = np.asarray(zs, dtype=complex)
-        total = np.zeros(z.shape, dtype=float)
-        d = self.spacing
-        bx = np.floor(z.real / d - 0.5).astype(int) - self.i0
-        by = np.floor(z.imag / d - 0.5).astype(int) - self.j0
-        for iy in (by - 1, by, by + 1):
-            ok_y = (iy >= 0) & (iy < self.nj)
-            cy = (self.j0 + iy + 0.5) * d
-            for ix in (bx - 1, bx, bx + 1):
-                ok = ok_y & (ix >= 0) & (ix < self.ni)
-                px = profile(z.real - (self.i0 + ix + 0.5) * d, self.delta)
-                py = profile(z.imag - cy, self.delta)
-                total += np.where(ok, px * py, 0.0)
-        return total
 
 
 def build_partition(delta: float, box) -> Partition:
@@ -467,8 +437,7 @@ class PieceSet:
     def contour_integrals(self, js, curve: PolyCurve) -> dict:
         """∮ f_j dz around the curve for each requested piece, ``PANEL_ORDER`` Gauss nodes per panel.
 
-        Edge a to a + d takes k = ceil(|d| / half) panels, panel p running from
-        a + (p/k) d over d/k, so a one-panel edge keeps the nodes a + t d.  An
+        Edge d takes k = ceil(|d| / half) panels of ``integration._panels``.  An
         inactive piece comes out at round-off, not at exact 0.  The nodes'
         cells and patch table are built once; the pieces then run through
         ``_eval_block`` in blocks of about ``_BLOCK / 2`` values.  Each block
@@ -476,14 +445,10 @@ class PieceSet:
         done; ``BLOCK_PIECES`` caps a block's pieces, which bounds that memory
         when the contour is short.
         """
-        t, w = gauss_legendre_01(self.PANEL_ORDER)
-        a, d = curve.starts, curve.edge_vectors
+        _, w = gauss_legendre_01(self.PANEL_ORDER)
         k = np.ceil(curve.edge_lengths / self.half).astype(int)  # panels per edge
-        e = np.repeat(np.arange(d.size), k)  # the edge of each panel
-        p = (np.arange(e.size) - np.repeat(np.cumsum(k) - k, k)) / k[e]  # its start along the edge
-        dp = (d / k)[e, None]
-        zc = ((a[e] + p * d[e])[:, None] + t[None, :] * dp).ravel()
-        dzw = (w[None, :] * dp).ravel()
+        z, dp = _panels(curve.starts, curve.edge_vectors, k, self.PANEL_ORDER)
+        zc, dzw = z.ravel(), (w[None, :] * dp[:, None]).ravel()
         fz = self.f.value(zc)
         cells = self._cells(zc)
         table = self._patch_table(zc, fz, *cells)

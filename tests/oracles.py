@@ -38,8 +38,9 @@ localized pieces, written from the formulas and sharing no code with
 derivative, and a polar rule about z whose panels take the rect's corners in
 their known counterclockwise order, each with its known exit side, where the
 library sorts the corner angles and takes the nearer exit.  ``multiplicity``
-tries every bump center, and ``phi_two_sided`` and ``grad_phi_norm`` evaluate
-the bump through the two-sided profiles.
+and ``partition_sum`` try every bump center, the latter summing the bumps
+whose support square holds the point, and ``phi_two_sided`` and
+``grad_phi_norm`` evaluate the bump through the two-sided profiles.
 """
 
 import math
@@ -246,6 +247,17 @@ def grad_phi_norm(partition: Partition, j: int, zs) -> np.ndarray:
     """|grad phi_j| at each of ``zs``: twice |dbar phi_j|, because phi_j is real."""
     d = np.asarray(zs, dtype=complex) - bump_center(partition, j)
     return 2.0 * np.abs(dbar_phi_two_sided(d.real, d.imag, partition.delta))
+
+
+def partition_sum(partition: Partition, zs) -> np.ndarray:
+    """Sum of the bumps at each of ``zs``: ``phi_two_sided`` of every center whose support square holds the point."""
+    z = np.asarray(zs, dtype=complex)
+    total = np.zeros(z.shape)
+    half = partition.delta / 2
+    for j, c in enumerate(partition.centers_array()):
+        held = (np.abs(z.real - c.real) < half) & (np.abs(z.imag - c.imag) < half)
+        total[held] += phi_two_sided(partition, j, z[held])
+    return total
 
 
 def multiplicity(partition: Partition, zs) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curves,
+from greencurves import (GridSpec, PolyCurve, Square, gallery_curves,
                          index_field, jordan_decompose, make_curve, make_function,
                          verify_green, with_cutoff)
 from greencurves._rng import seed_stream
@@ -27,7 +27,8 @@ from greencurves.winding import distance_to_curve, winding_numbers
 
 from class_sums import class_sums
 from oracles import (clip_polygon_by_halfplane, finite_diff_dbar, grad_phi_norm, localize,
-                     multiplicity, phi_two_sided, shoelace_area, winding_by_angles)
+                     multiplicity, partition_sum, phi_two_sided, shoelace_area,
+                     winding_by_angles)
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "greencurves" / "scenarios"
 ZBAR = make_function("monomial", a=0, b=1)
@@ -40,7 +41,7 @@ def _report(n, text):
 def test_criterion_01_green_identity_simple_curve():
     t0 = time.perf_counter()
     c = make_curve("circle", n=256)
-    rep = verify_green(c, ZBAR, GreenConfig(resolution=256, refine=3))
+    rep = verify_green(c, ZBAR, 256, 3)
     target = 2j * shoelace_area(c.vertices)
     assert abs(rep.lhs - target) <= 1e-12 * abs(target)
     assert rep.rel_residual <= 1e-3
@@ -56,7 +57,7 @@ def test_criterion_02_green_identity_self_intersecting():
     dec = jordan_decompose(b)
     assert len(dec.loops) == 2
     target = 2j * sum(shoelace_area(lp.vertices) for lp in dec.loops)  # 2i (A+ - A-)
-    rep = verify_green(b, ZBAR, GreenConfig(resolution=256, refine=4))
+    rep = verify_green(b, ZBAR, 256, 4)
     assert abs(rep.lhs - target) <= 1e-12 * abs(target)
     assert rep.rel_residual <= 1e-3
     elapsed = time.perf_counter() - t0
@@ -110,7 +111,7 @@ def test_criterion_05_partition_of_unity():
     for delta in (0.4, 0.1):
         part = build_partition(delta, (-1.5 - 1.5j, 1.5 + 1.5j))
         zs = rng.uniform(-1, 1, 10000) + 1j * rng.uniform(-1, 1, 10000)
-        assert np.max(np.abs(part.sum_phi(zs) - 1.0)) <= 1e-12
+        assert np.max(np.abs(partition_sum(part, zs) - 1.0)) <= 1e-12
         mult = multiplicity(part, zs)
         assert mult.max() <= 21
         j = int(np.argmin(np.abs(part.centers_array())))
@@ -263,7 +264,7 @@ def test_green_resolution_1024_wall_clock():
     # so the green identity at resolution 1024 stays interactive
     c = make_curve("circle", n=256)
     t0 = time.perf_counter()
-    rep = verify_green(c, ZBAR, GreenConfig(resolution=1024))
+    rep = verify_green(c, ZBAR, 1024, 3)
     elapsed = time.perf_counter() - t0
     assert rep.rel_residual <= 1e-3
     assert elapsed < 2.0
@@ -298,7 +299,7 @@ def test_green_resolution_1024_memory():
     # the index field, the clean-cell sum and each refinement level run in
     # fixed-size blocks, so the peak is the field and the one clean-cell array
     c = make_curve("circle", n=256)
-    peak = _peak_mb(lambda: verify_green(c, ZBAR, GreenConfig(resolution=1024)))
+    peak = _peak_mb(lambda: verify_green(c, ZBAR, 1024, 3))
     assert peak < 45.0
     print(f"ACCEPTANCE floor: PASS - circle-256 zbar at resolution 1024 peaks at {peak:.1f} MB")
 
@@ -308,7 +309,7 @@ def test_green_check_memory():
     # about 32 k values: a (probes, vertices) array took about 2 kB per
     # vertex, 128 MB here.  The peak is now the contour integral's nodes
     c = make_curve("circle", n=65536)
-    peak = _peak_mb(lambda: _check_green(GreenConfig(resolution=64, refine=0), c, ZBAR, 1))
+    peak = _peak_mb(lambda: _check_green((64, 0), c, ZBAR, 1))
     assert peak < 45.0
     print(f"ACCEPTANCE floor: PASS - green check on circle-65536 at resolution 64 peaks at {peak:.1f} MB")
 

@@ -136,6 +136,17 @@ _NOT_NUMBERS = [
      "cutoff r_inner"),
 ]
 
+# inputs that ended in a traceback or ran with another meaning, each with the
+# key its error line names: a poly of no terms, a check listed twice, and a
+# cutoff that is not an object with both radii
+_MISREAD = [
+    ({"function": {"family": "poly", "params": {"terms": []}}, "deltas": [0.4],
+      "checks": ["vitushkin"]}, "poly terms"),
+    ({"checks": ["green", "green"]}, "checks"),
+    *(({"function": {"family": "monomial", "params": {"a": 0, "b": 1}, "cutoff": cut},
+        "checks": ["decompose"]}, "cutoff") for cut in ({}, 0, False, [])),
+]
+
 
 @pytest.mark.parametrize("fields", [
     {"curve": {"family": "circle", "params": {"nn": 16}}, "checks": ["decompose"]},
@@ -207,6 +218,9 @@ _NOT_NUMBERS = [
     *({"function": {"family": "bump", "params": {"radius": r}},
        "square": {"center": [0.95, 0.1], "half": 0.125, "depth": 3}, "checks": ["square"]}
       for r in (-0.5, 0)),
+    *(fields for fields, _ in _MISREAD),
+    # a check name that is not a string: a list ended in a TypeError traceback
+    {"checks": [["green"]]},
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -220,7 +234,7 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     assert not (tmp_path / "out").exists()
     if fields["checks"] == "green":
         assert "checks must be a list" in err
-    for bad, key in _NOT_NUMBERS:
+    for bad, key in _NOT_NUMBERS + _MISREAD:
         if fields == bad:
             assert f"{key} must be" in err
     if "NaN" in text or "Infinity" in text:
@@ -235,7 +249,7 @@ def test_refine_limit_follows_the_resolution(res, top):
     # resolution * 2^refine stays within _MAX_ITEMS / 32; the shipped and
     # benchmark scenarios reach refine 4 at resolution 512
     doc = lambda refine: {"grid": {"resolution": res}, "quadrature": {"refine": refine}}
-    assert _green_cfg(doc(top), None, None).refine == top
+    assert _green_cfg(doc(top), None, None) == (res, top)
     with pytest.raises(ValueError, match=f"at grid.resolution {res} must be an integer from 0 to {top}: {top + 1}"):
         _green_cfg(doc(top + 1), None, None)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greencurves import (GreenConfig, GridSpec, PolyCurve, Square, gallery_curves,
+from greencurves import (GridSpec, PolyCurve, Square, gallery_curves,
                          index_field, make_curve, make_function, verify_green, with_cutoff)
 from greencurves._rng import seed_stream
 from greencurves.errors import PoleOnCurve
@@ -225,7 +225,7 @@ def test_refinement_blocks_with_partition_weight():
 
 def test_verify_green_circle_zbar():
     c = make_curve("circle", n=256)
-    rep = verify_green(c, ZBAR, GreenConfig())
+    rep = verify_green(c, ZBAR, 256, 3)
     assert rep.lhs == pytest.approx(2j * shoelace_area(c.vertices), rel=1e-12)
     assert rep.rel_residual <= 1e-3
 
@@ -233,7 +233,7 @@ def test_verify_green_circle_zbar():
 def test_verify_green_holomorphic_cubic():
     f = make_function("monomial", a=3, b=0)
     for name, c in gallery_curves():
-        rep = verify_green(c, f, GreenConfig(resolution=96, refine=1))
+        rep = verify_green(c, f, 96, 1)
         assert abs(rep.lhs) <= 1e-9, name
         assert abs(rep.rhs) <= 1e-9, name
 
@@ -241,7 +241,7 @@ def test_verify_green_holomorphic_cubic():
 def test_verify_green_bowtie_zzbar():
     b = make_curve("bowtie")
     f = make_function("monomial", a=1, b=1)  # dbar = z
-    rep = verify_green(b, f, GreenConfig(resolution=256, refine=4))
+    rep = verify_green(b, f, 256, 4)
     from greencurves import jordan_decompose
     dec = jordan_decompose(b)
     # oracle: 2i * sum of signed ∫ z dA per lobe, in closed form
@@ -252,7 +252,7 @@ def test_verify_green_bowtie_zzbar():
 
 def test_verify_green_kfold_double_index():
     k2 = make_curve("kfold", k=2, n=128)
-    rep = verify_green(k2, ZBAR, GreenConfig(resolution=192, refine=3))
+    rep = verify_green(k2, ZBAR, 192, 3)
     # the index is 2 on the disc: both sides equal 2i * 2 * polygon area
     base = make_curve("circle", n=64)
     assert rep.lhs == pytest.approx(4j * shoelace_area(base.vertices), rel=1e-12)
@@ -277,7 +277,7 @@ def test_verify_green_residual_shrinks_with_refinement():
         for f in funcs:
             resid = []
             for res, refine in ((48, 0), (128, 1), (256, 3)):
-                rep = verify_green(c, f, GreenConfig(resolution=res, refine=refine))
+                rep = verify_green(c, f, res, refine)
                 resid.append(rep.abs_residual)
             floor = 1e-9 * (1 + abs(rep.lhs))
             assert resid[1] <= max(0.5 * resid[0], floor), (name, f.name, resid)
@@ -286,13 +286,12 @@ def test_verify_green_residual_shrinks_with_refinement():
 
 def test_verify_green_linearity_of_residual():
     c = make_curve("circle", n=128)
-    cfg = GreenConfig(resolution=128, refine=2)
     f = ZBAR
     g = make_function("monomial", a=1, b=1)
     fg = make_function("poly", terms=((2.0, 0, 1), (3.0, 1, 1)))
-    rf = verify_green(c, f, cfg).abs_residual
-    rg = verify_green(c, g, cfg).abs_residual
-    rfg = verify_green(c, fg, cfg).abs_residual
+    rf = verify_green(c, f, 128, 2).abs_residual
+    rg = verify_green(c, g, 128, 2).abs_residual
+    rfg = verify_green(c, fg, 128, 2).abs_residual
     assert rfg <= 2 * rf + 3 * rg + 1e-12
 
 

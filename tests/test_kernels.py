@@ -1,7 +1,8 @@
 """Output-sensitive kernels against the every-edge and two-sided oracles.
 
 Winding and distance, self-intersections and the dyadic-square test touch
-only candidate pairs; the bump profile evaluates only its live branch.  Each
+only candidate pairs; the bump profile evaluates only its live branch; the
+contour panels of all edges come from one pass.  Each
 must reproduce its oracle bit for bit.  The oracles themselves import only an
 allowlist of library names, and the library only the standard library and numpy.
 """
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 from greencurves import GridSpec, PolyCurve, gallery_curves, make_curve, self_intersections
 from greencurves._rng import seed_stream
 from greencurves.errors import DegenerateOverlap
-from greencurves.integration import _segments_meet_square
-from greencurves.vitushkin import _dbar_phi, _fold, _slope, _tensor_rule, profile
+from greencurves.integration import _panels, _segments_meet_square, gauss_legendre_01
+from greencurves.vitushkin import PieceSet, _dbar_phi, _fold, _slope, _tensor_rule, _value
 from greencurves.winding import distance_to_curve, winding_numbers
 
 from oracles import (cell_centers, dbar_phi_two_sided, distance_by_edges, intersections_by_pairs,
-                     profile_d_two_sided, profile_two_sided, squares_by_edges,
+                     panel_nodes, profile_d_two_sided, profile_two_sided, squares_by_edges,
                      winding_by_angles, winding_by_edges)
 
 
@@ -180,6 +181,11 @@ def _same_bits(got, want):
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))  # signed zeros included
 
 
+def _profile(t, delta):
+    """The 1D bump profile as ``_dbar_phi`` takes it: the value at the one live argument."""
+    return _value(_fold(t, delta)[2])
+
+
 def _profile_d(t, delta):
     """The profile's derivative as ``_dbar_phi`` takes it: the slope at the one live argument."""
     return _slope(*_fold(t, delta))
@@ -187,7 +193,7 @@ def _profile_d(t, delta):
 
 def _check_profile(t, delta):
     t = np.asarray(t, dtype=float)
-    _same_bits(profile(t, delta), profile_two_sided(t, delta))
+    _same_bits(_profile(t, delta), profile_two_sided(t, delta))
     _same_bits(_profile_d(t, delta), profile_d_two_sided(t, delta))
     s = t[::-1]
     _same_bits(_dbar_phi(t, s, delta), dbar_phi_two_sided(t, s, delta))
@@ -200,7 +206,7 @@ def test_profile_matches_two_sided_at_breakpoints(delta):
     edges = [r, 2 * r, math.nextafter(2 * r, 0), math.nextafter(r, 0), math.nextafter(r, 1), 5e-324]
     t = [0.0, -0.0] + [sgn * e for e in edges for sgn in (1, -1)]
     _check_profile(t, delta)
-    p, pd = profile(np.array([0.0, -0.0]), delta), _profile_d(np.array([0.0, -0.0]), delta)
+    p, pd = _profile(np.array([0.0, -0.0]), delta), _profile_d(np.array([0.0, -0.0]), delta)
     assert p[0] == p[1] == pytest.approx(1.0, abs=1e-15)
     assert pd.tolist() == [0.0, 0.0] and not np.any(np.signbit(pd))
     assert np.all(_profile_d(np.array([r / 2, r, 1.5 * r]), delta) < 0)
@@ -211,7 +217,7 @@ def test_profile_matches_two_sided_outside_support(delta):
     t = np.concatenate([np.linspace(delta / 2, 3 * delta, 101), [1e150, np.inf]])
     t = np.concatenate([t, -t])
     _check_profile(t, delta)
-    assert not np.any(profile(t, delta)) and not np.any(_profile_d(t, delta))
+    assert not np.any(_profile(t, delta)) and not np.any(_profile_d(t, delta))
     assert not np.any(np.signbit(_profile_d(t, delta)))
 
 
@@ -227,6 +233,38 @@ def test_profile_matches_two_sided_on_the_tensor_rules():
        u=st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=1, max_size=40))
 def test_property_profile_matches_two_sided(delta, u):
     _check_profile(np.array(u) * delta, delta)
+
+
+# ---------------------------------------------------------------------------
+# contour panels: all edges in one pass against edge by edge
+
+
+_PANEL_CURVES = {"circle64": make_curve("circle", n=64), "bowtie": make_curve("bowtie"),
+                 "spiral": make_curve("spiral", turns=2, n=128),
+                 # sides of length 1.0: exactly 5 and 40 panels of delta/2 at delta 0.4 and 0.05
+                 "unit_square": PolyCurve([0, 1, 1 + 1j, 1j])}
+
+
+@pytest.mark.parametrize("name", ["circle64", "bowtie", "spiral"])
+def test_one_panel_per_edge_keeps_the_edge_nodes(name):
+    a, d = _PANEL_CURVES[name].starts, _PANEL_CURVES[name].edge_vectors
+    z, dp = _panels(a, d, np.ones(a.size, dtype=int), 8)
+    t, _ = gauss_legendre_01(8)
+    _same_bits(z, a[:, None] + t * d[:, None])
+    _same_bits(dp, d)
+
+
+@pytest.mark.parametrize("delta", [0.4, 0.05])
+@pytest.mark.parametrize("name", sorted(_PANEL_CURVES))
+def test_panels_sized_to_delta_match_the_edge_by_edge_oracle(name, delta):
+    curve = _PANEL_CURVES[name]
+    k = np.ceil(curve.edge_lengths / (delta / 2)).astype(int)
+    if name == "unit_square":
+        assert k.tolist() == [round(2 / delta)] * 4
+    z, dp = _panels(curve.starts, curve.edge_vectors, k, PieceSet.PANEL_ORDER)
+    want_z, want_dzw = panel_nodes(curve, delta / 2, PieceSet.PANEL_ORDER)
+    _same_bits(z.ravel(), want_z)
+    _same_bits((gauss_legendre_01(PieceSet.PANEL_ORDER)[1] * dp[:, None]).ravel(), want_dzw)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from greencurves.vitushkin import (Partition, PieceSet, _meets_curve, build_part
 from class_sums import CLASS_I, CLASS_II, CLASS_III, class_sums, classify_many
 from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_all_moments,
                      finite_diff_dbar, grad_phi_norm, localize, localize_cauchy, multiplicity,
-                     panel_nodes, patch_per_pair, phi_two_sided, piece_eval_unblocked,
+                     panel_nodes, partition_sum, patch_per_pair, phi_two_sided, piece_eval_unblocked,
                      reconstruct, shoelace_area, winding_by_edges)
 
 DELTA = 0.25
@@ -52,7 +52,7 @@ def _bump_near(partition, z):
 def test_partition_sums_to_one(partition):
     rng = seed_stream(11, "vitushkin.test")
     zs = rng.uniform(-1.5, 1.5, 10000) + 1j * rng.uniform(-1.5, 1.5, 10000)
-    assert np.max(np.abs(partition.sum_phi(zs) - 1.0)) <= 1e-12
+    assert np.max(np.abs(partition_sum(partition, zs) - 1.0)) <= 1e-12
 
 
 def test_partition_multiplicity_at_most_21(partition):
