@@ -80,8 +80,18 @@ def _load_scenario(path: str) -> dict:
             raise ParseError(f"unknown check {name!r}; valid: {tuple(_CHECKS)}")
         if name in doc["checks"][:k]:
             raise ParseError(f"checks must be a list of distinct checks: {name!r} is repeated")
+    _keys(doc, "scenario",
+          "schema seed curve function grid quadrature deltas discs square mollifier checks")
     doc["_hash"] = hashlib.sha256(raw).hexdigest()
     return doc
+
+
+def _keys(spec: dict, what: str, known: str) -> dict:
+    """``spec`` if each of its keys is a word of ``known``, so no misspelt key runs at its default."""
+    for key in spec:
+        if key not in known.split():
+            raise ParseError(f"{what} has an unknown key {key!r}; valid: {known}")
+    return spec
 
 
 def _int(x, what: str, lo: float, hi: float) -> int:
@@ -129,17 +139,19 @@ def _params(spec: dict, what: str) -> dict:
 
 
 def _build_curve(doc: dict):
-    spec = doc["curve"]
+    spec = _keys(doc["curve"], "curve", "family params")
     return make_curve(spec["family"], **_params(spec, "curve"))
 
 
 def _build_function(doc: dict):
-    spec = doc.get("function", {"family": "monomial", "params": {"a": 0, "b": 1}})
+    spec = _keys(doc.get("function", {"family": "monomial", "params": {"a": 0, "b": 1}}),
+                 "function", "family params cutoff")
     f = make_function(spec["family"], **_params(spec, "function"))
     if "cutoff" in spec:
         cut = spec["cutoff"]
         if type(cut) is not dict or not {"r_inner", "r_outer"} <= cut.keys():
             raise ValueError(f"cutoff must be an object with r_inner and r_outer: {cut!r}")
+        _keys(cut, "cutoff", "r_inner r_outer center")
         f = with_cutoff(f, _real(cut["r_inner"], "cutoff r_inner"),
                         _real(cut["r_outer"], "cutoff r_outer"),
                         center=_point(cut.get("center", [0, 0]), "cutoff center"))
@@ -148,8 +160,8 @@ def _build_function(doc: dict):
 
 def _green_cfg(doc: dict, curve, f) -> tuple:
     """The green check's grid resolution (256 by default) and refinement depth (3)."""
-    g = doc.get("grid", {})
-    q = doc.get("quadrature", {})
+    g = _keys(doc.get("grid", {}), "grid", "resolution dilate band_diagonals")
+    q = _keys(doc.get("quadrature", {}), "quadrature", "refine contour_order")
     for sec, key, fixed in ((g, "dilate", MIN_DILATE), (g, "band_diagonals", BAND_DIAGONALS),
                             (q, "contour_order", CONTOUR_ORDER)):
         if sec.get(key, fixed) != fixed:  # one value in the library, which a scenario may state
@@ -171,20 +183,22 @@ def _deltas(doc: dict, curve, f) -> list:
 
 
 def _discs(doc: dict, curve, f) -> list:
+    specs = doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}])
     return [Disc(center=_point(spec["center"], "disc center"),
                  radius=float(_real(spec["radius"], "disc radius")))
-            for spec in doc.get("discs", [{"center": [1.0, 0.0], "radius": 0.5}])]
+            for spec in (_keys(s, "disc", "center radius") for s in specs)]
 
 
 def _square(doc: dict, curve, f):
-    spec = doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5})
+    spec = _keys(doc.get("square", {"center": [0.0, 0.0], "half": 0.25, "depth": 5}),
+                 "square", "center half depth")
     depth = _int(spec.get("depth", 5), "square.depth", 0, int(math.log(_MAX_ITEMS, 4)))
     return Square(center=_point(spec["center"], "square center"),
                   half=float(_real(spec["half"], "square half"))), depth
 
 
 def _mollifier(doc: dict, curve, f):
-    spec = doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05})
+    spec = _keys(doc.get("mollifier", {"z": [0.3, 0.1], "eps": 0.05}), "mollifier", "z eps")
     z, eps = _point(spec["z"], "mollifier z"), float(_real(spec["eps"], "mollifier eps"))
     _check_mollifier_input(f, z, eps)
     return z, eps
@@ -215,7 +229,7 @@ def _check_green(cfg, curve, f, seed):
     pts = _green_probes(curve, seed)
     ray = winding_numbers(curve, pts)
     v = curve.vertices
-    nxt = np.roll(v, -1)
+    nxt = curve.ends
     step = max(_BLOCK // v.size, 1)  # probes per block
     blocks = (pts[s:s + step, None] for s in range(0, pts.size, step))
     turn = np.concatenate([np.angle((nxt - p) / (v - p)).sum(axis=1) for p in blocks])
@@ -418,7 +432,6 @@ def main(argv=None) -> int:
     except (GreenCurvesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def entry():

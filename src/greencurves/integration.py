@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import _BLOCK, PolyCurve, _ragged
 from .errors import PoleOnCurve
-from .functions import FunctionDescriptor
+from .functions import FunctionDescriptor, make_function
 from .winding import (MIN_DILATE, GridSpec, IndexField, _grid_pairs, distance_to_curve,
                       index_field, winding_numbers)
 
@@ -386,26 +386,11 @@ def green_on_square(sq: Square, f: FunctionDescriptor, curve: PolyCurve,
 
 
 # ---------------------------------------------------------------------------
-# fixed polynomial mollifier and the convolution identity
+# the mollifier rho_eps, the bump of radius eps and unit mass, and the convolution identity
 
 
 MOLLIFIER_NORM = 5.0 / math.pi  # normalizes ∫ (1-|w|^2)^4 dA over the unit disc to 1
 MOLLIFIER_ORDER = 12  # radial Gauss nodes of the disc rule; four times as many angles
-
-
-def mollifier(w, eps: float):
-    """rho_eps(w) = eps^-2 * rho(w/eps) with rho(u) = (5/pi)(1-|u|^2)^4 on |u|<=1."""
-    w = np.asarray(w, dtype=complex)
-    s = np.abs(w) ** 2 / (eps * eps)
-    core = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 4, 0.0)
-    return MOLLIFIER_NORM / (eps * eps) * core
-
-
-def mollifier_dbar(w, eps: float):
-    w = np.asarray(w, dtype=complex)
-    s = np.abs(w) ** 2 / (eps * eps)
-    core = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 3, 0.0)
-    return -4.0 * MOLLIFIER_NORM / (eps ** 4) * w * core
 
 
 def _polar_disc_rule(eps: float, n_r: int, n_t: int):
@@ -423,7 +408,7 @@ def _polar_disc_rule(eps: float, n_r: int, n_t: int):
 def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
     """Raise ValueError unless eps is in range and the square of side 2*eps about z avoids f's pole.
 
-    In range: eps > 0, eps^4 and the factor 4/eps^4 of ``mollifier_dbar`` are
+    In range: eps > 0, eps^4 and the factor 4/eps^4 of the kernel's d-bar are
     finite floats, and no node z - u of the disc rule rounds onto z (the lhs
     would be roundoff scaled by 1/eps^4).
     """
@@ -449,7 +434,8 @@ def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float) -> V
     _check_mollifier_input(f, z, eps)
     u, w = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
     pts = z - u
-    lhs = complex((f.value(pts) * mollifier_dbar(u, eps) * w).sum())
-    rhs = complex((f.dbar(pts) * mollifier(u, eps) * w).sum())
+    rho = make_function("bump", radius=eps, height=MOLLIFIER_NORM / (eps * eps))
+    lhs = complex((f.value(pts) * rho.dbar(u) * w).sum())
+    rhs = complex((f.dbar(pts) * rho.value(u) * w).sum())
     settings = {"eps": eps, "quad_order": MOLLIFIER_ORDER, "z": [z.real, z.imag]}
     return VerificationReport.build(lhs, rhs, settings)

@@ -10,8 +10,8 @@ The intervals nest like dyadic intervals, and the identity assembles from the
 even-depth generations with alternating orientation signs.
 
 One record per (curve, disc) pair, built by ``_geometry``, holds the crossings,
-components, intervals, their tree and the signed pieces; the identity and the
-geometry dump only read it.
+components, the intervals' generation tree and the signed pieces; the identity
+and the geometry dump only read it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class Disc:
 @dataclass
 class Crossing:
     edge: int
-    t: float
     point: complex
     angle: float
     kind: str
@@ -131,7 +130,7 @@ def circle_crossings(curve: PolyCurve, disc: Disc) -> list:
             slope = 2 * (A * t + B)  # d/dt |position - center|^2
             kind = LEAVE if slope > 0 else ENTER
             p = a[k] + t * d[k]
-            out.append(Crossing(edge=k, t=float(t), point=complex(p),
+            out.append(Crossing(edge=k, point=complex(p),
                                 angle=float(np.angle(p - c)), kind=kind))
     if len(out) % 2:
         # a transversal crossing count is even; an odd count means a partner
@@ -284,7 +283,6 @@ class _Geometry:
 
     crossings: list
     components: list
-    intervals: list
     tree: GenerationTree
     pieces: list
 
@@ -297,10 +295,9 @@ def _geometry(curve: PolyCurve, disc: Disc) -> _Geometry:
     comps, crossings = exterior_components(curve, disc)
     if comps and comps[0].closed:
         ind = int(winding_numbers(curve, np.array([disc.center]))[0])
-        return _Geometry(crossings, comps, [], GenerationTree([], [], []), [(0.0, TWO_PI, ind)])
-    intervals = [select_interval(comp, disc, ci) for ci, comp in enumerate(comps)]
-    tree = build_generations(intervals)
-    return _Geometry(crossings, comps, intervals, tree, exterior_pieces(tree))
+        return _Geometry(crossings, comps, GenerationTree([], [], []), [(0.0, TWO_PI, ind)])
+    tree = build_generations([select_interval(comp, disc, ci) for ci, comp in enumerate(comps)])
+    return _Geometry(crossings, comps, tree, exterior_pieces(tree))
 
 
 def _exterior_integral(comps: list, h: FunctionDescriptor) -> complex:
@@ -331,7 +328,7 @@ def exterior_integral_identity(curve: PolyCurve, disc: Disc,
         "n_components": len(geo.components),
         "n_crossings": len(geo.crossings),
         "generations": geo.tree.depth,
-        "signs": [itv.sigma for itv in geo.intervals],
+        "signs": [itv.sigma for itv in geo.tree.intervals],
         "pieces": pieces,
         "piece_total_span": float(sum(sp for _, sp, _ in geo.pieces)),
     }
@@ -378,6 +375,6 @@ def geometry_dump(curve: PolyCurve, disc: Disc) -> dict:
         "crossings": [{"angle": cr.angle, "kind": cr.kind} for cr in geo.crossings],
         "intervals": [{"theta0": iv.theta0, "span": iv.span, "sigma": iv.sigma,
                        "component": iv.component_index, "depth": depth}
-                      for iv, depth in zip(geo.intervals, geo.tree.depth)],
+                      for iv, depth in zip(geo.tree.intervals, geo.tree.depth)],
         "max_depth": geo.tree.max_depth,
     }

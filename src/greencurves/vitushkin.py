@@ -110,29 +110,27 @@ def _tensor_rule(delta: float, n_cells: int, order: int):
 def _polar_frame(zs, x0, x1, y0, y1, delta: float):
     """Angular half of the polar rule about each z over its axis-aligned rect.
 
-    z is clipped just inside its rect [x0, x1] x [y0, y1]; the angular panels
-    run between the directions of the four corners, ``PieceSet.PATCH_NT``
-    Gauss nodes each, so every ray leaves the rect through one side.  Returns
-    the clipped z, and per (z, panel, node) the direction e^{i theta}, the
-    angular weight, and the distance at which the ray leaves the rect.
+    z is clipped just inside its rect [x0, x1] x [y0, y1], so its corners,
+    counterclockwise from the lower left, lie at ascending angles, and the
+    ``PieceSet.PATCH_NT`` Gauss rays between corners k and k + 1 leave through
+    side k: bottom, right, top, left.  Returns the clipped z, and per (z, panel,
+    node) the direction e^{i theta}, the angular weight and the exit distance.
     """
     m = 1e-12 * delta
     zr = np.clip(zs.real, x0 + m, x1 - m)
     zi = np.clip(zs.imag, y0 + m, y1 - m)
     ze = zr + 1j * zi
-    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
-    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
+    # -0.0 where a far-off z rounds onto the bottom or left side keeps the angles ascending
+    bottom, right, top, left = -(zi - y0), x1 - zr, y1 - zi, -(zr - x0)
+    th = np.arctan2([bottom, bottom, top, top], [left, right, right, left]).T
     th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
     widths = np.diff(th_edges, axis=1)
     gt, wt = gauss_legendre_01(PieceSet.PATCH_NT)
     TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
     WT = widths[:, :, None] * wt[None, None, :]
     ct, st = np.cos(TH), np.sin(TH)
-    x0, x1, y0, y1, zr, zi = (v[:, None, None] for v in (x0, x1, y0, y1, zr, zi))
-    with np.errstate(divide="ignore"):
-        tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
-        ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
-    return ze, np.exp(1j * TH), WT, np.minimum(tx, ty)
+    sides = np.array([bottom, right, top, left]).T[..., None]
+    return ze, np.exp(1j * TH), WT, sides / np.where([[True], [False], [True], [False]], st, ct)
 
 
 @dataclass

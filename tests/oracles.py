@@ -36,11 +36,11 @@ in nearby cells of a hash grid.
 localized pieces, written from the formulas and sharing no code with
 ``PieceSet``: a tensor rule built from ``leggauss``, the two-sided bump
 derivative, and a polar rule about z whose panels take the rect's corners in
-their known counterclockwise order, each with its known exit side, where the
-library sorts the corner angles and takes the nearer exit.  ``multiplicity``
-and ``partition_sum`` try every bump center, the latter summing the bumps
-whose support square holds the point, and ``phi_two_sided`` and
-``grad_phi_norm`` evaluate the bump through the two-sided profiles.
+their known counterclockwise order, each with its known exit side.
+``multiplicity`` and ``partition_sum`` try every bump center, the latter
+summing the bumps whose support square holds the point, and
+``phi_two_sided`` and ``grad_phi_norm`` evaluate the bump through the
+two-sided profiles.
 """
 
 import math

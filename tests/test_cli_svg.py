@@ -51,8 +51,8 @@ def test_bundled_bowtie_scenario(tmp_path):
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
-    "cutoff_localize": "ee31620516646a4618228a5a04a69335b536c79e7af2cf78c2ed145b5313347a",
-    "star_every_check.json": "034e860e2ea42a4e287e18aeb0420735b3e8f54414e4fe335d8509f80f93aea8",
+    "cutoff_localize": "f0a10708504e8d019d997b589964a1dcd14e0c7a89f304136298d6d02101bdb3",
+    "star_every_check.json": "da48ac58e050eb67cbf0e91b71a607f4b1003da2236eb710b87b0ab1ca1b8d66",
     "bowtie_vitushkin.json": "410c4724540e336aea118b5108db32f5fc4a6ab3d9b38d9d47428f429a080124",
 }
 _CUTOFF_LOCALIZE = {
@@ -147,6 +147,28 @@ _MISREAD = [
         "checks": ["decompose"]}, "cutoff") for cut in ({}, 0, False, [])),
 ]
 
+# a key that no section documents, which ran at the default of the key meant,
+# with the section and key its error line names
+_UNKNOWN_KEYS = [
+    ({"grid": {"resolutoin": 64}, "checks": ["green"]}, "grid has an unknown key 'resolutoin'"),
+    ({"grid": {"resolution": 32}, "quadrature": {"refien": 1}, "checks": ["green"]},
+     "quadrature has an unknown key 'refien'"),
+    ({"square": {"center": [0.0, 0.0], "half": 0.25, "depht": 2}, "checks": ["square"]},
+     "square has an unknown key 'depht'"),
+    ({"mollifier": {"z": [0.3, 0.1], "eps": 0.05, "epsilon": 0.01}, "checks": ["mollifier"]},
+     "mollifier has an unknown key 'epsilon'"),
+    ({"discs": [{"center": [1.0, 0.0], "radius": 0.5, "radios": 0.7}], "checks": ["mainlemma"]},
+     "disc has an unknown key 'radios'"),
+    ({"curve": {"family": "circle", "params": {"n": 16}, "parmas": {"n": 64}},
+      "checks": ["decompose"]}, "curve has an unknown key 'parmas'"),
+    ({"function": {"family": "monomial", "paramz": {"a": 2}}, "checks": ["decompose"]},
+     "function has an unknown key 'paramz'"),
+    ({"function": {"family": "monomial", "params": {"a": 0, "b": 1},
+                   "cutoff": {"r_inner": 1.8, "r_outer": 2.2, "extra": 1}},
+      "checks": ["decompose"]}, "cutoff has an unknown key 'extra'"),
+    ({"sed": 3, "checks": ["decompose"]}, "scenario has an unknown key 'sed'"),
+]
+
 
 @pytest.mark.parametrize("fields", [
     {"curve": {"family": "circle", "params": {"nn": 16}}, "checks": ["decompose"]},
@@ -221,6 +243,7 @@ _MISREAD = [
     *(fields for fields, _ in _MISREAD),
     # a check name that is not a string: a list ended in a TypeError traceback
     {"checks": [["green"]]},
+    *(fields for fields, _ in _UNKNOWN_KEYS),
 ])
 def test_invalid_section_exit_2(tmp_path, capsys, fields):
     text = json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, **fields})
@@ -237,6 +260,9 @@ def test_invalid_section_exit_2(tmp_path, capsys, fields):
     for bad, key in _NOT_NUMBERS + _MISREAD:
         if fields == bad:
             assert f"{key} must be" in err
+    for bad, line in _UNKNOWN_KEYS:
+        if fields == bad:
+            assert line in err
     if "NaN" in text or "Infinity" in text:
         assert "every number must be finite" in err
     else:  # a fixed setting with another value is named

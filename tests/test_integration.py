@@ -14,7 +14,8 @@ from greencurves import (GridSpec, PolyCurve, Square, gallery_curves,
 from greencurves._rng import seed_stream
 from greencurves.errors import PoleOnCurve
 from greencurves.functions import truncated_cauchy
-from greencurves.integration import (_BLOCK, area_integral_weighted, contour_integral,
+from greencurves.integration import (_BLOCK, MOLLIFIER_NORM, MOLLIFIER_ORDER, _polar_disc_rule,
+                                     area_integral_weighted, contour_integral,
                                      gauss_legendre_01, green_on_square,
                                      mollifier_identity_check)
 from greencurves.vitushkin import build_partition
@@ -427,6 +428,32 @@ def test_mollifier_nodes_rounding_onto_z_refused():
             mollifier_identity_check(ZBAR, z, eps)
     assert mollifier_identity_check(ZBAR, 0.3 + 0.1j, 1e-14).rel_residual <= 0.01
     assert mollifier_identity_check(ZBAR, 0j, 1e-70).rel_residual <= 1e-15
+
+
+def _mollifier_rule(eps):
+    return _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3])
+def test_mollifier_is_the_unit_mass_bump(eps):
+    # rho_eps is the bump of radius eps at height MOLLIFIER_NORM / eps^2
+    u, w = _mollifier_rule(eps)
+    rho = make_function("bump", radius=eps, height=MOLLIFIER_NORM / (eps * eps))
+    assert abs(complex((rho.value(u) * w).sum()) - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3])
+def test_mollifier_rhs_keeps_the_polynomial_kernel_bits(eps):
+    # the rhs against eps^-2 (5/pi)(1 - |u|^2/eps^2)^4 written out, bit for bit
+    u, w = _mollifier_rule(eps)
+    s = np.abs(u) ** 2 / (eps * eps)
+    kernel = MOLLIFIER_NORM / (eps * eps) * np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 4, 0.0)
+    for f in (ZBAR, make_function("monomial", a=1, b=1), make_function("zbar_absz"), _CUT_ZBAR,
+              make_function("bump", center=0.25 + 0.1j, radius=0.8)):
+        for z in (0.2 + 0.1j, 0.3 - 0.05j, -0.7 + 0.4j):
+            want = np.complex128((f.dbar(z - u) * kernel * w).sum())
+            got = np.complex128(mollifier_identity_check(f, z, eps).rhs)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from greencurves import (GridSpec, gallery_curves, index_field, make_curve, make_function,
                          with_cutoff)
 from greencurves._rng import seed_stream
-from greencurves.integration import _BLOCK, contour_integral
-from greencurves.vitushkin import (Partition, PieceSet, _meets_curve, build_partition, delta_sweep,
-                                   sweep_partition)
+from greencurves.integration import _BLOCK, contour_integral, gauss_legendre_01
+from greencurves.vitushkin import (Partition, PieceSet, _meets_curve, _polar_frame, build_partition,
+                                   delta_sweep, sweep_partition)
 
 from class_sums import CLASS_I, CLASS_II, CLASS_III, class_sums, classify_many
 from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_all_moments,
@@ -482,6 +482,71 @@ def test_patch_table_and_far_tiers_match_the_per_pair_oracles(partition, zbar_cu
     far = c + (k[:, None] * DELTA * (1 + 1e-9) * np.exp(2j * np.pi * rng.random(4))).ravel()
     want = far_field_all_moments(ps, j, far)
     assert np.all(np.abs(ps.eval(j, far) - want) <= 1e-14 * np.abs(want))
+
+
+def _polar_frame_sorted(zs, x0, x1, y0, y1, delta):
+    """The polar frame with its corner angles sorted and each ray's nearer exit taken."""
+    m = 1e-12 * delta
+    zr = np.clip(zs.real, x0 + m, x1 - m)
+    zi = np.clip(zs.imag, y0 + m, y1 - m)
+    ze = zr + 1j * zi
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
+    th = np.sort(np.angle(corners - ze[:, None]), axis=1)
+    th_edges = np.concatenate([th, th[:, :1] + 2 * math.pi], axis=1)
+    widths = np.diff(th_edges, axis=1)
+    gt, wt = gauss_legendre_01(PieceSet.PATCH_NT)
+    TH = th_edges[:, :4, None] + widths[:, :, None] * gt[None, None, :]
+    WT = widths[:, :, None] * wt[None, None, :]
+    ct, st = np.cos(TH), np.sin(TH)
+    x0, x1, y0, y1, zr, zi = (v[:, None, None] for v in (x0, x1, y0, y1, zr, zi))
+    with np.errstate(divide="ignore"):
+        tx = np.where(ct > 0, (x1 - zr) / ct, np.where(ct < 0, (x0 - zr) / ct, np.inf))
+        ty = np.where(st > 0, (y1 - zi) / st, np.where(st < 0, (y0 - zi) / st, np.inf))
+    return ze, np.exp(1j * TH), WT, np.minimum(tx, ty)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.05, 0.4])
+def test_polar_frame_takes_the_corners_in_their_fixed_order(delta):
+    # seen from z in its cell the corners, counterclockwise from the lower
+    # left, already ascend, and each panel's rays leave through one side: the
+    # frame equals the sorted angles and nearer exits bit for bit, for z
+    # inside its cell, on its edges and corners, and off it, where the clip
+    # moves z just inside (a fraction 1e-13 of the pitch is under the clip's
+    # margin of 1e-12 delta)
+    rng = seed_stream(29, "vitushkin.frame")
+    p = delta / PieceSet.CELLS
+    o = complex(-7.5 * delta / 2, -5.5 * delta / 2)  # the lattice origin of bump (-7, -5)
+    special = np.array([0.0, 1.0, 1e-13, 1 - 1e-13, -1e-3, 1 + 1e-3])
+    u, v = rng.random((2, 96))
+    u[:36], v[:36] = np.repeat(special, 6), np.tile(special, 6)
+    u[36:42], v[42:48] = special, special
+    gx, gy = rng.integers(0, 40, (2, u.size))
+    x0, x1 = o.real + gx * p, o.real + (gx + 1) * p
+    y0, y1 = o.imag + gy * p, o.imag + (gy + 1) * p
+    # edges and corners take the bits of the cell's own edges
+    zr = np.where(u == 0, x0, np.where(u == 1, x1, o.real + (gx + u) * p))
+    zi = np.where(v == 0, y0, np.where(v == 1, y1, o.imag + (gy + v) * p))
+    got = _polar_frame(zr + 1j * zi, x0, x1, y0, y1, delta)
+    want = _polar_frame_sorted(zr + 1j * zi, x0, x1, y0, y1, delta)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_polar_frame_covers_its_rect_where_z_rounds_onto_a_side():
+    # at 4096 the clip's margin, 1e-12 delta, is under half an ulp, so a z on
+    # a side or a corner stays there; its corners' angles still ascend and
+    # the rays sweep the rect once: the sum of r^2/2 dtheta is its area
+    delta = 0.05
+    p = delta / PieceSet.CELLS
+    x0, x1, y0, y1 = 4096 + 3 * p, 4096 + 4 * p, 4096 + 5 * p, 4096 + 6 * p
+    xm, ym = x0 + 0.37 * p, y0 + 0.61 * p
+    z = np.array([xm + 1j * y0, x1 + 1j * ym, xm + 1j * y1, x0 + 1j * ym,
+                  x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, xm + 1j * ym])
+    rect = [np.full(z.size, t) for t in (x0, x1, y0, y1)]
+    ze, e, wt, r = _polar_frame(z, *rect, delta)
+    assert np.array_equal(ze[:8], z[:8])
+    assert np.all(wt >= 0) and np.all(np.isfinite(r)) and np.all(r >= 0)
+    assert np.all(np.abs((0.5 * r ** 2 * wt).sum(axis=(1, 2)) / p ** 2 - 1) <= 1e-9)
 
 
 def test_eval_matches_unblocked_on_and_next_to_a_node(partition, zbar_cut):
