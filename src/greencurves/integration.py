@@ -410,17 +410,19 @@ def _check_mollifier_input(f: FunctionDescriptor, z: complex, eps: float):
 
     In range: eps > 0, eps^4 and the factor 4/eps^4 of the kernel's d-bar are
     finite floats, and no node z - u of the disc rule rounds onto z (the lhs
-    would be roundoff scaled by 1/eps^4).
+    would be roundoff scaled by 1/eps^4).  Returns that disc rule, offsets u
+    and weights, for the check to integrate on.
     """
     with np.errstate(all="ignore"):  # inf or 0 where Python's float power would raise
         e4 = np.float64(eps) ** 4
         if not (eps > 0 and e4 < np.inf and 4.0 * MOLLIFIER_NORM / e4 < np.inf):
             raise ValueError(f"eps must be positive with eps^4 and 4/eps^4 finite floats: {eps!r}")
-    u, _ = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
+    u, w = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
     if np.any(z - u == z):
         raise ValueError(f"eps is too small for z: a node of the disc rule rounds onto z: {eps!r}")
     if f.pole is not None and abs(f.pole - z) <= eps * math.sqrt(2.0) + 1e-12:
         raise ValueError("square of side 2*eps about z must avoid the pole of f")
+    return u, w
 
 
 def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float) -> VerificationReport:
@@ -431,8 +433,7 @@ def mollifier_identity_check(f: FunctionDescriptor, z: complex, eps: float) -> V
     radial profile is polynomial).  Requires the square of side 2*eps about z
     to avoid any pole of f.
     """
-    _check_mollifier_input(f, z, eps)
-    u, w = _polar_disc_rule(eps, MOLLIFIER_ORDER, 4 * MOLLIFIER_ORDER)
+    u, w = _check_mollifier_input(f, z, eps)
     pts = z - u
     rho = make_function("bump", radius=eps, height=MOLLIFIER_NORM / (eps * eps))
     lhs = complex((f.value(pts) * rho.dbar(u) * w).sum())

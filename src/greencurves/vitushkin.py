@@ -12,13 +12,14 @@ A localized piece of a compactly supported f is
 
 whose d-bar derivative is phi_j * dbar(f); the piece is holomorphic wherever
 f is and outside the bump's support.  ``PieceSet`` evaluates the pieces for
-contour sums: one tensor Gauss rule on the support square (``_tensor_rule``),
-multipole and coarse-ring shortcuts away from it, and one polar frame about z
-(``_polar_frame``: z clipped into a rect, angular panels between its
-corners, the exit distance of each ray) in place of the cell that contains
-z, where the difference quotient has its directional discontinuity.  The
-multipole sum has no f(z) term (the moments of dbar(phi) vanish), and contour
-nodes sit on panels of at most delta/2, the scale on which a piece varies.
+contour sums: one tensor Gauss rule on the support square (``_tensor_rule``)
+for every point within delta, a multipole shortcut beyond, and one polar
+frame about z (``_polar_frame``: z clipped into a rect, angular panels
+between its corners, the exit distance of each ray) in place of the cell
+that contains z, where the difference quotient has its directional
+discontinuity.  The multipole sum has no f(z) term (the moments of
+dbar(phi) vanish), and contour nodes sit on panels of at most delta/2, the
+scale on which a piece varies.
 
 Work that depends on a point alone is done once per point: the template
 cells of all bumps tile one lattice, so a point's cell is one integer index
@@ -195,9 +196,9 @@ class PieceSet:
     A piece at z is the rational function
     sum(a_q/(w_q - z)) - f(z) sum(b_q/(w_q - z)); far from the support the
     first sum is re-summed through shared multipole moments (cheap) and the
-    second, whose moments vanish, is dropped; near it, it is two kernel
-    matrix-vector products, on a coarse 6-cell rule outside the support and
-    on the template inside.
+    second, whose moments vanish (to 3.2e-8 of sum|b_q| (delta/sqrt 2)^m),
+    is dropped; near it, it is two kernel
+    matrix-vector products on the same template.
 
     The template cells of all bumps tile one lattice of pitch delta/CELLS
     (CELLS is even and the bumps sit half a support apart), so a point's cell
@@ -207,16 +208,16 @@ class PieceSet:
     corner-aligned polar rule about z, which removes the difference
     quotient's directional kink, stands in for z's cell, whose nodes take no
     kernel entry; one frame per point serves all four bumps
-    (``_patch_block``).  Every other fine node lies at least 0.0469 delta/8
-    from such a z, and every coarse node 0.0469 delta/6 from a z outside the
-    support, so no kernel entry comes near 1/0.  At |z - c| >= k delta a far
+    (``_patch_block``).  Every node outside z's own cell lies at least
+    0.0469 delta/CELLS = 0.0078 delta from z, inside the support or outside,
+    so no kernel entry comes near 1/0.  At |z - c| >= k delta a far
     pair sums only the first n moments, the fewest with rho^n <=
     (1/sqrt 2)^96 = 2^-48, rho = delta/(sqrt(2) |z - c|) the largest node's
     ratio (``FAR_TIERS``, one Horner pass per tier): the accuracy at |z - c|
     = delta, where the far field starts and sums all N_MOMENTS + 1 moments.
     """
 
-    CELLS = 8         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
+    CELLS = 6         # template cells per axis (even: a cell edge at the profile's breakpoint 0)
     ORDER = 5         # Gauss nodes per axis of each template cell
     N_MOMENTS = 96
     # (k, n): from k delta out a far pair sums n = ceil(48 / (1/2 + log2 k))
@@ -237,8 +238,6 @@ class PieceSet:
         self.half = delta / 2.0
         self.offsets, w, node_cell = _tensor_rule(delta, self.CELLS, self.ORDER)
         self.b = w * _dbar_phi(self.offsets.real, self.offsets.imag, delta) / math.pi
-        self.offsets_c, w, _ = _tensor_rule(delta, 6, self.ORDER)  # coarse rule: points outside the support
-        self.b_c = w * _dbar_phi(self.offsets_c.real, self.offsets_c.imag, delta) / math.pi
         csort = np.argsort(node_cell, kind="stable")
         self.nodes_by_cell = csort.reshape(self.CELLS * self.CELLS, self.ORDER ** 2)
         # shared multipole powers of the offsets, filled row by row (no second copy)
@@ -255,32 +254,30 @@ class PieceSet:
         """Centers, kernel coefficients and multipole moments of the pieces ``js``."""
         c = self._centers[js]
         a = np.empty((c.size, self.offsets.size), dtype=complex)
-        a_c = np.empty((c.size, self.offsets_c.size), dtype=complex)
         step = max(_BLOCK // self.offsets.size, 1)  # pieces per f call: bounds f's temporaries
         for s in range(0, c.size, step):
             cs = c[s:s + step, None]
             np.multiply(self.b, self.f.value(cs + self.offsets), out=a[s:s + step])
-            np.multiply(self.b_c, self.f.value(cs + self.offsets_c), out=a_c[s:s + step])
         # one gemv per piece, not one gemm per block: the bits of a gemv depend on its shape
-        return c, a, a_c, np.stack([self._powers @ row for row in a], axis=1)
+        return c, a, np.stack([self._powers @ row for row in a], axis=1)
 
     def piece(self, j: int):
         """Data of piece j alone: center, kernel coefficients and multipole moments."""
-        c, a, a_c, moments = self._piece_data([j])
-        return {"center": c[0], "a": a[0], "a_c": a_c[0], "a_moments": moments[:, 0]}
+        c, a, moments = self._piece_data([j])
+        return {"center": c[0], "a": a[0], "a_moments": moments[:, 0]}
 
     def active_pieces(self, js) -> list:
         """The pieces among ``js``, in the order asked, that are not identically zero.
 
-        Piece j's dbar is phi_j * dbar(f); dbar(f) is probed on the coarse rule
-        of each bump (enough for the smooth gallery dbars), uncached.
+        Piece j's dbar is phi_j * dbar(f); dbar(f) is probed on the template
+        nodes of each bump (enough for the smooth gallery dbars), uncached.
         """
         js = list(js)
-        step = max(_BLOCK // self.offsets_c.size, 1)  # bumps per probe block
+        step = max(_BLOCK // self.offsets.size, 1)  # bumps per probe block
         out = []
         for s in range(0, len(js), step):
             jj = js[s:s + step]
-            dbv = self.f.dbar(self._centers[jj][:, None] + self.offsets_c[None, :])
+            dbv = self.f.dbar(self._centers[jj][:, None] + self.offsets[None, :])
             out += [j for j, on in zip(jj, np.any(np.abs(dbv) != 0.0, axis=1)) if on]
         return out
 
@@ -370,14 +367,13 @@ class PieceSet:
         ``cells`` are the points' lattice cells and ``table`` their patch table,
         or None to build it here for the points inside some support.  Pairs at
         distance >= delta sum the multipole moments their distance needs, one
-        Horner pass per ``FAR_TIERS`` band; points outside the support square
-        but closer use the coarse rule (the integrand is smooth there), and
-        points inside the support use the fine rule without the nodes of their
-        own cell, for which the patch table stands in.  The kernel matrices
-        stay per piece and per ``CHUNK`` points.  Every value is bit for bit
-        the one a block of that piece alone gives.
+        Horner pass per ``FAR_TIERS`` band; closer points use the template
+        rule, and points inside the support leave out the nodes of their own
+        cell, for which the patch table stands in.  The kernel matrices stay
+        per piece and per ``CHUNK`` points.  Every value is bit for bit the one
+        a block of that piece alone gives.
         """
-        c, a, a_c, moments = self._piece_data(js)
+        c, a, moments = self._piece_data(js)
         part, cn, h = self.partition, self.CELLS, self.CELLS // 2
         by, bx = np.divmod(np.asarray(js, dtype=np.intp), part.ni)
         gx, gy = cells
@@ -387,7 +383,7 @@ class PieceSet:
         inside &= (gy >= lo) & (gy < lo + cn)
         dz = z[None, :] - c[:, None]
         r = np.abs(dz)
-        ring = (r < part.delta) & ~inside
+        near = r < part.delta  # the support square lies within delta of its center
         vals = np.empty((c.size, z.size), dtype=complex)
         # far pairs tier by tier: each runs its tier's Horner steps, whatever the block
         hi = np.inf
@@ -408,28 +404,24 @@ class PieceSet:
             need = np.flatnonzero(inside.any(axis=0))
             table = np.zeros((z.size, 2, 2), dtype=complex)
             table[need] = self._patch_table(z[need], fz[need], gx[need], gy[need])
-        # the coarse rule on the ring, the fine rule inside the support.  Each
-        # kernel block is built and inverted in place, and freed before the
-        # next one.  Inside, the nodes of z's own cell get kernel entry 0
+        # the template rule on every near point.  Each kernel block is built
+        # and inverted in place, and freed before the next one.  For a point
+        # inside the support the nodes of its own cell get kernel entry 0
         # (1/inf): the patch stands in for that cell
-        for mask, coef, offsets, b, own_cell in (
-                (ring, a_c, self.offsets_c, self.b_c, False),
-                (inside, a, self.offsets, self.b, True)):
-            for row, near, ci, ai, ix, iy in zip(vals, mask, c, coef, bx, by):
-                sel = np.flatnonzero(near)
-                nodes = ci + offsets
-                if own_cell:
-                    own = self.nodes_by_cell[(gx[sel] - h * ix) * cn + gy[sel] - h * iy]
-                for s in range(0, sel.size, self.CHUNK):
-                    ss = sel[s:s + self.CHUNK]
-                    K = nodes[None, :] - z[ss, None]
-                    if own_cell:
-                        K[np.arange(ss.size)[:, None], own[s:s + self.CHUNK]] = np.inf
-                    np.divide(1.0, K, out=K)
-                    row[ss] = K @ ai - fz[ss] * (K @ b)
-                    del K
-                if own_cell:
-                    row[sel] += table[sel, ix - gx[sel] // h + 1, iy - gy[sel] // h + 1]
+        for row, near_j, in_j, ci, ai, ix, iy in zip(vals, near, inside, c, a, bx, by):
+            sel = np.flatnonzero(near_j)
+            nodes = ci + self.offsets
+            for s in range(0, sel.size, self.CHUNK):
+                ss = sel[s:s + self.CHUNK]
+                K = nodes[None, :] - z[ss, None]
+                k = np.flatnonzero(in_j[ss])
+                own = self.nodes_by_cell[(gx[ss[k]] - h * ix) * cn + gy[ss[k]] - h * iy]
+                K[k[:, None], own] = np.inf
+                np.divide(1.0, K, out=K)
+                row[ss] = K @ ai - fz[ss] * (K @ self.b)
+                del K
+            sel = np.flatnonzero(in_j)
+            row[sel] += table[sel, ix - gx[sel] // h + 1, iy - gy[sel] // h + 1]
         return vals
 
     def contour_integrals(self, js, curve: PolyCurve) -> dict:

@@ -18,7 +18,10 @@ builds its piece's data alone, where the library builds a block's data in one
 pass, and ``contour_integrals_per_piece`` sums one such piece at a time, where
 the library evaluates blocks of pieces, on contour panels that ``panel_nodes``
 builds edge by edge, where the library gathers every panel in one pass.
-``patch_per_pair`` builds the polar patch of every (bump, point) pair
+``class_sum_by_green`` is the exact sum of the pieces' contour integrals
+for an f whose dbar is 1 wherever the curve winds, through Green's identity
+and the bumps' polynomial profiles, where the library sums each piece at
+contour nodes.  ``patch_per_pair`` builds the polar patch of every (bump, point) pair
 with its own cell lookup, where the library builds one frame per point on
 its one cell lattice for the four bumps over the cell, and
 ``far_field_all_moments`` sums every multipole moment, where the library
@@ -514,11 +517,12 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     """Values of piece j of the PieceSet ``ps``, each kernel matrix built whole.
 
     The arithmetic of ``PieceSet.eval`` with the piece's own data built from
-    its center alone (one f call per rule on fresh 1-D arrays, one gemv for
-    the moments), each far tier's Horner pass run over that tier's points
-    alone with scalar coefficients, the lattice cell and the own-cell nodes
-    worked out here, freshly allocated kernel matrices and one polar-patch
-    block over all inside points.
+    its center alone (one f call on a fresh 1-D array, one gemv for the
+    moments), each far tier's Horner pass run over that tier's points alone
+    with scalar coefficients, one template rule for every point within delta
+    (no coarse ring), the lattice cell and the own-cell nodes worked out here,
+    freshly allocated kernel matrices and one polar-patch block over all
+    inside points.
     """
     z = np.asarray(zs, dtype=complex).ravel()
     if not ps.active_pieces([j]):
@@ -526,7 +530,6 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     part = ps.partition
     c = bump_center(part, j)
     a = ps.b * ps.f.value(c + ps.offsets)
-    a_c = ps.b_c * ps.f.value(c + ps.offsets_c)
     a_moments = ps._powers @ a
     fz = ps.f.value(z) if fz is None else np.asarray(fz).ravel()
     out = np.empty(z.shape, dtype=complex)
@@ -553,27 +556,20 @@ def piece_eval_unblocked(ps, j: int, zs, fz=None) -> np.ndarray:
     gy = np.floor(np.clip((z.imag - (part.j0 - 0.5) * ps.half) / pitch, -1, h * (part.nj + 1))).astype(int)
     lx, ly = gx - h * ix, gy - h * iy
     inside = (lx >= 0) & (lx < cells) & (ly >= 0) & (ly < cells)
-    ring = (r < part.delta) & ~inside
-    if np.any(ring):
-        sel = np.nonzero(ring)[0]
-        nodes_c = c + ps.offsets_c
-        for s in range(0, sel.size, ps.CHUNK):
-            ss = sel[s:s + ps.CHUNK]
-            K = 1.0 / (nodes_c[None, :] - z[ss, None])
-            out[ss] = K @ a_c - fz[ss] * (K @ ps.b_c)
+    nodes = c + ps.offsets
+    # the template cell of each node: nodes run x-major over CELLS * ORDER per axis
+    nx, ny = np.divmod(np.arange(ps.offsets.size), cells * ps.ORDER)
+    nx, ny = nx // ps.ORDER, ny // ps.ORDER
+    sel = np.nonzero(r < part.delta)[0]
+    for s in range(0, sel.size, ps.CHUNK):
+        ss = sel[s:s + ps.CHUNK]
+        own = inside[ss, None] & (nx[None, :] == lx[ss, None]) & (ny[None, :] == ly[ss, None])
+        den = nodes[None, :] - z[ss, None]
+        den[own] = np.inf
+        K = 1.0 / den
+        out[ss] = K @ a - fz[ss] * (K @ ps.b)
     kk = np.nonzero(inside)[0]
     if kk.size:
-        nodes = c + ps.offsets
-        # the template cell of each node: nodes run x-major over CELLS * ORDER per axis
-        nx, ny = np.divmod(np.arange(ps.offsets.size), cells * ps.ORDER)
-        nx, ny = nx // ps.ORDER, ny // ps.ORDER
-        for s in range(0, kk.size, ps.CHUNK):
-            ss = kk[s:s + ps.CHUNK]
-            own = (nx[None, :] == lx[ss, None]) & (ny[None, :] == ly[ss, None])
-            den = nodes[None, :] - z[ss, None]
-            den[own] = np.inf
-            K = 1.0 / den
-            out[ss] = K @ a - fz[ss] * (K @ ps.b)
         table = ps._patch_block(z[kk], fz[kk], gx[kk], gy[kk])
         out[kk] += table[np.arange(kk.size), ix - gx[kk] // h + 1, iy - gy[kk] // h + 1]
     return out
@@ -659,6 +655,46 @@ def contour_integrals_per_piece(ps, js, curve, order: int = 8) -> dict:
     fz = ps.f.value(zc)
     return {j: complex((piece_eval_unblocked(ps, j, zc, fz=fz) * dzw).sum()) for j in js}
 
+
+
+def class_sum_by_green(partition: Partition, js, vertices) -> complex:
+    """Σ_j ∮ f_j dz over the pieces ``js``, exact, for an f whose dbar is 1 wherever the curve winds.
+
+    Green's identity turns each contour integral into 2i ∬ phi_j dbar(f) Ind dA
+    = 2i ∬ phi_j Ind dA, and that into 2i ∮ Q dy with dQ/dx = Σ_j phi_j:
+    Q(x, y) = Σ_j P(y - c_j.im) ∫ P(s - c_j.re) ds from the support's left
+    side to x, P the two-sided profile.  Both factors are polynomials between
+    the lattice lines through the bump centers, P of degree 9 and its
+    integral (5 Gauss nodes per profile piece, exact) of degree 10, so each
+    edge cut at those lines takes 10 Gauss nodes per part, exact for degree 19.
+    """
+    delta, sp = partition.delta, partition.spacing
+    c = np.array([bump_center(partition, j) for j in js])
+    g5, w5 = _gauss01(5)
+    g10, w10 = _gauss01(10)
+
+    def integral(t):  # ∫ P from -delta/2 to t, one exact Gauss sum per profile piece
+        out = np.zeros(t.shape)
+        for a, b in ((-delta / 2, 0.0), (0.0, delta / 2)):
+            u = np.clip(t, a, b)[..., None]
+            out += ((u - a) * w5 * profile_two_sided(a + (u - a) * g5, delta)).sum(axis=-1)
+        return out
+
+    v = np.asarray(vertices, dtype=complex)
+    total = 0j
+    for a, d in zip(v, np.roll(v, -1) - v):
+        cuts = [0.0, 1.0]
+        for o, dd in ((a.real, d.real), (a.imag, d.imag)):  # the lattice lines (k + 1/2) sp
+            if dd != 0:
+                lo, hi = sorted((o / sp - 0.5, (o + dd) / sp - 0.5))
+                cuts += [((k + 0.5) * sp - o) / dd for k in range(math.ceil(lo), math.floor(hi) + 1)]
+        cuts = np.unique(np.clip(cuts, 0.0, 1.0))
+        t = (cuts[:-1, None] + np.diff(cuts)[:, None] * g10).ravel()
+        z = a + t * d
+        q = (profile_two_sided(z.imag - c.imag[:, None], delta)
+             * integral(z.real - c.real[:, None])).sum(axis=0)
+        total += (q * (np.diff(cuts)[:, None] * w10).ravel()).sum() * d.imag
+    return 2j * total
 
 def monomial_by_powers(coeff, a: int, b: int, z):
     """Value and d-bar of coeff * z^a * zbar^b with every power and product taken."""

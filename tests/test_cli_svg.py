@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greencurves import GridSpec, index_field, make_curve
+from greencurves import GridSpec, index_field, integration, make_curve
 from greencurves.cli import _green_cfg, canonical_json, cmd_gallery, main, run_scenario
 from greencurves.errors import KindMismatch, ParseError
 from greencurves.mainlemma import Disc, geometry_dump
@@ -51,9 +51,9 @@ def test_bundled_bowtie_scenario(tmp_path):
 _PINNED_REPORTS = {
     "circle_zbar.json": "418861cec20d36386b01f940a01096143c86d6a4364c0e97bd96b23989da33d0",
     "bowtie_green.json": "3afe395b8b807c23c3b5bedfb72987c3435dfa8bf64882f77b47bff8ba47b931",
-    "cutoff_localize": "f0a10708504e8d019d997b589964a1dcd14e0c7a89f304136298d6d02101bdb3",
-    "star_every_check.json": "da48ac58e050eb67cbf0e91b71a607f4b1003da2236eb710b87b0ab1ca1b8d66",
-    "bowtie_vitushkin.json": "410c4724540e336aea118b5108db32f5fc4a6ab3d9b38d9d47428f429a080124",
+    "cutoff_localize": "1f98e61574bd96f6ba172c8aec2ff2399df84602cb1ae2f9a705a231cd6c38ba",
+    "star_every_check.json": "b7eb6f688879a580bb4e50cf3c72007ca0c268000bdcac90e0eb87b647636eb6",
+    "bowtie_vitushkin.json": "2b932e6a6d89040157635dcdd1806322a0df2a36fcac6b7854e606b9483d7a66",
 }
 _CUTOFF_LOCALIZE = {
     "schema": 1, "seed": 7,
@@ -107,6 +107,20 @@ def test_unknown_family_exit_2(tmp_path):
 
 
 _CIRCLE = {"family": "circle", "params": {"n": 16}}
+
+
+def test_mollifier_check_builds_its_disc_rule_once_per_reader_and_check(tmp_path, monkeypatch):
+    # the reader's input check builds the disc rule, and the check integrates
+    # on the rule its own input check returns
+    builds = []
+    rule = integration._polar_disc_rule
+    monkeypatch.setattr(integration, "_polar_disc_rule", lambda *a: builds.append(a) or rule(*a))
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"schema": 1, "seed": 1, "curve": _CIRCLE, "checks": ["mollifier"]}))
+    report, code = run_scenario(str(p))
+    assert code == 0 and report["checks"]["mollifier"]["rel_residual"] <= 1e-6
+    assert len(builds) == 2
+
 
 # numbers given as booleans or strings, and integer family parameters that are
 # not integers, each with the key its error line names

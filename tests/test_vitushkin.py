@@ -14,10 +14,11 @@ from greencurves.vitushkin import (Partition, PieceSet, _meets_curve, _polar_fra
                                    delta_sweep, sweep_partition)
 
 from class_sums import CLASS_I, CLASS_II, CLASS_III, class_sums, classify_many
-from oracles import (contour_integrals_per_piece, distance_by_edges, far_field_all_moments,
-                     finite_diff_dbar, grad_phi_norm, localize, localize_cauchy, multiplicity,
-                     panel_nodes, partition_sum, patch_per_pair, phi_two_sided, piece_eval_unblocked,
-                     reconstruct, shoelace_area, winding_by_edges)
+from oracles import (class_sum_by_green, contour_integrals_per_piece, distance_by_edges,
+                     far_field_all_moments, finite_diff_dbar, grad_phi_norm, localize,
+                     localize_cauchy, multiplicity, panel_nodes, partition_sum, patch_per_pair,
+                     phi_two_sided, piece_eval_unblocked, reconstruct, shoelace_area,
+                     winding_by_edges)
 
 DELTA = 0.25
 BOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -327,9 +328,9 @@ def test_delta_sweep_golden_rows(zbar_cut):
     got = [(r["delta"].hex(), r["s_ii_abs"].hex(), r["bound"].hex(), r["n_pieces"])
            for r in rows]
     assert got == [
-        ("0x1.999999999999ap-2", "0x1.dc3ea9ceff052p+1", "0x1.c6db60cf0d8bcp+7", 124),
-        ("0x1.999999999999ap-3", "0x1.0f71dc873b34cp+1", "0x1.c31181012f1b3p+6", 240),
-        ("0x1.999999999999ap-4", "0x1.2e3fe2b7dbc86p+0", "0x1.41aab2c82b865p+2", 508),
+        ("0x1.999999999999ap-2", "0x1.dc3ea9a78046ep+1", "0x1.c6db60cf0d8bcp+7", 124),
+        ("0x1.999999999999ap-3", "0x1.0f71dcda30118p+1", "0x1.c31181012f1b3p+6", 240),
+        ("0x1.999999999999ap-4", "0x1.2e3fe29bfff13p+0", "0x1.41aab2c82b865p+2", 508),
     ]
 
 
@@ -378,6 +379,26 @@ def test_delta_sweep_on_lattice_aligned_edges(zbar_cut, monkeypatch):
         assert abs(row["s_ii_abs"] - fine["s_ii_abs"]) <= 2e-7 * fine["s_ii_abs"]
 
 
+def test_delta_sweep_s_ii_on_the_trefoil_matches_a_refined_rule_and_the_green_form(zbar_cut,
+                                                                                   monkeypatch):
+    # one template rule serves every near (piece, point) pair, so 16 cells
+    # refine all of it.  At 6 nodes per contour panel the contour rule's own
+    # error is gone (16 cells then meet the exact Green form to 4e-13), so
+    # what is left is the template's; a second rule for the points outside
+    # the support, unrefined, shows here (6.8e-7 at delta 0.4)
+    curve, deltas = make_curve("trefoil"), [0.4, 0.2]
+    rows = delta_sweep(zbar_cut, curve, deltas)
+    monkeypatch.setattr(PieceSet, "CELLS", 16)
+    for row, fine in zip(rows, delta_sweep(zbar_cut, curve, deltas)):
+        assert abs(row["s_ii_abs"] - fine["s_ii_abs"]) <= 2e-8 * fine["s_ii_abs"]
+    monkeypatch.undo()
+    monkeypatch.setattr(PieceSet, "PANEL_ORDER", 6)
+    for delta, row in zip(deltas, delta_sweep(zbar_cut, curve, deltas)):
+        part, ps, js = _sweep_pieces(curve, delta, zbar_cut)
+        want = abs(class_sum_by_green(part, js, curve.vertices))
+        assert abs(row["s_ii_abs"] - want) <= 2e-8 * want
+
+
 def test_delta_sweep_bound_holds_when_the_box_dwarfs_the_support(zbar_cut):
     # at delta >= 300 the modulus box is thousands of times the cutoff's
     # support: a bound over it must still see the ramp, stay positive, fall
@@ -401,9 +422,9 @@ def test_active_pieces_probes_only_the_asked_pieces(partition, zbar_cut):
     rng = seed_stream(12, "vitushkin.probe")
     js = rng.choice(partition.n_bumps, size=300, replace=False).tolist()
     got = ps.active_pieces(js)
-    assert sum(probed) <= len(js) * ps.offsets_c.size
+    assert sum(probed) <= len(js) * ps.offsets.size
     # more bumps than one probe block holds: each block stays within the budget
-    assert len(js) > _BLOCK // ps.offsets_c.size
+    assert len(js) > _BLOCK // ps.offsets.size
     assert len(probed) > 1 and max(probed) <= _BLOCK
     full = set(PieceSet(partition, zbar_cut).active_pieces(range(partition.n_bumps)))
     assert got == [j for j in js if j in full]
@@ -422,7 +443,7 @@ def _assert_eval_matches_unblocked(ps, j, z):
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-@pytest.mark.parametrize("cells", [8, 16])
+@pytest.mark.parametrize("cells", [6, 8, 16])
 @pytest.mark.parametrize("n_inside", [1, _PATCH_BLOCK - 1, _PATCH_BLOCK, _PATCH_BLOCK + 1])
 def test_eval_matches_unblocked_at_the_patch_block_edge(partition, zbar_cut, n_inside, cells,
                                                         monkeypatch):
@@ -451,16 +472,32 @@ def test_far_tiers_reach_the_tail_of_all_moments():
         assert ratio ** n <= 2.0 ** -48 < ratio ** (n - 1)
 
 
-def test_patch_table_and_far_tiers_match_the_per_pair_oracles(partition, zbar_cut):
+@pytest.mark.parametrize("delta", [0.05, 0.4, 1.0])
+def test_template_dbar_phi_moments_vanish(delta):
+    # the far field drops the f(z) sum(b_q / (w_q - z)) term, whose multipole
+    # moments are those of the template's dbar(phi) weights: they vanish to
+    # 3.2e-8 of their scale sum |b_q| (delta/sqrt 2)^m
+    ps = PieceSet(build_partition(delta, (0j, 1 + 1j)), make_function("monomial"))
+    scale = np.abs(ps.b).sum()
+    for m in range(PieceSet.N_MOMENTS + 1):
+        moment = (ps.b * ps.offsets ** m).sum()
+        assert abs(moment) <= 1e-7 * scale * (delta / math.sqrt(2.0)) ** m, m
+
+
+def test_patch_table_and_far_tiers_match_the_per_pair_oracles(zbar_cut):
     # the patch table, one frame per point for the four bumps over its cell,
     # against the per-pair rule with its own cell lookup; and the far tiers
     # against all moments, just past each tier's start, where its dropped
-    # tail is largest.  At delta 0.25 the lattice lines are dyadic, so points
-    # on cell and support edges are exact and both lookups agree on the cell
+    # tail is largest.  At delta 0.375 the pitch delta/6 is 1/16, so the
+    # lattice lines are dyadic, points on cell and support edges are exact
+    # and both lookups agree on the cell (at delta 0.25 the pitch is not dyadic)
+    delta = 0.375
+    partition = build_partition(delta, BOX)
     ps = PieceSet(partition, zbar_cut)
+    assert (delta / PieceSet.CELLS).hex() == "0x1.0000000000000p-4"
     j = _bump_near(partition, 1.0 + 0.5j)
     c = partition.centers_array()[j]
-    h, pitch = ps.half, DELTA / PieceSet.CELLS
+    h, pitch = ps.half, delta / PieceSet.CELLS
     rng = seed_stream(21, "vitushkin.patch")
     t = rng.uniform(-h, h, 8)
     edges = -h + pitch * np.arange(1, PieceSet.CELLS)
@@ -479,7 +516,7 @@ def test_patch_table_and_far_tiers_match_the_per_pair_oracles(partition, zbar_cu
             want = patch_per_pair(ps, partition.centers_array()[bumps], z, fz)
             assert np.all(np.abs(table[:, kx, ky] - want) <= 1e-14 * np.abs(want))
     k = np.array([1, 2, 4, 8, 16, 32])
-    far = c + (k[:, None] * DELTA * (1 + 1e-9) * np.exp(2j * np.pi * rng.random(4))).ravel()
+    far = c + (k[:, None] * delta * (1 + 1e-9) * np.exp(2j * np.pi * rng.random(4))).ravel()
     want = far_field_all_moments(ps, j, far)
     assert np.all(np.abs(ps.eval(j, far) - want) <= 1e-14 * np.abs(want))
 
